@@ -9,13 +9,12 @@ reproducibly at scale.
 from .closedform import (expected_welfare_at_offer, uniform_closed_form,
                          w0_basic_closed_form, w0_extension_closed_form)
 from .config import RunConfig, parse_config
-from .distributions import (OfferDistribution, UniformOffers, sample_offer,
+from .distributions import (OfferDistribution, UniformOffers,
                             validate_assumptions)
 from .errors import (ConfigError, DivergenceError, InfeasibleError,
                      NonConvergenceError)
 from .evaluate import (PolicyEvaluation, PolicyProfile, build_policy,
-                       evaluate_policy, offer_value_post_extension,
-                       value_post_extension, welfare_loss)
+                       evaluate_policy, welfare_loss)
 from .experiments import (Calibration, SweepRow, calibrate_z,
                           default_calibration, sweep_beliefs)
 from .montecarlo import (CounterStream, SimulationSummary, SpellRecord,
@@ -53,10 +52,8 @@ __all__ = [
     "default_calibration",
     "evaluate_policy",
     "expected_welfare_at_offer",
-    "offer_value_post_extension",
     "parse_config",
     "reservation_identity_residual",
-    "sample_offer",
     "simulate_block",
     "simulate_many",
     "simulate_spell",
@@ -67,7 +64,6 @@ __all__ = [
     "uniform_closed_form",
     "upsilon",
     "validate_assumptions",
-    "value_post_extension",
     "w0_basic_closed_form",
     "w0_extension_closed_form",
     "welfare_loss",

@@ -15,7 +15,7 @@ from dataclasses import asdict
 from .config import parse_config
 from .distributions import UniformOffers
 from .errors import ConfigError, InfeasibleError, NonConvergenceError
-from .evaluate import build_policy, evaluate_policy
+from .evaluate import build_policy, evaluate_policy, loss_pct
 from .experiments import Calibration, calibrate_z, sweep_beliefs
 from .montecarlo import CounterStream, simulate_many, simulate_spell
 from .schedule import solve_schedules
@@ -67,7 +67,7 @@ def _cmd_evaluate(args):
         "welfare": result.welfare,
         "duration": result.duration,
         "accepted_wage": result.accepted_wage,
-        "loss_pct": 100.0 * (baseline.welfare - result.welfare) / baseline.welfare,
+        "loss_pct": loss_pct(baseline.welfare, result.welfare),
     }
     with _output(args.out) as out:
         json.dump(payload, out)
@@ -85,6 +85,10 @@ def _cmd_simulate(args):
     summary = simulate_many(policy, cfg.truth, cfg.params, cfg.distribution,
                             cfg.spells, cfg.seed,
                             max_periods=cfg.max_periods, n_workers=args.threads)
+    if summary.truncated_count:
+        print(f"warning: {summary.truncated_count} of {summary.n_spells} spells "
+              f"truncated at max_periods={cfg.max_periods}; "
+              "means cover completed spells only", file=sys.stderr)
     with _output(args.out) as out:
         if args.trace:
             out.write("spell,duration,accepted_wage,welfare,extended,"
@@ -150,6 +154,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_calibrate(args):
+    if not 0.0 < args.beta < 1.0:
+        raise ConfigError("beta", f"value {args.beta} outside (0, 1)")
     z_full = calibrate_z(args.duration, args.beta, UniformOffers())
     payload = {"z_full": z_full, "z": 0.5 * z_full, "c": 0.5 * z_full}
     with _output(args.out) as out:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .distributions import UniformOffers
 from .params import ExtensionSpec, MarketParams
-from .schedule import ReservationSchedule
+from .schedule import ReservationSchedule, post_extension_state
 
 
 def _require_standard_uniform(dist):
@@ -60,7 +60,7 @@ def uniform_closed_form(params: MarketParams,
         if belief is None:
             horizon = n_periods
         else:
-            horizon = max(n_periods - 1, 0) + belief.length
+            horizon = post_extension_state(n_periods, belief.length)
 
     basic = np.empty(horizon + 1)
     basic[0] = w0_basic_closed_form(beta, z)

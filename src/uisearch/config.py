@@ -152,6 +152,8 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     max_periods = _require_int(data, "max_periods", lo=1)
     seed = _require_int(data, "seed", lo=0)
     spells = _require_int(data, "spells", lo=1)
+    if spells > 1 << 32:
+        raise ConfigError("spells", f"value {spells} exceeds the 2**32 spell indices")
     dist = _build_distribution(data["distribution"])
 
     params = MarketParams(beta=beta, z=z, c=c, n_periods=n_periods)

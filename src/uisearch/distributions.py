@@ -98,18 +98,6 @@ class UniformOffers(OfferDistribution):
         return float(out) if np.ndim(out) == 0 else out
 
 
-def sample_offer(dist: OfferDistribution, u):
-    """Draw a wage by inverse-CDF sampling at the uniform variate ``u``.
-
-    Deterministic given ``u``; distributed as F when ``u`` is uniform on
-    [0, 1). Raises ValueError for variates outside [0, 1).
-    """
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError(f"invalid variate: u={u!r} outside [0, 1)")
-    return dist.quantile(u)
-
-
 def validate_assumptions(dist: OfferDistribution, params: MarketParams) -> list[str]:
     """Check the conditions under which the solver's theory holds.
 

@@ -18,7 +18,7 @@ from .distributions import OfferDistribution
 from .errors import DivergenceError
 from .params import ExtensionSpec, MarketParams
 from .schedule import (DEFAULT_MAX_ITER, DEFAULT_TOL, build_basic_schedule,
-                       build_extension_schedule, upsilon)
+                       build_extension_schedule, post_extension_state, upsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,31 +50,11 @@ def build_policy(dist: OfferDistribution, params: MarketParams,
     """
     if true_length is None:
         true_length = belief.length
-    horizon = max(params.n_periods - 1, 0) + max(belief.length, true_length)
+    horizon = post_extension_state(params.n_periods, max(belief.length, true_length))
     basic = build_basic_schedule(dist, params, horizon, tol=tol, max_iter=max_iter)
     pre = build_extension_schedule(dist, params, belief, basic,
                                    tol=tol, max_iter=max_iter)
     return PolicyProfile(pre_thresholds=pre, post_thresholds=basic)
-
-
-def value_post_extension(dist: OfferDistribution, params: MarketParams,
-                         basic: np.ndarray, n) -> float:
-    """Continuation value of unemployment at entitlement n after extension.
-
-    Post-extension behavior is optimal, so this is the Bellman value
-    ``basic[n] / (1 - beta)``.
-    """
-    return basic[n] / (1.0 - params.beta)
-
-
-def offer_value_post_extension(dist: OfferDistribution, params: MarketParams,
-                               basic: np.ndarray, n) -> float:
-    """Expected value at a post-extension offer node with entitlement n.
-
-    The offer is compared against ``basic[n]``, so the node is worth
-    ``upsilon(basic[n]) / (1 - beta)``.
-    """
-    return upsilon(dist, basic[n]) / (1.0 - params.beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +95,7 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
 
     if len(pre) != n_periods + 1:
         raise ValueError("pre_thresholds must cover entitlements 0..n_periods")
-    top_post = max(n_periods - 1, 0) + length
+    top_post = post_extension_state(n_periods, length)
     if len(post) <= top_post:
         raise ValueError(
             f"post_thresholds cover 0..{len(post) - 1} but index {top_post} is needed"
@@ -163,7 +143,7 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
 
     for n in range(1, n_periods + 1):
         k = n - 1
-        m = n - 1 + length
+        m = post_extension_state(n, length)
         reject = dist.cdf(pre[k])
         tail = dist.partial_expectation(pre[k], hi)
         g_pre = reject * values[k] + tail / (1.0 - beta)
@@ -203,4 +183,9 @@ def welfare_loss(belief: ExtensionSpec, truth: ExtensionSpec,
                             tol=tol, max_iter=max_iter)
     j_belief = evaluate_policy(policy_b, truth, params, dist).welfare
     j_truth = evaluate_policy(policy_t, truth, params, dist).welfare
-    return 100.0 * (j_truth - j_belief) / j_truth
+    return loss_pct(j_truth, j_belief)
+
+
+def loss_pct(j_truth, j) -> float:
+    """Percent of the optimal welfare ``j_truth`` lost when achieving ``j``."""
+    return 100.0 * (j_truth - j) / j_truth

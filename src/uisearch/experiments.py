@@ -8,18 +8,18 @@ wage shift. Exact evaluation is the default; Monte Carlo mode exists to
 demonstrate agreement.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import OfferDistribution, UniformOffers
 from .errors import InfeasibleError
-from .evaluate import PolicyProfile, evaluate_policy
+from .evaluate import PolicyProfile, evaluate_policy, loss_pct
 from .montecarlo import DEFAULT_MAX_PERIODS, simulate_many
 from .params import ExtensionSpec, MarketParams
 from .schedule import (DEFAULT_MAX_ITER, DEFAULT_TOL, build_basic_schedule,
-                       build_extension_schedule, solve_w0_basic)
+                       build_extension_schedule, post_extension_state,
+                       solve_w0_basic)
 
 DELTA_GRID_DEFAULT = tuple(round(0.10 + 0.05 * k, 2) for k in range(17))
 LENGTH_GRID_DEFAULT = tuple(range(5, 46, 5))
@@ -111,7 +111,9 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
     pinned to its true value. Exact mode uses the closed recursions; mc
     mode simulates every grid point (and the baseline) with the same
     master seed, so common random numbers cancel out of the
-    comparisons. Rows come back in grid order.
+    comparisons. Rows come back in grid order. Grid points run one
+    after another; ``n_workers`` sets the worker threads of each
+    ``simulate_many`` call in mc mode and does nothing in exact mode.
     """
     vary = {"len": "length"}.get(vary, vary)
     if vary not in ("delta", "length"):
@@ -124,7 +126,7 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
     params, dist, truth = cal.params, cal.dist, cal.truth
     beliefs = [_belief_for(cal, vary, v) for v in grid]
     max_length = max([truth.length] + [b.length for b in beliefs])
-    horizon = max(params.n_periods - 1, 0) + max_length
+    horizon = post_extension_state(params.n_periods, max_length)
     basic = build_basic_schedule(dist, params, horizon, tol=tol, max_iter=max_iter)
 
     def statistics(belief):
@@ -135,25 +137,20 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
             ev = evaluate_policy(policy, truth, params, dist)
             return ev.welfare, ev.duration, ev.accepted_wage
         summary = simulate_many(policy, truth, params, dist, spells, seed,
-                                max_periods=max_periods)
+                                max_periods=max_periods, n_workers=n_workers)
         return summary.welfare_mean, summary.duration_mean, summary.wage_mean
 
     base_welfare, base_duration, base_wage = statistics(truth)
 
-    if n_workers > 1 and len(beliefs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            stats = list(pool.map(statistics, beliefs))
-    else:
-        stats = [statistics(b) for b in beliefs]
-
     rows = []
-    for value, (welfare, dur, wage) in zip(grid, stats):
+    for value, belief in zip(grid, beliefs):
+        welfare, dur, wage = statistics(belief)
         true_value = truth.delta if vary == "delta" else truth.length
         rows.append(SweepRow(
             varied_param=vary if vary == "delta" else "len",
             belief_value=float(value),
             misperception=float(value) - true_value,
-            loss_pct=100.0 * (base_welfare - welfare) / base_welfare,
+            loss_pct=loss_pct(base_welfare, welfare),
             duration_ratio=dur / base_duration,
             wage_gap_pct=100.0 * (wage - base_wage) / base_wage,
         ))

@@ -300,6 +300,8 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     """
     if n_spells < 1:
         raise ValueError("n_spells must be at least 1")
+    if n_spells > 1 << 32:
+        raise ValueError("spell indices must fit in 32 bits")
     starts = list(range(0, n_spells, chunk_size))
 
     def run(start):

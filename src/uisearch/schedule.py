@@ -45,6 +45,30 @@ def _check_solvable(dist, beta, flow):
         raise ValueError("offer distribution violates the interiority condition")
 
 
+def post_extension_state(n, length):
+    """Post-extension entitlement reached by an extension drawn at entitlement n.
+
+    The period's entitlement is used up first, so an extension at zero
+    entitlement restores the full ``length``.
+    """
+    return max(n - 1, 0) + length
+
+
+def _fixed_point(dist, base, slope, tol, max_iter, label):
+    """Picard iteration on ``x -> base + slope * upsilon(x)`` from the
+    bottom of the support."""
+    x = dist.support_low
+    for _ in range(max_iter):
+        nxt = base + slope * upsilon(dist, x)
+        if abs(nxt - x) < tol:
+            return nxt
+        x = nxt
+    raise NonConvergenceError(
+        f"{label} fixed point did not converge in {max_iter} iterations",
+        residual=abs(base + slope * upsilon(dist, x) - x),
+    )
+
+
 def solve_w0_basic(dist: OfferDistribution, params: MarketParams, flow,
                    tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> float:
     """Reservation wage with zero entitlement and no chance of extension.
@@ -63,17 +87,7 @@ def solve_w0_basic(dist: OfferDistribution, params: MarketParams, flow,
     """
     beta = params.beta
     _check_solvable(dist, beta, flow)
-    base = flow * (1.0 - beta)
-    x = dist.support_low
-    for _ in range(max_iter):
-        nxt = base + beta * upsilon(dist, x)
-        if abs(nxt - x) < tol:
-            return nxt
-        x = nxt
-    raise NonConvergenceError(
-        f"basic fixed point did not converge in {max_iter} iterations",
-        residual=abs(base + beta * upsilon(dist, x) - x),
-    )
+    return _fixed_point(dist, flow * (1.0 - beta), beta, tol, max_iter, "basic")
 
 
 def build_basic_schedule(dist: OfferDistribution, params: MarketParams, horizon,
@@ -107,16 +121,7 @@ def solve_w0_extension(dist: OfferDistribution, params: MarketParams,
     beta, delta = params.beta, belief.delta
     _check_solvable(dist, beta, params.z)
     base = params.z * (1.0 - beta) + beta * delta * upsilon(dist, w_basic_at_length)
-    x = dist.support_low
-    for _ in range(max_iter):
-        nxt = base + beta * (1.0 - delta) * upsilon(dist, x)
-        if abs(nxt - x) < tol:
-            return nxt
-        x = nxt
-    raise NonConvergenceError(
-        f"extension fixed point did not converge in {max_iter} iterations",
-        residual=abs(base + beta * (1.0 - delta) * upsilon(dist, x) - x),
-    )
+    return _fixed_point(dist, base, beta * (1.0 - delta), tol, max_iter, "extension")
 
 
 def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
@@ -131,7 +136,7 @@ def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
     so ``basic`` must cover index ``n_periods - 1 + length``.
     """
     n_periods, length = params.n_periods, belief.length
-    needed = max(n_periods - 1, 0) + length
+    needed = post_extension_state(n_periods, length)
     if len(basic) <= needed:
         raise ValueError(
             f"basic schedule covers 0..{len(basic) - 1} but index {needed} is needed"
@@ -142,8 +147,9 @@ def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
     beta, delta = params.beta, belief.delta
     base = (params.z + params.c) * (1.0 - beta)
     for n in range(1, n_periods + 1):
+        post = basic[post_extension_state(n, length)]
         wages[n] = (base
-                    + beta * delta * upsilon(dist, basic[n - 1 + length])
+                    + beta * delta * upsilon(dist, post)
                     + beta * (1.0 - delta) * upsilon(dist, wages[n - 1]))
     return wages
 
@@ -191,14 +197,14 @@ def solve_schedules(dist: OfferDistribution, params: MarketParams,
 
     ``horizon`` sets the top entitlement of the basic schedule. The
     default covers every index the pre-extension recursion looks up,
-    ``max(n_periods - 1, 0) + length``; pass a larger value when the
+    ``post_extension_state(n_periods, length)``; pass a larger value when the
     basic schedule must also cover a different true extension length.
     """
     if horizon is None:
         if belief is None:
             horizon = params.n_periods
         else:
-            horizon = max(params.n_periods - 1, 0) + belief.length
+            horizon = post_extension_state(params.n_periods, belief.length)
     basic = build_basic_schedule(dist, params, horizon, tol=tol, max_iter=max_iter)
     with_ext = None
     if belief is not None:
@@ -244,7 +250,8 @@ def reservation_identity_residual(dist: OfferDistribution,
         x = wages[n]
         flow = params.z if n == 0 else params.z + params.c
         u = x if n == 0 else wages[n - 1]
-        y = post[max(n - 1, 0) + length] if schedule.with_extension is not None else u
+        y = (post[post_extension_state(n, length)]
+             if schedule.with_extension is not None else u)
         lhs = x - flow
         rhs = per_period * (delta * (upsilon(dist, y) - x)
                             + (1.0 - delta) * (upsilon(dist, u) - x))

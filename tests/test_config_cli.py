@@ -1,8 +1,9 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from uisearch import ConfigError, parse_config
+from uisearch import ConfigError, build_policy, parse_config, simulate_many
 from uisearch.cli import main
 
 BENCHMARK = {
@@ -138,6 +139,38 @@ class TestCli:
         summary = json.loads(out[-1])
         assert summary["n_spells"] == 2000
         assert summary["truncated_count"] == 0
+        assert capsys.readouterr().err == ""
+
+    def test_truncation_warns_on_stderr_only(self, config_path, capsys):
+        assert main(["simulate", "--config", config_path, "--spells", "1000",
+                     "--max-periods", "1"]) == 0
+        captured = capsys.readouterr()
+        cfg = parse_config(config_path, overrides={"spells": 1000, "max_periods": 1})
+        policy = build_policy(cfg.distribution, cfg.params, cfg.belief,
+                              true_length=cfg.truth.length)
+        summary = simulate_many(policy, cfg.truth, cfg.params, cfg.distribution,
+                                1000, cfg.seed, max_periods=1)
+        assert summary.truncated_count > 0
+        # stdout is exactly the data a warning-free run would print
+        assert captured.out == json.dumps(asdict(summary)) + "\n"
+        assert captured.err == (
+            f"warning: {summary.truncated_count} of 1000 spells truncated at "
+            "max_periods=1; means cover completed spells only\n")
+
+    def test_spells_beyond_index_space_rejected_before_work(self, config_path,
+                                                            capsys, monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("simulate_block ran before the count was checked")
+
+        monkeypatch.setattr("uisearch.montecarlo.simulate_block", no_block)
+        at_limit = parse_config(config_path, overrides={"spells": 1 << 32})
+        assert at_limit.spells == 1 << 32
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(config_path, overrides={"spells": (1 << 32) + 1})
+        assert excinfo.value.field == "spells"
+        assert main(["simulate", "--config", config_path,
+                     "--spells", "5000000000"]) == 2
+        assert capsys.readouterr().err.startswith("error: spells")
 
     def test_simulate_threads_do_not_change_output(self, config_path, capsys):
         main(["simulate", "--config", config_path, "--spells", "30000",
@@ -183,6 +216,10 @@ class TestCli:
 
     def test_exit_code_infeasible(self, capsys):
         assert main(["calibrate", "--duration", "1"]) == 4
+
+    def test_calibrate_beta_out_of_range_is_config_error(self, capsys):
+        assert main(["calibrate", "--duration", "10", "--beta", "1.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: beta")
 
     def test_bad_grid_is_config_error(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--grid", "oops"]) == 2

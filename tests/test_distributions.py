@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from uisearch import (MarketParams, UniformOffers, sample_offer,
-                      validate_assumptions)
+from uisearch import MarketParams, UniformOffers, validate_assumptions
 
 
 def quadrature_partial_expectation(dist, a, b, n=200_001):
@@ -69,15 +68,11 @@ class TestPartialExpectation:
 
 class TestSampling:
     def test_quantile_is_identity_on_uniform(self, uniform):
-        assert sample_offer(uniform, 0.0) == 0.0
-        assert sample_offer(uniform, 0.75) == 0.75
-        assert sample_offer(uniform, 0.999) == 0.999
-
-    def test_variate_domain(self, uniform):
-        with pytest.raises(ValueError, match="invalid variate"):
-            sample_offer(uniform, 1.0)
-        with pytest.raises(ValueError, match="invalid variate"):
-            sample_offer(uniform, -0.01)
+        assert uniform.quantile(0.0) == 0.0
+        assert uniform.quantile(0.75) == 0.75
+        assert uniform.quantile(0.999) == 0.999
+        u = np.array([0.0, 0.25, 0.999])
+        assert np.array_equal(uniform.quantile(u), u)
 
     @pytest.mark.parametrize("dist", [UniformOffers(), UniformOffers(2.0, 5.0)])
     def test_cdf_quantile_round_trip(self, dist):
@@ -88,7 +83,7 @@ class TestSampling:
     def test_empirical_mean(self, uniform):
         n = 1_000_000
         rng = np.random.default_rng(314)
-        draws = sample_offer(uniform, rng.random(n))
+        draws = uniform.quantile(rng.random(n))
         stderr = np.sqrt(1.0 / 12.0 / n)
         assert abs(draws.mean() - uniform.mean) < 4.0 * stderr
 

@@ -3,27 +3,24 @@ import pytest
 
 from uisearch import (DivergenceError, ExtensionSpec, MarketParams,
                       PolicyProfile, build_policy, evaluate_policy,
-                      expected_welfare_at_offer, offer_value_post_extension,
-                      simulate_many, solve_schedules, solve_w0_basic,
-                      value_post_extension, welfare_loss)
-from uisearch.schedule import build_basic_schedule
+                      expected_welfare_at_offer, simulate_many,
+                      solve_schedules, solve_w0_basic, upsilon, welfare_loss)
 
 
 class TestPostExtensionValues:
     def test_continuation_value(self, uniform, fig3_params):
-        basic = build_basic_schedule(uniform, fig3_params, horizon=5)
-        assert value_post_extension(uniform, fig3_params, basic, 0) == pytest.approx(
-            16.0, abs=1e-7)
+        schedule = solve_schedules(uniform, fig3_params)
+        assert schedule.unemployment_value(0) == pytest.approx(16.0, abs=1e-7)
 
     def test_offer_node_value(self, uniform, fig3_params):
-        basic = build_basic_schedule(uniform, fig3_params, horizon=5)
-        assert offer_value_post_extension(uniform, fig3_params, basic, 0) == pytest.approx(
+        basic = solve_schedules(uniform, fig3_params).basic
+        assert upsilon(uniform, basic[0]) / (1 - fig3_params.beta) == pytest.approx(
             16.4, abs=1e-7)
 
     def test_myopic_limit(self, uniform):
         p = MarketParams(beta=1e-9, z=0.3, c=0.1, n_periods=1)
-        basic = build_basic_schedule(uniform, p, horizon=1)
-        assert value_post_extension(uniform, p, basic, 0) == pytest.approx(0.3, abs=1e-6)
+        schedule = solve_schedules(uniform, p)
+        assert schedule.unemployment_value(0) == pytest.approx(0.3, abs=1e-6)
 
 
 class TestBellmanConsistency:

@@ -5,6 +5,7 @@ from uisearch import (ExtensionSpec, InfeasibleError, calibrate_z,
                       default_calibration, solve_w0_basic, sweep_beliefs,
                       upsilon)
 from uisearch.experiments import DELTA_GRID_DEFAULT, LENGTH_GRID_DEFAULT
+from uisearch.montecarlo import DEFAULT_CHUNK
 
 
 def invert_flow_for_threshold(dist, beta, w0):
@@ -91,10 +92,14 @@ class TestSweep:
 
     def test_rows_in_grid_order_and_parallel_identical(self, cal):
         grid = [0.2, 0.4, 0.6, 0.8]
-        serial = sweep_beliefs(cal, vary="delta", grid=grid)
-        parallel = sweep_beliefs(cal, vary="delta", grid=grid, n_workers=4)
-        assert [r.belief_value for r in serial] == grid
-        assert serial == parallel
+        # two blocks per simulation, so mc mode fans out inside simulate_many
+        for mode in ("exact", "mc"):
+            kwargs = dict(vary="delta", grid=grid, mode=mode, seed=2,
+                          spells=DEFAULT_CHUNK + 1)
+            serial = sweep_beliefs(cal, **kwargs)
+            parallel = sweep_beliefs(cal, n_workers=4, **kwargs)
+            assert [r.belief_value for r in serial] == grid
+            assert serial == parallel
 
     def test_mc_mode_agrees_with_exact(self, cal):
         grid = [0.1, 0.9]

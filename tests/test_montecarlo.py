@@ -230,6 +230,18 @@ class TestSimulateMany:
             simulate_many(policy, benchmark_truth, benchmark_params, uniform,
                           0, 1)
 
+    def test_rejects_spell_count_beyond_index_space(self, uniform, benchmark_params,
+                                                    benchmark_truth, monkeypatch):
+        policy = build_policy(uniform, benchmark_params, benchmark_truth)
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("simulate_block ran before the count was checked")
+
+        monkeypatch.setattr("uisearch.montecarlo.simulate_block", no_block)
+        with pytest.raises(ValueError, match="32 bits"):
+            simulate_many(policy, benchmark_truth, benchmark_params, uniform,
+                          (1 << 32) + 1, 1)
+
     def test_stderr_definition(self, uniform, benchmark_params, benchmark_truth):
         policy = build_policy(uniform, benchmark_params, benchmark_truth)
         block = simulate_block(policy, benchmark_truth, benchmark_params,

@@ -1,0 +1,100 @@
+"""Every package name the benchmark harness and the demos use still exists.
+
+The scripts under ``bench/`` and ``demos/`` are parsed, never run: each
+``from uisearch... import X``, each attribute chain on an imported
+``uisearch`` module (``us.simulate_many``, ``uisearch.cli.main``) and
+each ``module.function`` key of the harness's ``TARGETS`` table must
+resolve against the installed package.
+"""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py")])
+
+
+def _attribute_chain(node):
+    """``a.b.c`` as ["a", "b", "c"], or None when the root is not a name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return [node.id, *reversed(parts)]
+
+
+def _in_package(module):
+    return module.split(".")[0] == "uisearch"
+
+
+def used_names(tree):
+    """Dotted package names a script refers to."""
+    names = set()
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _in_package(node.module or ""):
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if _in_package(a.name):
+                    names.add(a.name)
+                    aliases[a.asname or "uisearch"] = a.name if a.asname else "uisearch"
+    for node in ast.walk(tree):
+        chain = _attribute_chain(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain[0] in aliases:
+            names.add(".".join([aliases[chain[0]], *chain[1:]]))
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)):
+            names.update(f"uisearch.{k.value}" for k in node.value.keys)
+    return names
+
+
+def resolves(dotted):
+    """Whether ``dotted`` names an attribute reachable from a uisearch module.
+
+    The chain is followed through modules only: past the first object
+    that is not a module, the rest of a chain may be instance state,
+    which a static check cannot see.
+    """
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=1):
+        if not isinstance(obj, types.ModuleType):
+            return True
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:i + 1]))
+            except ModuleNotFoundError:
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_scripts_found():
+    assert any(p.parent.name == "bench" for p in SCRIPTS)
+    assert any(p.parent.name == "demos" for p in SCRIPTS)
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_package_names_used_by_script_resolve(script):
+    names = used_names(ast.parse(script.read_text(), filename=str(script)))
+    missing = sorted(n for n in names if not resolves(n))
+    assert not missing, f"{script.name} uses missing names: {missing}"
+
+
+def test_guard_catches_a_missing_name():
+    tree = ast.parse("import uisearch as us\n"
+                     "from uisearch.evaluate import no_such_helper, welfare_loss\n"
+                     "us.simulate_many(); us.no_such_name()\n"
+                     "TARGETS = {'schedule.no_such_function': None}\n")
+    names = used_names(tree)
+    assert "uisearch.simulate_many" in names
+    assert {n for n in names if not resolves(n)} == {
+        "uisearch.evaluate.no_such_helper", "uisearch.no_such_name",
+        "uisearch.schedule.no_such_function"}
