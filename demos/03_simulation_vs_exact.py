@@ -5,8 +5,8 @@ Monte Carlo spells against the exact evaluator
 Spell statistics admit closed linear recursions, so Monte Carlo is not
 needed for precision here; simulating anyway shows the two agree and
 demonstrates the reproducibility contract: spell i's randomness is a
-pure function of (master_seed, i), so worker count, chunking, and
-scheduling cannot change a digit of the summary.
+pure function of (master_seed, i), so worker count and scheduling
+cannot change a digit of the summary.
 """
 
 import time

@@ -143,6 +143,11 @@ def _cmd_sweep(args):
                          seed=cfg.seed, spells=cfg.spells,
                          max_periods=cfg.max_periods, n_workers=args.threads,
                          tol=cfg.tol, max_iter=cfg.max_iter)
+    truncated_rows = sum(row.truncated_count > 0 for row in rows)
+    if truncated_rows:
+        print(f"warning: spells truncated at max_periods={cfg.max_periods} in "
+              f"the runs behind {truncated_rows} of {len(rows)} rows; "
+              "means cover completed spells only", file=sys.stderr)
     with _output(args.out) as out:
         out.write("varied_param,belief_value,misperception,loss_pct,"
                   "duration_ratio,wage_gap_pct\n")

@@ -150,6 +150,9 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     tol = _require_number(data, "tol", lo=0.0, lo_open=True)
     max_iter = _require_int(data, "max_iter", lo=1)
     max_periods = _require_int(data, "max_periods", lo=1)
+    if max_periods > 1 << 30:
+        raise ConfigError("max_periods", f"value {max_periods} exceeds the 2**30 "
+                          "periods the draw counter allows")
     seed = _require_int(data, "seed", lo=0)
     spells = _require_int(data, "spells", lo=1)
     if spells > 1 << 32:

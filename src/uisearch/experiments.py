@@ -85,7 +85,12 @@ def default_calibration(target_duration=10.0, beta=0.95, n_periods=10,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of a misperception sweep."""
+    """One grid point of a misperception sweep.
+
+    ``truncated_count`` counts the spells truncated at ``max_periods`` in
+    the two Monte Carlo runs the row compares, its belief's and the
+    baseline's; it is always 0 in exact mode.
+    """
 
     varied_param: str
     belief_value: float
@@ -93,6 +98,7 @@ class SweepRow:
     loss_pct: float
     duration_ratio: float
     wage_gap_pct: float
+    truncated_count: int = 0
 
 
 def _belief_for(cal: Calibration, vary, value) -> ExtensionSpec:
@@ -135,16 +141,17 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
         policy = PolicyProfile(pre_thresholds=pre, post_thresholds=basic)
         if mode == "exact":
             ev = evaluate_policy(policy, truth, params, dist)
-            return ev.welfare, ev.duration, ev.accepted_wage
+            return ev.welfare, ev.duration, ev.accepted_wage, 0
         summary = simulate_many(policy, truth, params, dist, spells, seed,
                                 max_periods=max_periods, n_workers=n_workers)
-        return summary.welfare_mean, summary.duration_mean, summary.wage_mean
+        return (summary.welfare_mean, summary.duration_mean, summary.wage_mean,
+                summary.truncated_count)
 
-    base_welfare, base_duration, base_wage = statistics(truth)
+    base_welfare, base_duration, base_wage, base_truncated = statistics(truth)
 
     rows = []
     for value, belief in zip(grid, beliefs):
-        welfare, dur, wage = statistics(belief)
+        welfare, dur, wage, truncated = statistics(belief)
         true_value = truth.delta if vary == "delta" else truth.length
         rows.append(SweepRow(
             varied_param=vary if vary == "delta" else "len",
@@ -153,5 +160,6 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
             loss_pct=loss_pct(base_welfare, welfare),
             duration_ratio=dur / base_duration,
             wage_gap_pct=100.0 * (wage - base_wage) / base_wage,
+            truncated_count=base_truncated + truncated,
         ))
     return rows

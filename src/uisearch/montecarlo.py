@@ -11,11 +11,15 @@ within a period.
 
 Spells are simulated either one at a time (``simulate_spell``, which
 also accepts hand-built variate streams for tracing) or in vectorized
-blocks (``simulate_block``); the two paths consume identical streams
-and produce identical records. ``simulate_many`` aggregates blocks with
-an exact (order-insensitive) reduction, so a fixed
-``(master_seed, n_spells)`` gives a bit-identical summary for any
-worker count or chunk size.
+blocks (``simulate_block``, whose lanes carry only a spell index and an
+extension period, with entitlement and welfare kept per extension
+period and draw counters derived from the period); the two paths
+consume identical streams and produce identical records.
+``simulate_many`` combines per-block sums with an exact
+(order-insensitive) reduction, so a fixed ``(master_seed, n_spells)``
+gives a bit-identical summary for any worker count. Each block's own
+sums round according to its extent, so the summary can differ in the
+last bits between chunk sizes.
 """
 
 import math
@@ -56,15 +60,20 @@ def _variate(seed_offset: int, spell: int, draw: int) -> float:
 
 
 def _variates(seed_offset, spells: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Vectorized ``_variate`` over uint64 index arrays."""
-    counter = (spells << np.uint64(32)) | draws
-    state = np.uint64(seed_offset) + (counter + np.uint64(1)) * np.uint64(_GAMMA)
-    x = state ^ (state >> np.uint64(30))
-    x = x * np.uint64(_MIX1)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(_MIX2)
-    x = x ^ (x >> np.uint64(31))
-    return (x >> np.uint64(11)) * 2.0 ** -53
+    """Vectorized ``_variate`` over uint64 index arrays, computed in place."""
+    x = np.left_shift(spells, np.uint64(32))
+    x |= draws
+    x += np.uint64(1)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64(seed_offset)
+    shifted = np.right_shift(x, np.uint64(30))
+    x ^= shifted
+    x *= np.uint64(_MIX1)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
+    x *= np.uint64(_MIX2)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
+    x >>= np.uint64(11)
+    return np.multiply(x, 2.0 ** -53, out=shifted.view(np.float64))
 
 
 class CounterStream:
@@ -157,6 +166,14 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
     Returns arrays keyed ``duration``, ``accepted_wage`` (NaN when
     truncated), ``welfare``, ``extended``, ``extension_period`` (-1 when
     none), and ``truncated``.
+
+    All active lanes are at the same period ``t``, so a lane's
+    entitlement, welfare and discount depend on it only through its
+    extension period ``k`` (0 while the trial is pending). Lanes carry
+    their spell index and ``k``; entitlement and welfare are per-``k``
+    vectors. Draw counters are derived: a pending lane draws its trial
+    at ``2t`` and its offer at ``2t + 1``, an extended one its offer at
+    ``t + k``.
     """
     if start + count > 1 << 32:
         raise ValueError("spell indices must fit in 32 bits")
@@ -168,74 +185,53 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
     post = policy.post_thresholds
     offset = _seed_offset(master_seed)
 
-    duration = np.zeros(count, dtype=np.int64)
+    duration = np.full(count, max_periods, dtype=np.int64)
     wage = np.full(count, np.nan)
     welfare = np.zeros(count)
-    extended_out = np.zeros(count, dtype=bool)
-    ext_period = np.full(count, -1, dtype=np.int64)
-    truncated = np.zeros(count, dtype=bool)
+    ext_period = np.zeros(count, dtype=np.int64)
 
-    # Working arrays over the still-active lanes, compacted as spells end.
-    a_orig = np.arange(count)
-    a_idx = np.arange(start, start + count, dtype=np.uint64)
-    a_cnt = np.zeros(count, dtype=np.uint64)
-    a_n = np.full(count, params.n_periods, dtype=np.int64)
-    a_ext = np.zeros(count, dtype=bool)
-    a_disc = np.ones(count)
-    a_wel = np.zeros(count)
+    # Active lanes, compacted as spells end, and the per-k state.
+    spell = np.arange(start, start + count, dtype=np.uint64)
+    k = np.zeros(count, dtype=np.int64)
+    n_k = np.array([params.n_periods], dtype=np.int64)
+    wel_k = np.zeros(1)
+    disc = 1.0
 
     for t in range(max_periods):
-        flow = z + c * (a_n > 0)
-        a_wel += a_disc * flow
-        a_n = np.maximum(a_n - 1, 0)
-        pending = ~a_ext
-        if pending.any():
-            pos = np.flatnonzero(pending)
-            u_ext = _variates(offset, a_idx[pos], a_cnt[pos])
-            a_cnt[pos] += np.uint64(1)
-            won = pos[u_ext < delta]
-            if won.size:
-                a_n[won] += length
-                a_ext[won] = True
-                ext_period[a_orig[won]] = t + 1
-                extended_out[a_orig[won]] = True
-        a_disc *= beta
-        u_off = _variates(offset, a_idx, a_cnt)
-        a_cnt += np.uint64(1)
-        w = dist.quantile(u_off)
-        threshold = np.empty(w.shape)
-        threshold[a_ext] = post[a_n[a_ext]]
-        threshold[~a_ext] = pre[a_n[~a_ext]]
-        accept = w >= threshold
-        if accept.any():
-            done = a_orig[accept]
-            welfare[done] = a_wel[accept] + a_disc[accept] * w[accept] / (1.0 - beta)
-            duration[done] = t + 1
-            wage[done] = w[accept]
-            keep = ~accept
-            a_orig = a_orig[keep]
-            a_idx = a_idx[keep]
-            a_cnt = a_cnt[keep]
-            a_n = a_n[keep]
-            a_ext = a_ext[keep]
-            a_disc = a_disc[keep]
-            a_wel = a_wel[keep]
-            if a_orig.size == 0:
+        wel_k = wel_k + disc * (z + c * (n_k > 0))
+        n_k = np.maximum(n_k - 1, 0)
+        n_k = np.append(n_k, n_k[0] + length)
+        wel_k = np.append(wel_k, wel_k[0])
+        pending = np.flatnonzero(k == 0)
+        if pending.size:
+            u_ext = _variates(offset, spell[pending], np.uint64(2 * t))
+            k[pending[u_ext < delta]] = t + 1
+        disc *= beta
+        draws = np.arange(t, 2 * t + 2, dtype=np.uint64)
+        draws[0] = 2 * t + 1
+        w = dist.quantile(_variates(offset, spell, draws[k]))
+        accept = w >= np.concatenate((pre[n_k[:1]], post[n_k[1:]]))[k]
+        acc = np.flatnonzero(accept)
+        if acc.size:
+            orig = (spell[acc] - start).view(np.int64)
+            k_acc, w_acc = k[acc], w[acc]
+            welfare[orig] = wel_k[k_acc] + disc * w_acc / (1.0 - beta)
+            duration[orig] = t + 1
+            wage[orig] = w_acc
+            ext_period[orig] = k_acc
+            keep = np.flatnonzero(~accept)
+            spell, k = spell[keep], k[keep]
+            if spell.size == 0:
                 break
 
-    if a_orig.size:
-        welfare[a_orig] = a_wel
-        duration[a_orig] = max_periods
-        truncated[a_orig] = True
-
-    return {
-        "duration": duration,
-        "accepted_wage": wage,
-        "welfare": welfare,
-        "extended": extended_out,
-        "extension_period": ext_period,
-        "truncated": truncated,
-    }
+    orig = (spell - start).view(np.int64)
+    welfare[orig] = wel_k[k]
+    ext_period[orig] = k
+    extended = ext_period > 0
+    ext_period[~extended] = -1
+    return {"duration": duration, "accepted_wage": wage, "welfare": welfare,
+            "extended": extended, "extension_period": ext_period,
+            "truncated": np.isnan(wage)}
 
 
 @dataclass(frozen=True)
@@ -295,8 +291,9 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     Spell ``i`` always uses the stream derived from
     ``(master_seed, i)``, and cross-chunk totals are combined with exact
     summation, so the summary is bit-identical for a given
-    ``(master_seed, n_spells)`` regardless of ``n_workers`` or
-    ``chunk_size``.
+    ``(master_seed, n_spells, chunk_size)`` regardless of ``n_workers``.
+    Per-block sums round differently at another ``chunk_size``, which
+    can move the last bits.
     """
     if n_spells < 1:
         raise ValueError("n_spells must be at least 1")

@@ -172,6 +172,37 @@ class TestCli:
                      "--spells", "5000000000"]) == 2
         assert capsys.readouterr().err.startswith("error: spells")
 
+    def test_max_periods_beyond_draw_counter_rejected_before_work(self, config_path,
+                                                                  capsys, monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("simulate_block ran before max_periods was checked")
+
+        monkeypatch.setattr("uisearch.montecarlo.simulate_block", no_block)
+        at_limit = parse_config(config_path, overrides={"max_periods": 1 << 30})
+        assert at_limit.max_periods == 1 << 30
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(config_path, overrides={"max_periods": (1 << 30) + 1})
+        assert excinfo.value.field == "max_periods"
+        assert main(["simulate", "--config", config_path, "--spells", "10",
+                     "--max-periods", "2000000000"]) == 2
+        assert capsys.readouterr().err.startswith("error: max_periods")
+
+    def test_sweep_truncation_warns_on_stderr_only(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({**BENCHMARK, "max_periods": 1}))
+        assert main(["sweep", "--config", str(path), "--mode", "mc",
+                     "--spells", "1000", "--grid", "0.1:0.9:0.8"]) == 0
+        captured = capsys.readouterr()
+        # stdout is the CSV alone
+        lines = captured.out.splitlines()
+        assert len(lines) == 3
+        assert [line.split(",")[1] for line in lines[1:]] == ["0.1", "0.9"]
+        assert captured.err == (
+            "warning: spells truncated at max_periods=1 in the runs behind "
+            "2 of 2 rows; means cover completed spells only\n")
+        assert main(["sweep", "--config", str(path), "--grid", "0.1:0.9:0.8"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_simulate_threads_do_not_change_output(self, config_path, capsys):
         main(["simulate", "--config", config_path, "--spells", "30000",
               "--seed", "5"])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from uisearch import (ExtensionSpec, InfeasibleError, calibrate_z,
-                      default_calibration, solve_w0_basic, sweep_beliefs,
-                      upsilon)
+from uisearch import (ExtensionSpec, InfeasibleError, build_policy, calibrate_z,
+                      default_calibration, simulate_many, solve_w0_basic,
+                      sweep_beliefs, upsilon)
 from uisearch.experiments import DELTA_GRID_DEFAULT, LENGTH_GRID_DEFAULT
 from uisearch.montecarlo import DEFAULT_CHUNK
 
@@ -116,6 +116,19 @@ class TestSweep:
                              seed=3, spells=2_000)
         # belief equals truth, same seed: the comparison is exact
         assert rows[0].loss_pct == 0.0
+
+    def test_rows_count_truncated_spells(self, cal):
+        kwargs = dict(vary="delta", grid=[0.1, 0.5], seed=3, spells=2_000,
+                      max_periods=1)
+        assert [r.truncated_count for r in sweep_beliefs(cal, **kwargs)] == [0, 0]
+        rows = sweep_beliefs(cal, mode="mc", **kwargs)
+        baseline = simulate_many(build_policy(cal.dist, cal.params, cal.truth),
+                                 cal.truth, cal.params, cal.dist, 2_000, 3,
+                                 max_periods=1).truncated_count
+        assert baseline > 0
+        assert rows[0].truncated_count > baseline
+        # belief equals truth: the row's run is the baseline run, counted twice
+        assert rows[1].truncated_count == 2 * baseline
 
     def test_invalid_arguments(self, cal):
         with pytest.raises(ValueError, match="vary"):

@@ -1,13 +1,33 @@
+import hashlib
 import itertools
 import math
+from collections import Counter
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from uisearch import (CounterStream, ExtensionSpec, MarketParams,
-                      PolicyProfile, build_policy, simulate_block,
+                      PolicyProfile, UniformOffers, build_policy, simulate_block,
                       simulate_many, simulate_spell, solve_w0_basic)
+from uisearch import montecarlo
 from uisearch.montecarlo import _variate, _variates
+
+BENCH = MarketParams(beta=0.95, z=0.4025, c=0.4025, n_periods=10)
+BENCH_TRUTH = ExtensionSpec(delta=0.5, length=25)
+UNIT = UniformOffers()
+WIDE = UniformOffers(low=0.5, high=2.0)
+WIDE_PARAMS = MarketParams(beta=0.9, z=0.6, c=0.6, n_periods=3)
+
+
+def _policy(dist, params, truth, belief):
+    """Thresholds for ``belief``, or thresholds above the support when None."""
+    if belief is None:
+        top = dist.high + 0.1
+        return PolicyProfile(pre_thresholds=np.full(params.n_periods + 1, top),
+                             post_thresholds=np.full(params.n_periods + truth.length + 1,
+                                                     top))
+    return build_policy(dist, params, belief, true_length=truth.length)
 
 
 class ForcedStream:
@@ -159,25 +179,46 @@ class TestCounterStreams:
         assert abs(u.var() - 1 / 12) < 4 * math.sqrt(1 / 180 / n)
 
 
+# (params, dist, truth, belief, simulate_block overrides); belief None
+# means no offer ever clears the thresholds, so every spell truncates.
+ORACLE_CASES = {
+    "benchmark": (BENCH, UNIT, BENCH_TRUTH, ExtensionSpec(0.1, 25), {}),
+    "delta_zero": (BENCH, UNIT, ExtensionSpec(0.0, 25), ExtensionSpec(0.3, 25), {}),
+    "delta_one": (BENCH, UNIT, ExtensionSpec(1.0, 25), ExtensionSpec(0.6, 25), {}),
+    "no_entitlement": (replace(BENCH, n_periods=0), UNIT, ExtensionSpec(0.5, 3),
+                       ExtensionSpec(0.5, 3), {}),
+    "wide_support": (WIDE_PARAMS, WIDE, ExtensionSpec(0.4, 4), ExtensionSpec(0.2, 4), {}),
+    "one_spell_offset": (BENCH, UNIT, BENCH_TRUTH, ExtensionSpec(0.1, 25),
+                         {"start": 70_000, "count": 1}),
+    "truncate_1": (BENCH, UNIT, BENCH_TRUTH, ExtensionSpec(0.1, 25), {"max_periods": 1}),
+    "truncate_2": (BENCH, UNIT, BENCH_TRUTH, ExtensionSpec(0.1, 25), {"max_periods": 2}),
+    "truncate_3": (WIDE_PARAMS, WIDE, ExtensionSpec(0.4, 4), ExtensionSpec(0.2, 4),
+                   {"max_periods": 3, "start": 9}),
+    "above_support": (replace(BENCH, n_periods=1), UNIT, ExtensionSpec(0.5, 2), None,
+                      {"max_periods": 7}),
+}
+
+
 class TestBlockEquivalence:
-    def test_block_matches_scalar_loop(self, uniform, benchmark_params,
-                                       benchmark_truth):
-        policy = build_policy(uniform, benchmark_params,
-                              ExtensionSpec(delta=0.1, length=25),
-                              true_length=benchmark_truth.length)
-        count = 300
-        block = simulate_block(policy, benchmark_truth, benchmark_params,
-                               uniform, master_seed=77, start=0, count=count)
-        for i in range(count):
-            rec = simulate_spell(policy, benchmark_truth, benchmark_params,
-                                 uniform, CounterStream(77, i))
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_block_matches_scalar_loop(self, case):
+        params, dist, truth, belief, overrides = ORACLE_CASES[case]
+        policy = _policy(dist, params, truth, belief)
+        kwargs = {"master_seed": 77, "start": 0, "count": 300, **overrides}
+        block = simulate_block(policy, truth, params, dist, **kwargs)
+        max_periods = kwargs.get("max_periods", montecarlo.DEFAULT_MAX_PERIODS)
+        for i in range(kwargs["count"]):
+            rec = simulate_spell(policy, truth, params, dist,
+                                 CounterStream(77, kwargs["start"] + i),
+                                 max_periods=max_periods)
+            wage = block["accepted_wage"][i]
+            period = block["extension_period"][i]
             assert rec.duration == block["duration"][i]
             assert rec.welfare == block["welfare"][i]
             assert rec.extended == block["extended"][i]
-            if rec.accepted_wage is None:
-                assert np.isnan(block["accepted_wage"][i])
-            else:
-                assert rec.accepted_wage == block["accepted_wage"][i]
+            assert rec.truncated == block["truncated"][i]
+            assert rec.accepted_wage == (None if np.isnan(wage) else wage)
+            assert rec.extension_period == (None if period == -1 else period)
 
     def test_block_start_offset_matches_global_indexing(self, uniform,
                                                         benchmark_params,
@@ -252,3 +293,109 @@ class TestSimulateMany:
         assert summary.welfare_mean == pytest.approx(welfare.mean(), rel=1e-12)
         assert summary.welfare_stderr == pytest.approx(
             welfare.std(ddof=1) / math.sqrt(welfare.size), rel=1e-9)
+
+
+class CountingUniform(UniformOffers):
+    """Uniform offers that count ``quantile`` calls."""
+
+    def quantile(self, u):
+        object.__setattr__(self, "calls", getattr(self, "calls", 0) + 1)
+        return super().quantile(u)
+
+
+class TestStreamConsumption:
+    """Each spell draws exactly its trials and offers, counters 0, 1, 2, ...
+
+    One variate per pending extension trial (through the period of the
+    extension) and one per offer, drawn through the positional
+    ``_variates(offset, spells, draws)`` call, and one ``quantile`` call
+    per simulated period.
+    """
+
+    @pytest.mark.parametrize("case", ["benchmark", "delta_one", "truncate_2",
+                                      "above_support"])
+    def test_block_draws_each_variate_once(self, case, monkeypatch):
+        params, _, truth, belief, overrides = ORACLE_CASES[case]
+        dist = CountingUniform()
+        policy = _policy(dist, params, truth, belief)
+        drawn = Counter()
+        sizes = []
+
+        def counting(offset, spells, draws):
+            sizes.append(len(spells))
+            drawn.update(zip(spells.tolist(),
+                             np.broadcast_to(draws, spells.shape).tolist()))
+            return _variates(offset, spells, draws)
+
+        monkeypatch.setattr(montecarlo, "_variates", counting)
+        kwargs = {"master_seed": 5, "start": 0, "count": 400, **overrides}
+        block = simulate_block(policy, truth, params, dist, **kwargs)
+        duration = block["duration"]
+        trials = np.where(block["extended"], block["extension_period"], duration)
+        assert sum(sizes) == duration.sum() + trials.sum()
+        assert max(drawn.values()) == 1
+        for i, n in enumerate(duration + trials):
+            spell = kwargs["start"] + i
+            assert all((spell, j) in drawn for j in range(n))
+        assert dist.calls == duration.max()
+
+
+class TestGolden:
+    """Outputs recorded before the two-array kernel rewrite.
+
+    A change to any stream, float operation or dtype changes a digest,
+    so "bit for bit" is checked, not claimed.
+    """
+
+    BLOCKS = {
+        "benchmark": ((BENCH, UNIT, BENCH_TRUTH, ExtensionSpec(0.1, 25)),
+                      dict(master_seed=77, start=0, count=3000), {
+            "duration": "7b07cf2d1754169d73f50c6c359ff688ab28cc3f34f52264ec59180303ee6457",
+            "accepted_wage": "4c8237ad309717f811261fb7fc2bce8d6a35551c09166ad467448f38c82a9182",
+            "welfare": "1c75ea69b0a7b4081590ce29a80afe13ee1ecfe28586571288d2313a8f69f125",
+            "extended": "626b35abb71b5d22cae425c101c018b8c4c87c41b6784bf09bc3b919239d23a6",
+            "extension_period": "1ad4432fa95cef82b6b911b3285e7f26024d1dc0f9f0d7df2526beb65f8d13a1",
+            "truncated": "0a31f2a49def05d4aaef40c90dab07eeda350df10035f7cf9b14f598d7cc3e51",
+        }),
+        "certain_wide": ((replace(WIDE_PARAMS, n_periods=0), WIDE, ExtensionSpec(1.0, 4),
+                          ExtensionSpec(0.3, 4)),
+                         dict(master_seed=5, start=70_000, count=500), {
+            "duration": "aa6118d985deee58a4d5184f5ca07690c991838cde0e55fd0b31147986d7b3d6",
+            "accepted_wage": "c4d8ef779aa52257708d3a5997c5e3e8d21a474f94521b533b47394698b3a0b3",
+            "welfare": "192446c6203112984c3715a1e4e1a87f415aa703b477ee6153dde875c3ca78c2",
+            "extended": "f24ecc13bcdfc6b97c9b2e1e5e398ea04875a88725fb056a02eec83ccc6a1bc6",
+            "extension_period": "95d6ac1daa4b21bc8b6fc9672a4d8fede7c3ba55831a02824e326a135da1b23c",
+            "truncated": "a691909cd544db6a9ae36cdf2c28f26a4c60f67ddebb00c3cf2ce23bcfa3d5c5",
+        }),
+        "truncating": ((BENCH, UNIT, BENCH_TRUTH, ExtensionSpec(0.1, 25)),
+                       dict(master_seed=9, start=5, count=1000, max_periods=2), {
+            "duration": "b6792c1d36ab7be800647d3b9c6b926d0d388bc5d43839f581de47cc82e06a3f",
+            "accepted_wage": "d0bfea85dadea465bd00dd48a4e1b17917d30946aa09fa30b85572f0887f9d84",
+            "welfare": "e97071b5e4e747670f9ba1ac5a8d662278ec54a238f11ffe38dfa7ba7a97b7f3",
+            "extended": "372c786961ddce542d9a01eecf19aa92e07ccec6a790f412ddc311cda4358c07",
+            "extension_period": "43fb68ebeb1c9c4d59bcd9c3646ca1909f106d647b1bc7cdf3dec70d999df465",
+            "truncated": "66a9296f31c55b01c0ad97d62a8cb5ebec3a0efa53fd15ca79552c28f9ee2620",
+        }),
+    }
+
+    # float.hex of every float field of a three-block summary.
+    SUMMARY = (140_000, "0x1.1fe09614036eep+4", "0x1.10c13aaabc544p-9",
+               "0x1.31cb385968ea8p+3", "0x1.6fc3677b6530ep-6",
+               "0x1.e4dbb920f2b4bp-1", "0x1.650df9019fd53p-14", 126_246, 0)
+
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_block_digests(self, name):
+        (params, dist, truth, belief), kwargs, expected = self.BLOCKS[name]
+        block = simulate_block(_policy(dist, params, truth, belief), truth, params,
+                               dist, **kwargs)
+        digests = {key: hashlib.sha256(a.dtype.str.encode() + a.tobytes()).hexdigest()
+                   for key, a in block.items()}
+        assert digests == expected
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_summary_bits(self, n_workers):
+        policy = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
+        summary = simulate_many(policy, BENCH_TRUTH, BENCH, UNIT, 140_000, 2024,
+                                n_workers=n_workers)
+        assert tuple(v.hex() if isinstance(v, float) else v
+                     for v in astuple(summary)) == self.SUMMARY

@@ -4,11 +4,13 @@ The scripts under ``bench/`` and ``demos/`` are parsed, never run: each
 ``from uisearch... import X``, each attribute chain on an imported
 ``uisearch`` module (``us.simulate_many``, ``uisearch.cli.main``) and
 each ``module.function`` key of the harness's ``TARGETS`` table must
-resolve against the installed package.
+resolve against the installed package, and the arguments the harness
+sizes its spans by must still sit where it reads them.
 """
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -98,3 +100,12 @@ def test_guard_catches_a_missing_name():
     assert {n for n in names if not resolves(n)} == {
         "uisearch.evaluate.no_such_helper", "uisearch.no_such_name",
         "uisearch.schedule.no_such_function"}
+
+
+def test_span_size_arguments_keep_their_positions():
+    # bench/layers.py sizes simulate_block spans by args[6] and _variates
+    # spans by len(args[1]); these feed periods_per_block and
+    # variates_per_spell.
+    from uisearch import montecarlo
+    assert list(inspect.signature(montecarlo.simulate_block).parameters)[6] == "count"
+    assert list(inspect.signature(montecarlo._variates).parameters)[1] == "spells"
