@@ -9,6 +9,7 @@ stdout (or --out); diagnostics go to stderr. Exit codes: 0 success,
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -114,6 +115,8 @@ def _parse_grid(spec, as_int):
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError as exc:
         raise ConfigError("grid", f"expected LO:HI:STEP, got {spec!r}") from exc
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ConfigError("grid", f"LO, HI and STEP must be finite, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("grid", f"empty or descending grid {spec!r}")
     values = []
@@ -161,6 +164,8 @@ def _cmd_sweep(args):
 def _cmd_calibrate(args):
     if not 0.0 < args.beta < 1.0:
         raise ConfigError("beta", f"value {args.beta} outside (0, 1)")
+    if not math.isfinite(args.duration):
+        raise ConfigError("duration", f"expected a finite number, got {args.duration}")
     z_full = calibrate_z(args.duration, args.beta, UniformOffers())
     payload = {"z_full": z_full, "z": 0.5 * z_full, "c": 0.5 * z_full}
     with _output(args.out) as out:

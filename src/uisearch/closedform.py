@@ -10,14 +10,8 @@ import math
 
 import numpy as np
 
-from .distributions import UniformOffers
 from .params import ExtensionSpec, MarketParams
 from .schedule import ReservationSchedule, post_extension_state
-
-
-def _require_standard_uniform(dist):
-    if not isinstance(dist, UniformOffers) or dist.low != 0.0 or dist.high != 1.0:
-        raise ValueError("closed forms are available only for uniform offers on [0, 1]")
 
 
 def w0_basic_closed_form(beta, flow) -> float:
@@ -46,14 +40,13 @@ def w0_extension_closed_form(beta, z, delta, w_basic_at_length) -> float:
 
 def uniform_closed_form(params: MarketParams,
                         belief: ExtensionSpec | None = None,
-                        horizon=None,
-                        dist: UniformOffers = UniformOffers()) -> ReservationSchedule:
-    """Build both schedules from the closed forms alone.
+                        horizon=None) -> ReservationSchedule:
+    """Build both schedules under uniform offers on [0, 1] from the
+    closed forms alone.
 
     Mirrors ``solve_schedules`` (including the default horizon) but
     never iterates, so it is a path-independent check on the solver.
     """
-    _require_standard_uniform(dist)
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
     if horizon is None:

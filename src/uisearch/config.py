@@ -6,6 +6,7 @@ flows from the single ``seed`` field.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,6 +74,8 @@ def _require_number(data, field, lo=None, hi=None, lo_open=False, hi_open=False)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(field, f"expected a finite number, got {value}")
     if lo is not None and (value <= lo if lo_open else value < lo):
         raise ConfigError(field, f"value {value} below the admissible range")
     if hi is not None and (value >= hi if hi_open else value > hi):
@@ -99,6 +102,8 @@ def _build_distribution(descriptor):
     high = descriptor.get("high", 1.0)
     if not isinstance(low, (int, float)) or not isinstance(high, (int, float)):
         raise ConfigError("distribution", "low and high must be numbers")
+    if not math.isfinite(low) or not math.isfinite(high):
+        raise ConfigError("distribution", "low and high must be finite")
     if not low < high:
         raise ConfigError("distribution", "low must be strictly less than high")
     return UniformOffers(low=float(low), high=float(high))

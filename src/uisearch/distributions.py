@@ -2,14 +2,14 @@
 
 Every distribution exposes the CDF, the partial expectation
 ``int_a^b w dF(w)``, and the quantile function used for inverse-CDF
-sampling. Instances are immutable after construction and safe to share
+sampling. The solver and the evaluator call the first two on one float
+at a time; the simulator calls the quantile on whole arrays of
+variates. Instances are immutable after construction and safe to share
 across threads.
 """
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-
-import numpy as np
 
 from .params import MarketParams
 
@@ -33,15 +33,13 @@ class OfferDistribution(ABC):
         """Mean wage offer."""
 
     @abstractmethod
-    def cdf(self, x):
-        """P(w <= x). Clamps to 0 below the support and 1 above it.
-
-        Accepts scalars or arrays.
-        """
+    def cdf(self, x) -> float:
+        """P(w <= x) for one float x. Clamps to 0 below the support and 1
+        above it."""
 
     @abstractmethod
     def partial_expectation(self, a, b) -> float:
-        """int_a^b w dF(w) for a <= b.
+        """int_a^b w dF(w) for floats a <= b.
 
         Additive over adjacent intervals; over the full support it
         equals the mean. Raises ValueError when a > b.
@@ -49,7 +47,10 @@ class OfferDistribution(ABC):
 
     @abstractmethod
     def quantile(self, u):
-        """Inverse CDF at u. Accepts scalars or arrays in [0, 1]."""
+        """Inverse CDF at u in [0, 1]: a float or a numpy array of them.
+
+        Returns the same kind it is given, elementwise on arrays.
+        """
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,7 @@ class UniformOffers(OfferDistribution):
         return 0.5 * (self.low + self.high)
 
     def cdf(self, x):
-        scaled = (np.asarray(x, dtype=float) - self.low) / (self.high - self.low)
-        out = np.clip(scaled, 0.0, 1.0)
-        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+        return min(max((x - self.low) / (self.high - self.low), 0.0), 1.0)
 
     def partial_expectation(self, a, b):
         if a > b:
@@ -93,9 +92,7 @@ class UniformOffers(OfferDistribution):
         return (hi * hi - lo * lo) / (2.0 * (self.high - self.low))
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        out = self.low + u * (self.high - self.low)
-        return float(out) if np.ndim(out) == 0 else out
+        return self.low + u * (self.high - self.low)
 
 
 def validate_assumptions(dist: OfferDistribution, params: MarketParams) -> list[str]:

@@ -62,18 +62,14 @@ class PolicyEvaluation:
     """Exact spell statistics for one (policy, true process) pair.
 
     ``welfare``, ``duration``, and ``accepted_wage`` are the ex-ante
-    expectations at spell start (full entitlement). The arrays hold the
-    same expectations started from each pre-extension entitlement, and
-    ``offer_values`` the expected value at each pre-extension offer
-    node.
+    expectations at spell start (full entitlement); ``offer_values[n]``
+    is the expected value at the pre-extension offer node with
+    entitlement ``n``.
     """
 
     welfare: float
     duration: float
     accepted_wage: float
-    values: np.ndarray
-    durations: np.ndarray
-    wages: np.ndarray
     offer_values: np.ndarray
 
 
@@ -161,9 +157,6 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
         welfare=values[n_periods],
         duration=durations[n_periods],
         accepted_wage=wages[n_periods],
-        values=values,
-        durations=durations,
-        wages=wages,
         offer_values=offer_values,
     )
 

@@ -8,9 +8,8 @@ wage shift. Exact evaluation is the default; Monte Carlo mode exists to
 demonstrate agreement.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .distributions import OfferDistribution, UniformOffers
 from .errors import InfeasibleError
@@ -44,11 +43,11 @@ def calibrate_z(target_duration, beta, dist: OfferDistribution,
     constant, so expected duration is the geometric mean
     ``1 / (1 - F(w0))``; this inverts that relation by bisecting on the
     flow value. Duration targets at or below 1 are infeasible (they
-    would require certain acceptance), as are targets below the duration
-    implied by a zero flow value.
+    would require certain acceptance), as are infinite or NaN targets
+    and targets below the duration implied by a zero flow value.
     """
-    if target_duration <= 1.0:
-        raise InfeasibleError("duration target must exceed 1")
+    if not 1.0 < target_duration < math.inf:
+        raise InfeasibleError("duration target must be finite and exceed 1")
     probe = MarketParams(beta=beta, z=1.0, c=1.0, n_periods=0)
 
     def duration(flow):

@@ -15,11 +15,10 @@ blocks (``simulate_block``, whose lanes carry only a spell index and an
 extension period, with entitlement and welfare kept per extension
 period and draw counters derived from the period); the two paths
 consume identical streams and produce identical records.
-``simulate_many`` combines per-block sums with an exact
-(order-insensitive) reduction, so a fixed ``(master_seed, n_spells)``
-gives a bit-identical summary for any worker count. Each block's own
-sums round according to its extent, so the summary can differ in the
-last bits between chunk sizes.
+``simulate_many`` always cuts spells into blocks of ``DEFAULT_CHUNK``
+and combines per-block sums with an exact (order-insensitive)
+reduction, so a fixed ``(master_seed, n_spells)`` gives a
+bit-identical summary for any worker count.
 """
 
 import math
@@ -95,7 +94,7 @@ class CounterStream:
 
     def next_offer(self, dist: OfferDistribution) -> float:
         """One wage offer by inverse-CDF sampling."""
-        return float(dist.quantile(self._next()))
+        return dist.quantile(self._next())
 
 
 @dataclass(frozen=True)
@@ -284,25 +283,23 @@ def _mean_stderr(total, total_sq, n):
 
 def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
                   dist: OfferDistribution, n_spells: int, master_seed: int,
-                  max_periods=DEFAULT_MAX_PERIODS, n_workers=1,
-                  chunk_size=DEFAULT_CHUNK) -> SimulationSummary:
+                  max_periods=DEFAULT_MAX_PERIODS, n_workers=1) -> SimulationSummary:
     """Simulate ``n_spells`` spells and summarize them.
 
     Spell ``i`` always uses the stream derived from
-    ``(master_seed, i)``, and cross-chunk totals are combined with exact
+    ``(master_seed, i)``, blocks always start at multiples of
+    ``DEFAULT_CHUNK``, and cross-block totals are combined with exact
     summation, so the summary is bit-identical for a given
-    ``(master_seed, n_spells, chunk_size)`` regardless of ``n_workers``.
-    Per-block sums round differently at another ``chunk_size``, which
-    can move the last bits.
+    ``(master_seed, n_spells)`` regardless of ``n_workers``.
     """
     if n_spells < 1:
         raise ValueError("n_spells must be at least 1")
     if n_spells > 1 << 32:
         raise ValueError("spell indices must fit in 32 bits")
-    starts = list(range(0, n_spells, chunk_size))
+    starts = list(range(0, n_spells, DEFAULT_CHUNK))
 
     def run(start):
-        count = min(chunk_size, n_spells - start)
+        count = min(DEFAULT_CHUNK, n_spells - start)
         return _block_partials(simulate_block(
             policy, truth, params, dist, master_seed, start, count,
             max_periods=max_periods))

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from uisearch import (ExtensionSpec, MarketParams, UniformOffers,
-                      expected_welfare_at_offer, solve_schedules,
-                      uniform_closed_form, w0_basic_closed_form,
-                      w0_extension_closed_form)
+from uisearch import (ExtensionSpec, MarketParams, expected_welfare_at_offer,
+                      solve_schedules, uniform_closed_form,
+                      w0_basic_closed_form, w0_extension_closed_form)
 
 
 def test_w0_exact_hand_value(fig3_params):
@@ -36,11 +35,6 @@ def test_delta_one_limit_matches_solver(uniform, fig3_params):
     iterative = solve_schedules(uniform, fig3_params, belief)
     closed = uniform_closed_form(fig3_params, belief)
     assert np.max(np.abs(iterative.with_extension - closed.with_extension)) < 1e-9
-
-
-def test_non_unit_uniform_rejected(fig3_params):
-    with pytest.raises(ValueError, match="uniform offers"):
-        uniform_closed_form(fig3_params, dist=UniformOffers(low=0.0, high=2.0))
 
 
 def test_expected_welfare_at_offer_hand_value():

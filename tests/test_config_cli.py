@@ -1,4 +1,6 @@
+import contextlib
 import json
+import signal
 from dataclasses import asdict
 
 import pytest
@@ -254,3 +256,61 @@ class TestCli:
 
     def test_bad_grid_is_config_error(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--grid", "oops"]) == 2
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Turn a hang into a failure: raise in the main thread after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNonFiniteInputs:
+    """NaN and infinities pass every range comparison's negation, so each
+    is rejected explicitly, naming the field, before any work."""
+
+    @pytest.mark.parametrize("fields, blamed", [
+        ({"delta_true": float("nan")}, "delta_true"),
+        ({"delta_belief": float("nan")}, "delta_belief"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"beta": float("nan")}, "beta"),
+        ({"distribution": {"type": "uniform", "low": float("-inf"), "high": 1.0}},
+         "distribution"),
+        ({"z": float("inf")}, "z"),
+    ], ids=["delta_true_nan", "delta_belief_nan", "tol_nan", "tol_inf", "beta_nan",
+            "low_minus_inf", "z_inf"])
+    def test_config_number_names_field(self, tmp_path, capsys, monkeypatch,
+                                       fields, blamed):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr("uisearch.cli.solve_schedules", no_solve)
+        path = tmp_path / "bad.json"
+        # json.dumps writes NaN and Infinity, which json.loads accepts
+        path.write_text(json.dumps({**BENCHMARK, **fields}))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {blamed}:")
+
+    @pytest.mark.parametrize("grid", ["nan:0.9:0.1", "0.1:inf:0.1", "0.1:0.9:nan"])
+    def test_grid_bounds_and_step(self, config_path, capsys, grid):
+        with deadline(2):
+            assert main(["sweep", "--config", config_path, "--grid", grid]) == 2
+        assert capsys.readouterr().err.startswith("error: grid")
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_calibrate_duration(self, capsys, monkeypatch, duration):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("calibrated before the duration was checked")
+
+        monkeypatch.setattr("uisearch.cli.calibrate_z", no_solve)
+        assert main(["calibrate", "--duration", duration]) == 2
+        assert capsys.readouterr().err.startswith("error: duration")

@@ -1,7 +1,13 @@
+import numbers
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from uisearch import MarketParams, UniformOffers, validate_assumptions
+from uisearch import (Calibration, ExtensionSpec, MarketParams, UniformOffers,
+                      build_policy, calibrate_z, evaluate_policy,
+                      reservation_identity_residual, solve_schedules,
+                      sweep_beliefs, validate_assumptions)
 
 
 def quadrature_partial_expectation(dist, a, b, n=200_001):
@@ -25,7 +31,7 @@ class TestCdf:
 
     def test_nondecreasing(self, uniform):
         grid = np.linspace(-0.5, 1.5, 401)
-        values = uniform.cdf(grid)
+        values = np.array([uniform.cdf(x) for x in grid])
         assert np.all(np.diff(values) >= 0.0)
 
     def test_shifted_support(self):
@@ -77,7 +83,7 @@ class TestSampling:
     @pytest.mark.parametrize("dist", [UniformOffers(), UniformOffers(2.0, 5.0)])
     def test_cdf_quantile_round_trip(self, dist):
         u = np.linspace(0.0, 1.0, 1000)
-        back = dist.cdf(dist.quantile(u))
+        back = np.array([dist.cdf(x) for x in dist.quantile(u)])
         assert np.max(np.abs(back - u)) < 1e-12
 
     def test_empirical_mean(self, uniform):
@@ -86,6 +92,71 @@ class TestSampling:
         draws = uniform.quantile(rng.random(n))
         stderr = np.sqrt(1.0 / 12.0 / n)
         assert abs(draws.mean() - uniform.mean) < 4.0 * stderr
+
+
+class ScalarOnlyUniform(UniformOffers):
+    """Uniform offers that count ``cdf`` and ``partial_expectation`` calls
+    and reject any argument that is not one real number."""
+
+    def __init__(self, low=0.0, high=1.0):
+        super().__init__(low=low, high=high)
+        object.__setattr__(self, "calls", Counter())
+
+    def _count(self, name, *args):
+        if not all(isinstance(a, numbers.Real) for a in args):
+            raise TypeError(f"{name} called with {args!r}")
+        self.calls[name] += 1
+
+    def cdf(self, x):
+        self._count("cdf", x)
+        return super().cdf(x)
+
+    def partial_expectation(self, a, b):
+        self._count("partial_expectation", a, b)
+        return super().partial_expectation(a, b)
+
+
+TRAFFIC_PARAMS = MarketParams(beta=0.95, z=0.8, c=0.6, n_periods=10)
+TRAFFIC_BELIEF = ExtensionSpec(delta=0.1, length=25)
+TRAFFIC_TRUTH = ExtensionSpec(delta=0.5, length=30)
+
+
+def _traffic_sweep(vary, grid):
+    return lambda dist: sweep_beliefs(
+        Calibration(TRAFFIC_PARAMS, dist, TRAFFIC_TRUTH, 1.4, 10.0),
+        vary=vary, grid=grid)
+
+
+# Every exact-path entry point; the benchmark's traced census reads both
+# call counts, so each path must keep calling both.
+EXACT_PATHS = {
+    "solve_schedules": lambda dist: solve_schedules(dist, TRAFFIC_PARAMS,
+                                                    TRAFFIC_BELIEF),
+    "identity_residual": lambda dist: reservation_identity_residual(
+        dist, solve_schedules(dist, TRAFFIC_PARAMS, TRAFFIC_BELIEF)),
+    "evaluate_policy": lambda dist: evaluate_policy(
+        build_policy(dist, TRAFFIC_PARAMS, TRAFFIC_BELIEF,
+                     true_length=TRAFFIC_TRUTH.length),
+        TRAFFIC_TRUTH, TRAFFIC_PARAMS, dist),
+    "sweep_delta": _traffic_sweep("delta", [0.1, 0.9]),
+    "sweep_len": _traffic_sweep("len", [20, 40]),
+    "calibrate_z": lambda dist: calibrate_z(10.0, 0.95, dist),
+}
+
+
+class TestScalarTraffic:
+    def test_guard_rejects_arrays(self):
+        with pytest.raises(TypeError):
+            ScalarOnlyUniform().cdf(np.zeros(2))
+        with pytest.raises(TypeError):
+            ScalarOnlyUniform().partial_expectation(0.1, np.ones(1))
+
+    @pytest.mark.parametrize("name", EXACT_PATHS)
+    def test_exact_paths_call_both_with_scalars(self, name):
+        dist = ScalarOnlyUniform(0.2, 1.7)
+        EXACT_PATHS[name](dist)
+        assert dist.calls["cdf"] > 0
+        assert dist.calls["partial_expectation"] > 0
 
 
 class TestValidateAssumptions:

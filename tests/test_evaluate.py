@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from uisearch import (DivergenceError, ExtensionSpec, MarketParams,
-                      PolicyProfile, build_policy, evaluate_policy,
-                      expected_welfare_at_offer, simulate_many,
-                      solve_schedules, solve_w0_basic, upsilon, welfare_loss)
+                      PolicyProfile, UniformOffers, build_policy,
+                      evaluate_policy, expected_welfare_at_offer,
+                      simulate_many, solve_schedules, solve_w0_basic, upsilon,
+                      validate_assumptions, welfare_loss)
+
+from conftest import random_belief, random_valid_params
 
 
 class TestPostExtensionValues:
@@ -150,3 +153,101 @@ class TestMonteCarloAgreement:
         assert abs(summary.welfare_mean - exact.welfare) < 3 * summary.welfare_stderr
         assert abs(summary.duration_mean - exact.duration) < 3 * summary.duration_stderr
         assert abs(summary.wage_mean - exact.accepted_wage) < 3 * summary.wage_stderr
+
+
+def markov_chain_oracle(policy, truth, params, low, high):
+    """Welfare, duration, accepted wage and pre-extension offer values of
+    ``policy`` under ``truth`` with uniform offers on [low, high], by
+    policy evaluation on a Markov chain (Puterman 1994, section 6.1).
+
+    Nodes are offer nodes ``(settled, m)``: the extension question is
+    settled or not, and ``m`` is the entitlement the offer is compared
+    at. Rejecting (probability F(threshold)) leads to the flow node with
+    entitlement ``m``, which pays its flow; the next offer then arrives
+    at ``max(m - 1, 0)``, or, while the extension is pending and is
+    granted (probability delta), at ``max(m - 1, 0) + length`` settled.
+    The CDF and the tail ``int_t^high w dF(w)`` are this function's own.
+    """
+    beta, z, c, top_pre = params.beta, params.z, params.c, params.n_periods
+    delta, length = truth.delta, truth.length
+    nodes = ([(False, m) for m in range(top_pre + 1)]
+             + [(True, m) for m in range(max(top_pre - 1, 0) + length + 1)])
+    index = {node: i for i, node in enumerate(nodes)}
+
+    # after_flow[i, j]: probability that the flow node of node i leads
+    # to offer node j
+    after_flow = np.zeros((len(nodes), len(nodes)))
+    for i, (settled, m) in enumerate(nodes):
+        down = max(m - 1, 0)
+        if settled:
+            after_flow[i, index[(True, down)]] += 1.0
+        else:
+            after_flow[i, index[(True, down + length)]] += delta
+            after_flow[i, index[(False, down)]] += 1.0 - delta
+
+    thresholds = np.array([(policy.post_thresholds if settled
+                            else policy.pre_thresholds)[m] for settled, m in nodes])
+    clamped = np.clip(thresholds, low, high)
+    reject = (clamped - low) / (high - low)
+    tail = (high * high - clamped * clamped) / (2.0 * (high - low))
+    flow = np.array([z + (c if m > 0 else 0.0) for _, m in nodes])
+
+    P = reject[:, None] * after_flow
+    eye = np.eye(len(nodes))
+    values = np.linalg.solve(eye - beta * P, tail / (1.0 - beta) + reject * flow)
+    durations = np.linalg.solve(eye - P, np.ones(len(nodes)))
+    wages = np.linalg.solve(eye - P, tail)
+
+    start = after_flow[index[(False, top_pre)]]
+    welfare = z + (c if top_pre > 0 else 0.0) + beta * start @ values
+    return welfare, start @ durations, start @ wages, values[:top_pre + 1]
+
+
+def _oracle_cases():
+    """Random environments with belief != truth, on two supports, with the
+    true delta drawn, 0 or 1, and two with no initial entitlement."""
+    rng = np.random.default_rng(2023)
+    cases = []
+    for k in range(12):
+        unit = random_valid_params(rng)
+        low, high = (0.0, 1.0) if k % 2 == 0 else (0.2, 1.7)
+        scale = high - low
+        params = MarketParams(beta=unit.beta, z=low + scale * unit.z,
+                              c=scale * unit.c,
+                              n_periods=0 if k in (3, 10) else unit.n_periods)
+        truth = random_belief(rng)
+        if k % 3:
+            truth = ExtensionSpec(delta=float(k % 3 - 1), length=truth.length)
+        belief = random_belief(rng)
+        cases.append((params, low, high, truth, belief))
+    return cases
+
+
+class TestMarkovChainOracle:
+    """The evaluator's recursions against a linear solve over the whole
+    offer-node chain.
+
+    Tolerances, fixed before the first run: duration and accepted wage
+    are exact for the given thresholds in both methods, so they agree to
+    1e-10 relative. Welfare and offer values agree to 1e-9 relative: the
+    evaluator prices the settled side by its Bellman value
+    ``upsilon(post[m]) / (1 - beta)``, exact only at the fixed point the
+    solver reaches within ``1e-12 * beta / (1 - beta)``, which moves
+    welfare by up to that over ``1 - beta`` (about 1.1e-10 relative at
+    beta = 0.99).
+    """
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_matches_linear_solve(self, case):
+        params, low, high, truth, belief = _oracle_cases()[case]
+        assert belief != truth
+        dist = UniformOffers(low, high)
+        assert validate_assumptions(dist, params) == []
+        policy = build_policy(dist, params, belief, true_length=truth.length)
+        ev = evaluate_policy(policy, truth, params, dist)
+        welfare, duration, wage, offer_values = markov_chain_oracle(
+            policy, truth, params, low, high)
+        assert ev.welfare == pytest.approx(welfare, rel=1e-9, abs=0)
+        assert ev.duration == pytest.approx(duration, rel=1e-10, abs=0)
+        assert ev.accepted_wage == pytest.approx(wage, rel=1e-10, abs=0)
+        np.testing.assert_allclose(ev.offer_values, offer_values, rtol=1e-9, atol=0)

@@ -38,6 +38,9 @@ class TestCalibrateZ:
         # below the duration implied by a zero flow value
         with pytest.raises(InfeasibleError, match="nonpositive"):
             calibrate_z(2.0, 0.95, uniform)
+        for target in (float("nan"), float("inf")):
+            with pytest.raises(InfeasibleError, match="finite"):
+                calibrate_z(target, 0.95, uniform)
 
 
 class TestDefaultCalibration:

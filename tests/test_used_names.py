@@ -109,3 +109,13 @@ def test_span_size_arguments_keep_their_positions():
     from uisearch import montecarlo
     assert list(inspect.signature(montecarlo.simulate_block).parameters)[6] == "count"
     assert list(inspect.signature(montecarlo._variates).parameters)[1] == "spells"
+
+
+def test_overridden_distribution_methods_keep_their_parameters():
+    # bench/layers.py's TracedUniform overrides these three methods of
+    # UniformOffers and forwards its arguments to them.
+    from uisearch import UniformOffers
+    expected = {"cdf": ["x"], "partial_expectation": ["a", "b"], "quantile": ["u"]}
+    for name, params in expected.items():
+        signature = inspect.signature(getattr(UniformOffers, name))
+        assert list(signature.parameters) == ["self", *params], name
