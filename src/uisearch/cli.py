@@ -26,6 +26,8 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INFEASIBLE = 4
 
+MAX_GRID_POINTS = 10_000
+
 
 def _fmt(value) -> str:
     """Floating values are printed with 12 significant digits."""
@@ -119,6 +121,8 @@ def _parse_grid(spec, as_int):
         raise ConfigError("grid", f"LO, HI and STEP must be finite, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("grid", f"empty or descending grid {spec!r}")
+    if (hi + 1e-9 - lo) / step >= MAX_GRID_POINTS:
+        raise ConfigError("grid", f"{spec!r} has more than {MAX_GRID_POINTS} points")
     values = []
     k = 0
     while True:

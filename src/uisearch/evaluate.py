@@ -73,6 +73,53 @@ class PolicyEvaluation:
     offer_values: np.ndarray
 
 
+# The chains of the last read-only post array evaluated, as
+# (post, its bytes, beta, dist, chains).
+_post_memo = None
+
+
+def _post_chains(post, beta, dist):
+    """Option-value, duration and accepted-wage chains over the
+    post-extension offer nodes ``0..len(post) - 1``.
+
+    They depend on ``post``, ``beta`` and ``dist`` alone. The chains of
+    the last read-only ``post`` are kept and served again while the same
+    array object, still read-only and holding the same bytes, comes back
+    with an equal ``beta`` and the same ``dist`` object.
+    """
+    global _post_memo
+    memo = _post_memo
+    if (memo is not None and memo[0] is post and memo[2] == beta
+            and memo[3] is dist and not post.flags.writeable
+            and memo[1] == post.tobytes()):
+        return memo[4]
+
+    hi = dist.support_high
+    g_post = np.array([upsilon(dist, x) for x in post]) / (1.0 - beta)
+    d_post = np.empty(len(post))
+    a_post = np.empty(len(post))
+    accept0 = 1.0 - dist.cdf(post[0])
+    if accept0 > 0.0:
+        d_post[0] = 1.0 / accept0
+        a_post[0] = dist.partial_expectation(post[0], hi) / accept0
+    else:
+        # Only legal when delta = 0; the post side is then unreachable
+        # and the zeros keep delta-weighted terms finite.
+        d_post[0] = 0.0
+        a_post[0] = 0.0
+    for m in range(1, len(post)):
+        reject = dist.cdf(post[m])
+        d_post[m] = 1.0 + reject * d_post[m - 1]
+        a_post[m] = dist.partial_expectation(post[m], hi) + reject * a_post[m - 1]
+
+    chains = (g_post, d_post, a_post)
+    for chain in chains:
+        chain.flags.writeable = False
+    if not post.flags.writeable:
+        _post_memo = (post, post.tobytes(), beta, dist, chains)
+    return chains
+
+
 def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
                     params: MarketParams, dist: OfferDistribution) -> PolicyEvaluation:
     """Expected welfare, duration, and accepted wage under the true process.
@@ -80,7 +127,10 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     Solves the post-extension chains first (their values are optimal
     Bellman quantities), then the pre-extension recursions upward from
     entitlement 0, whose equation is self-referencing and is solved in
-    closed form as one linear equation.
+    closed form as one linear equation. The post-extension chains are
+    belief-free: they are computed once and reused while calls pass the
+    same read-only ``post_thresholds`` array with the same ``beta`` and
+    ``dist``, as the beliefs of one sweep do.
     """
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
@@ -97,30 +147,20 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
             f"post_thresholds cover 0..{len(post) - 1} but index {top_post} is needed"
         )
 
+    # Each pre-extension threshold's rejection probability and acceptance
+    # tail, computed once for the recursions and the offer-node values.
+    # The tails come after the divergence checks: a threshold above the
+    # support diverges, and its partial_expectation would raise first.
+    rejects = [dist.cdf(x) for x in pre]
     accept0_post = 1.0 - dist.cdf(post[0])
-    accept0_pre_stuck = 1.0 - (1.0 - delta) * dist.cdf(pre[0])
+    accept0_pre_stuck = 1.0 - (1.0 - delta) * rejects[0]
     if delta > 0.0 and accept0_post <= 0.0:
         raise DivergenceError("post-extension state 0 never accepts; duration diverges")
     if accept0_pre_stuck <= 0.0:
         raise DivergenceError("pre-extension state 0 never accepts; duration diverges")
 
-    # Post-extension chains over offer-node entitlements 0..top_post.
-    m_max = len(post) - 1
-    g_post = np.array([upsilon(dist, post[m]) for m in range(m_max + 1)]) / (1.0 - beta)
-    d_post = np.empty(m_max + 1)
-    a_post = np.empty(m_max + 1)
-    if accept0_post > 0.0:
-        d_post[0] = 1.0 / accept0_post
-        a_post[0] = dist.partial_expectation(post[0], hi) / accept0_post
-    else:
-        # Only legal when delta = 0; the post side is then unreachable
-        # and the zeros keep delta-weighted terms finite.
-        d_post[0] = 0.0
-        a_post[0] = 0.0
-    for m in range(1, m_max + 1):
-        reject = dist.cdf(post[m])
-        d_post[m] = 1.0 + reject * d_post[m - 1]
-        a_post[m] = dist.partial_expectation(post[m], hi) + reject * a_post[m - 1]
+    g_post, d_post, a_post = _post_chains(post, beta, dist)
+    tails = [dist.partial_expectation(x, hi) for x in pre]
 
     # Pre-extension flow-node recursions. At entitlement 0 the state
     # persists until extension or acceptance, so the equation contains
@@ -129,8 +169,7 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     durations = np.empty(n_periods + 1)
     wages = np.empty(n_periods + 1)
 
-    f0 = dist.cdf(pre[0])
-    tail0 = dist.partial_expectation(pre[0], hi)
+    f0, tail0 = rejects[0], tails[0]
     values[0] = (z + beta * delta * g_post[length]
                  + beta * (1.0 - delta) * tail0 / (1.0 - beta)) / (
                      1.0 - beta * (1.0 - delta) * f0)
@@ -140,24 +179,17 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     for n in range(1, n_periods + 1):
         k = n - 1
         m = post_extension_state(n, length)
-        reject = dist.cdf(pre[k])
-        tail = dist.partial_expectation(pre[k], hi)
+        reject, tail = rejects[k], tails[k]
         g_pre = reject * values[k] + tail / (1.0 - beta)
         values[n] = z + c + beta * (delta * g_post[m] + (1.0 - delta) * g_pre)
         durations[n] = delta * d_post[m] + (1.0 - delta) * (1.0 + reject * durations[k])
         wages[n] = delta * a_post[m] + (1.0 - delta) * (tail + reject * wages[k])
 
-    offer_values = np.array([
-        dist.cdf(pre[m]) * values[m]
-        + dist.partial_expectation(pre[m], hi) / (1.0 - beta)
-        for m in range(n_periods + 1)
-    ])
-
     return PolicyEvaluation(
         welfare=values[n_periods],
         duration=durations[n_periods],
         accepted_wage=wages[n_periods],
-        offer_values=offer_values,
+        offer_values=np.array(rejects) * values + np.array(tails) / (1.0 - beta),
     )
 
 

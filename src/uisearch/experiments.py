@@ -43,8 +43,9 @@ def calibrate_z(target_duration, beta, dist: OfferDistribution,
     constant, so expected duration is the geometric mean
     ``1 / (1 - F(w0))``; this inverts that relation by bisecting on the
     flow value. Duration targets at or below 1 are infeasible (they
-    would require certain acceptance), as are infinite or NaN targets
-    and targets below the duration implied by a zero flow value.
+    would require certain acceptance), as are infinite or NaN targets,
+    targets below the duration implied by a zero flow value, and targets
+    above the duration at the top of the bisection's flow range.
     """
     if not 1.0 < target_duration < math.inf:
         raise InfeasibleError("duration target must be finite and exceed 1")
@@ -57,7 +58,7 @@ def calibrate_z(target_duration, beta, dist: OfferDistribution,
     feasible_floor = max(
         0.0, (dist.support_low - beta * dist.mean) / (1.0 - beta))
     lo = feasible_floor + 1e-9
-    hi = dist.support_high - 1e-12
+    hi = top = dist.support_high - 1e-12
     if duration(lo) >= target_duration:
         raise InfeasibleError(
             f"target duration {target_duration} implies a nonpositive flow value")
@@ -67,6 +68,13 @@ def calibrate_z(target_duration, beta, dist: OfferDistribution,
             lo = mid
         else:
             hi = mid
+    # Only a target no midpoint reached can lie beyond the top flow value.
+    if hi == top:
+        longest = duration(top)
+        if longest < target_duration:
+            raise InfeasibleError(
+                f"target duration {target_duration} exceeds the longest "
+                f"reachable, {longest}")
     return 0.5 * (lo + hi)
 
 

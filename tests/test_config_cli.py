@@ -6,7 +6,7 @@ from dataclasses import asdict
 import pytest
 
 from uisearch import ConfigError, build_policy, parse_config, simulate_many
-from uisearch.cli import main
+from uisearch.cli import MAX_GRID_POINTS, _parse_grid, main
 
 BENCHMARK = {
     "beta": 0.95, "z": 0.4025, "c": 0.4025, "N": 10,
@@ -250,6 +250,12 @@ class TestCli:
     def test_exit_code_infeasible(self, capsys):
         assert main(["calibrate", "--duration", "1"]) == 4
 
+    def test_calibrate_unreachable_duration_is_infeasible(self, capsys):
+        assert main(["calibrate", "--duration", "1e13"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: target duration")
+
     def test_calibrate_beta_out_of_range_is_config_error(self, capsys):
         assert main(["calibrate", "--duration", "10", "--beta", "1.5"]) == 2
         assert capsys.readouterr().err.startswith("error: beta")
@@ -305,6 +311,17 @@ class TestNonFiniteInputs:
         with deadline(2):
             assert main(["sweep", "--config", config_path, "--grid", grid]) == 2
         assert capsys.readouterr().err.startswith("error: grid")
+
+    def test_dense_grid_rejected_before_any_point(self, config_path, capsys):
+        with deadline(2):
+            assert main(["sweep", "--config", config_path,
+                         "--grid", "0.1:0.9:1e-9"]) == 2
+        assert capsys.readouterr().err.startswith("error: grid")
+
+    def test_grid_point_cap(self):
+        assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1", as_int=True)) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="grid"):
+            _parse_grid(f"1:{MAX_GRID_POINTS + 1}:1", as_int=True)
 
     @pytest.mark.parametrize("duration", ["nan", "inf"])
     def test_calibrate_duration(self, capsys, monkeypatch, duration):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from uisearch import (Calibration, ExtensionSpec, MarketParams, UniformOffers,
-                      build_policy, calibrate_z, evaluate_policy,
-                      reservation_identity_residual, solve_schedules,
-                      sweep_beliefs, validate_assumptions)
+                      build_basic_schedule, build_policy, calibrate_z,
+                      evaluate_policy, reservation_identity_residual,
+                      solve_schedules, sweep_beliefs, upsilon,
+                      validate_assumptions)
 
 
 def quadrature_partial_expectation(dist, a, b, n=200_001):
@@ -157,6 +158,28 @@ class TestScalarTraffic:
         EXACT_PATHS[name](dist)
         assert dist.calls["cdf"] > 0
         assert dist.calls["partial_expectation"] > 0
+
+    @pytest.mark.parametrize("vary, grid", [("delta", [0.1, 0.5, 0.9]),
+                                            ("len", [20, 30, 40])])
+    def test_sweep_runs_each_post_chain_entry_once(self, monkeypatch, vary, grid):
+        basics, chained = [], []
+
+        def recording_basic(*args, **kwargs):
+            basics.append(build_basic_schedule(*args, **kwargs))
+            return basics[-1]
+
+        def recording_upsilon(dist, x):
+            chained.append(x)
+            return upsilon(dist, x)
+
+        monkeypatch.setattr("uisearch.experiments.build_basic_schedule",
+                            recording_basic)
+        monkeypatch.setattr("uisearch.evaluate.upsilon", recording_upsilon)
+        dist = ScalarOnlyUniform(0.2, 1.7)
+        rows = _traffic_sweep(vary, grid)(dist)
+        assert len(rows) == len(grid) and len(basics) == 1
+        # the baseline and every belief share the chain of one basic schedule
+        assert chained == list(basics[0])
 
 
 class TestValidateAssumptions:

@@ -1,6 +1,12 @@
+import hashlib
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import uisearch.evaluate
 from uisearch import (DivergenceError, ExtensionSpec, MarketParams,
                       PolicyProfile, UniformOffers, build_policy,
                       evaluate_policy, expected_welfare_at_offer,
@@ -153,6 +159,144 @@ class TestMonteCarloAgreement:
         assert abs(summary.welfare_mean - exact.welfare) < 3 * summary.welfare_stderr
         assert abs(summary.duration_mean - exact.duration) < 3 * summary.duration_stderr
         assert abs(summary.wage_mean - exact.accepted_wage) < 3 * summary.wage_stderr
+
+
+def _bits(ev):
+    return (ev.welfare.hex(), ev.duration.hex(), ev.accepted_wage.hex(),
+            hashlib.sha256(ev.offer_values.tobytes()).hexdigest()[:16])
+
+
+def _fresh(policy):
+    """The same thresholds in new arrays, which no earlier call has seen."""
+    return PolicyProfile(pre_thresholds=policy.pre_thresholds.copy(),
+                         post_thresholds=policy.post_thresholds.copy())
+
+
+@pytest.fixture
+def post_chain_calls(monkeypatch):
+    """Thresholds the evaluator runs its post-extension chain on, in order."""
+    seen = []
+
+    def counting(dist, x):
+        seen.append(float(x))
+        return upsilon(dist, x)
+
+    monkeypatch.setattr(uisearch.evaluate, "upsilon", counting)
+    return seen
+
+
+class TestPostChainReuse:
+    """The belief-free post-extension chains are reused only for the same
+    read-only array, holding the same values, with an equal beta and the
+    same distribution object."""
+
+    # float.hex of welfare, duration and accepted wage, and a digest of
+    # offer_values, recorded before the chains were reused across calls.
+    BITS = {
+        ExtensionSpec(0.1, 25): ("0x1.1fe401ba2577bp+4", "0x1.31875c78c62fbp+3",
+                                 "0x1.e4d66d5063d22p-1", "ab154ad2ae5c7891"),
+        ExtensionSpec(0.9, 40): ("0x1.1fe659e51f13bp+4", "0x1.33d4dbd95dad0p+3",
+                                 "0x1.e509dc2aaa48cp-1", "eaebd8fe618ebb44"),
+    }
+
+    @pytest.fixture
+    def setting(self, uniform, benchmark_params, benchmark_truth):
+        policy = build_policy(uniform, benchmark_params, ExtensionSpec(0.1, 25),
+                              true_length=benchmark_truth.length)
+        return policy, benchmark_truth, benchmark_params, uniform
+
+    def test_alternating_post_arrays_keep_recorded_values(
+            self, uniform, benchmark_params, benchmark_truth, post_chain_calls):
+        policies = {belief: build_policy(uniform, benchmark_params, belief,
+                                         true_length=benchmark_truth.length)
+                    for belief in self.BITS}
+        for _ in range(3):
+            for belief, policy in policies.items():
+                ev = evaluate_policy(policy, benchmark_truth, benchmark_params, uniform)
+                assert _bits(ev) == self.BITS[belief]
+        # one entry: each array evicts the other's chains
+        assert len(post_chain_calls) == 3 * (35 + 50)
+
+    def test_same_array_runs_the_chain_once(self, setting, post_chain_calls):
+        policy = setting[0]
+        first = evaluate_policy(*setting)
+        assert post_chain_calls == list(policy.post_thresholds)
+        assert _bits(evaluate_policy(*setting)) == _bits(first)
+        assert len(post_chain_calls) == len(policy.post_thresholds)
+
+    def test_other_beta_or_dist_object_recomputes(self, setting, post_chain_calls):
+        policy, truth, params, uniform = setting
+        others = [(replace(params, beta=0.9), uniform), (params, UniformOffers())]
+        # computed first: a call on a new array replaces the stored chains
+        expected = [_bits(evaluate_policy(_fresh(policy), truth, other_params, other_dist))
+                    for other_params, other_dist in others]
+        for (other_params, other_dist), bits in zip(others, expected):
+            evaluate_policy(*setting)  # stores this array's chains
+            before = len(post_chain_calls)
+            assert _bits(evaluate_policy(policy, truth, other_params, other_dist)) == bits
+            assert len(post_chain_calls) == before + len(policy.post_thresholds)
+        assert expected[0] != expected[1]
+
+    def test_rewritten_post_array_is_recomputed(self, setting):
+        policy, truth, params, uniform = setting
+        post = policy.post_thresholds
+
+        def raised(entries):
+            """Bits for a new array holding ``post`` with ``entries`` raised."""
+            new_post = post.copy()
+            new_post[entries] += 0.01
+            return _bits(evaluate_policy(
+                PolicyProfile(pre_thresholds=policy.pre_thresholds.copy(),
+                              post_thresholds=new_post), truth, params, uniform))
+
+        # computed first: a call on a new array replaces the stored chains
+        changed, relocked = raised([3]), raised([3, 4])
+        first = _bits(evaluate_policy(*setting))
+        post.flags.writeable = True
+        post[3] += 0.01
+        assert _bits(evaluate_policy(*setting)) == changed != first
+        # changed and locked again: the stored chains hold the first values
+        post[4] += 0.01
+        post.flags.writeable = False
+        assert _bits(evaluate_policy(*setting)) == relocked != changed
+
+    def test_threads_sharing_the_memo_keep_recorded_values(
+            self, uniform, benchmark_params, benchmark_truth):
+        policies = [(build_policy(uniform, benchmark_params, belief,
+                                  true_length=benchmark_truth.length), bits)
+                    for belief, bits in self.BITS.items()]
+        wrong = []
+
+        def worker(offset):
+            for i in range(40):
+                policy, bits = policies[(i + offset) % 2]
+                ev = evaluate_policy(policy, benchmark_truth, benchmark_params, uniform)
+                if _bits(ev) != bits:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_out_of_support_post_threshold_raises(self, setting):
+        policy, truth, params, uniform = setting
+        post = policy.post_thresholds.copy()
+        post[5] = 1.2
+        bad = PolicyProfile(pre_thresholds=policy.pre_thresholds, post_thresholds=post)
+        evaluate_policy(*setting)
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match=r"upsilon argument 1.2 outside support \[0.0, 1.0\]"):
+                evaluate_policy(bad, truth, params, uniform)
 
 
 def markov_chain_oracle(policy, truth, params, low, high):

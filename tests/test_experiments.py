@@ -1,9 +1,13 @@
+import hashlib
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from uisearch import (ExtensionSpec, InfeasibleError, build_policy, calibrate_z,
-                      default_calibration, simulate_many, solve_w0_basic,
-                      sweep_beliefs, upsilon)
+import uisearch.experiments
+from uisearch import (ExtensionSpec, InfeasibleError, UniformOffers, build_policy,
+                      calibrate_z, default_calibration, simulate_many,
+                      solve_w0_basic, sweep_beliefs, upsilon)
 from uisearch.experiments import DELTA_GRID_DEFAULT, LENGTH_GRID_DEFAULT
 from uisearch.montecarlo import DEFAULT_CHUNK
 
@@ -41,6 +45,28 @@ class TestCalibrateZ:
         for target in (float("nan"), float("inf")):
             with pytest.raises(InfeasibleError, match="finite"):
                 calibrate_z(target, 0.95, uniform)
+
+    def test_target_beyond_top_flow_is_infeasible(self, uniform):
+        # the top of the flow range gives about 5e10 periods on [0, 1]
+        with pytest.raises(InfeasibleError, match="longest reachable"):
+            calibrate_z(1e13, 0.95, uniform)
+
+    @pytest.mark.parametrize("target, solves", [(10.0, 41), (1e13, 42)])
+    def test_only_unreached_targets_cost_an_extra_solve(self, uniform, monkeypatch,
+                                                       target, solves):
+        calls = []
+        solve = uisearch.experiments.solve_w0_basic
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(uisearch.experiments, "solve_w0_basic", counting)
+        try:
+            calibrate_z(target, 0.95, uniform)
+        except InfeasibleError:
+            pass
+        assert len(calls) == solves
 
 
 class TestDefaultCalibration:
@@ -138,3 +164,29 @@ class TestSweep:
             sweep_beliefs(cal, vary="beta")
         with pytest.raises(ValueError, match="mode"):
             sweep_beliefs(cal, vary="delta", mode="fast")
+
+
+def _rows_digest(rows):
+    """sha256 over the float.hex of every field of every row, in order."""
+    text = "\n".join(",".join(v.hex() if isinstance(v, float) else str(v)
+                              for v in astuple(row)) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestSweepGolden:
+    """Default exact sweeps recorded before the evaluator reused the
+    post-extension chains across beliefs, so "bit for bit" is checked."""
+
+    DIGESTS = {
+        ("unit", "delta"): "71ee566fbf56eb4b3391eaa2dc18c5aaffbf8edc1aee4f0d8c9834379c2f287b",
+        ("unit", "len"): "08ec41e843c5e4c47d50d7dac6b9c391319c0c6a599e2276991047157cb18725",
+        ("wide", "delta"): "4d141d025f46e07a7734fef4f15c0e96a1a50660009ecf12d6a5bcb80bd19d8c",
+        ("wide", "len"): "00b312509027d2ff51fe18a3d9a03f4763891cbd0a1c4662409fb32f3c69cad3",
+    }
+    SUPPORTS = {"unit": UniformOffers(), "wide": UniformOffers(0.2, 1.7)}
+
+    @pytest.mark.parametrize("support, vary", DIGESTS)
+    def test_default_sweep_bits(self, support, vary):
+        cal = default_calibration(dist=self.SUPPORTS[support])
+        rows = sweep_beliefs(cal, vary=vary)
+        assert _rows_digest(rows) == self.DIGESTS[support, vary]
