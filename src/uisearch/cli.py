@@ -3,7 +3,7 @@
 Subcommands: solve, evaluate, simulate, sweep, calibrate. Data goes to
 stdout (or --out); diagnostics go to stderr. Exit codes: 0 success,
 2 configuration or validation problem, 3 solver nonconvergence,
-4 infeasible calibration.
+4 infeasible calibration, 5 a policy whose expected duration diverges.
 """
 
 import argparse
@@ -15,7 +15,8 @@ from dataclasses import asdict
 
 from .config import parse_config
 from .distributions import UniformOffers
-from .errors import ConfigError, InfeasibleError, NonConvergenceError
+from .errors import (ConfigError, DivergenceError, InfeasibleError,
+                     NonConvergenceError)
 from .evaluate import build_policy, evaluate_policy, loss_pct
 from .experiments import Calibration, calibrate_z, sweep_beliefs
 from .montecarlo import CounterStream, simulate_many, simulate_spell
@@ -25,6 +26,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INFEASIBLE = 4
+EXIT_DIVERGENCE = 5
+
+# The exit code of each error reported as one ``error:`` line on stderr.
+_EXIT_CODES = {ConfigError: EXIT_CONFIG, NonConvergenceError: EXIT_NONCONVERGENCE,
+               InfeasibleError: EXIT_INFEASIBLE, DivergenceError: EXIT_DIVERGENCE}
 
 MAX_GRID_POINTS = 10_000
 
@@ -121,6 +127,9 @@ def _parse_grid(spec, as_int):
         raise ConfigError("grid", f"LO, HI and STEP must be finite, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("grid", f"empty or descending grid {spec!r}")
+    if as_int and not (lo.is_integer() and step.is_integer()):
+        raise ConfigError("grid", f"LO and STEP of a length grid must be whole "
+                          f"numbers, got {spec!r}")
     if (hi + 1e-9 - lo) / step >= MAX_GRID_POINTS:
         raise ConfigError("grid", f"{spec!r} has more than {MAX_GRID_POINTS} points")
     values = []
@@ -129,7 +138,7 @@ def _parse_grid(spec, as_int):
         v = lo + k * step
         if v > hi + 1e-9:
             break
-        values.append(int(round(v)) if as_int else round(v, 12))
+        values.append(int(v) if as_int else round(v, 12))
         k += 1
     return values
 
@@ -138,7 +147,7 @@ def _cmd_sweep(args):
     overrides = {"spells": args.spells, "seed": args.seed}
     cfg = parse_config(args.config, overrides=overrides)
     cal = Calibration(params=cfg.params, dist=cfg.distribution, truth=cfg.truth,
-                      z_full=cfg.z + cfg.c, target_duration=float("nan"))
+                      z_full=cfg.params.z + cfg.params.c, target_duration=float("nan"))
     grid = None
     if args.grid:
         grid = _parse_grid(args.grid, as_int=(args.vary == "len"))
@@ -231,15 +240,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

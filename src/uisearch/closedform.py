@@ -38,8 +38,7 @@ def w0_extension_closed_form(beta, z, delta, w_basic_at_length) -> float:
     return (1.0 - math.sqrt(inner)) / (beta * (1.0 - delta))
 
 
-def uniform_closed_form(params: MarketParams,
-                        belief: ExtensionSpec | None = None,
+def uniform_closed_form(params: MarketParams, belief: ExtensionSpec,
                         horizon=None) -> ReservationSchedule:
     """Build both schedules under uniform offers on [0, 1] from the
     closed forms alone.
@@ -49,11 +48,9 @@ def uniform_closed_form(params: MarketParams,
     """
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
+    delta, length = belief.delta, belief.length
     if horizon is None:
-        if belief is None:
-            horizon = n_periods
-        else:
-            horizon = post_extension_state(n_periods, belief.length)
+        horizon = post_extension_state(n_periods, length)
 
     basic = np.empty(horizon + 1)
     basic[0] = w0_basic_closed_form(beta, z)
@@ -61,17 +58,14 @@ def uniform_closed_form(params: MarketParams,
     for n in range(1, horizon + 1):
         basic[n] = base + 0.5 * beta * (1.0 + basic[n - 1] ** 2)
 
-    with_ext = None
-    if belief is not None:
-        delta, length = belief.delta, belief.length
-        with_ext = np.empty(n_periods + 1)
-        with_ext[0] = w0_extension_closed_form(beta, z, delta, basic[length])
-        for n in range(1, n_periods + 1):
-            with_ext[n] = base + 0.5 * beta * (
-                1.0
-                + delta * basic[n - 1 + length] ** 2
-                + (1.0 - delta) * with_ext[n - 1] ** 2
-            )
+    with_ext = np.empty(n_periods + 1)
+    with_ext[0] = w0_extension_closed_form(beta, z, delta, basic[length])
+    for n in range(1, n_periods + 1):
+        with_ext[n] = base + 0.5 * beta * (
+            1.0
+            + delta * basic[n - 1 + length] ** 2
+            + (1.0 - delta) * with_ext[n - 1] ** 2
+        )
 
     return ReservationSchedule(basic=basic, with_extension=with_ext,
                                params=params, belief=belief, tol=0.0)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .distributions import UniformOffers, validate_assumptions
+from .distributions import UniformOffers
 from .errors import ConfigError
 from .params import ExtensionSpec, MarketParams
 
@@ -26,47 +26,21 @@ _DEFAULTS = {
 }
 _REQUIRED = ("beta", "z", "c", "N", "delta_true", "len_true")
 
-# Field blamed when a cross-field solver assumption fails.
-_ASSUMPTION_FIELD = {
-    "w_low < (1 - beta) * z + beta * mean_wage": "z",
-    "z > 0": "z",
-    "z + c < w_high": "c",
-    "0 < beta < 1": "beta",
-    "c > 0": "c",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs for one CLI run."""
+    """Validated inputs for one CLI run: the model objects and the
+    solver and simulation settings."""
 
-    beta: float
-    z: float
-    c: float
-    n_periods: int
-    delta_true: float
-    len_true: int
-    delta_belief: float
-    len_belief: int
+    params: MarketParams
+    truth: ExtensionSpec
+    belief: ExtensionSpec
     distribution: UniformOffers
     tol: float
     max_iter: int
     max_periods: int
     seed: int
     spells: int
-
-    @property
-    def params(self) -> MarketParams:
-        return MarketParams(beta=self.beta, z=self.z, c=self.c,
-                            n_periods=self.n_periods)
-
-    @property
-    def truth(self) -> ExtensionSpec:
-        return ExtensionSpec(delta=self.delta_true, length=self.len_true)
-
-    @property
-    def belief(self) -> ExtensionSpec:
-        return ExtensionSpec(delta=self.delta_belief, length=self.len_belief)
 
 
 def _require_number(data, field, lo=None, hi=None, lo_open=False, hi_open=False):
@@ -164,13 +138,15 @@ def parse_config(path=None, overrides=None) -> RunConfig:
         raise ConfigError("spells", f"value {spells} exceeds the 2**32 spell indices")
     dist = _build_distribution(data["distribution"])
 
-    params = MarketParams(beta=beta, z=z, c=c, n_periods=n_periods)
-    for violation in validate_assumptions(dist, params):
-        raise ConfigError(_ASSUMPTION_FIELD.get(violation, "config"),
-                          f"solver assumption violated: {violation}")
+    # The model's two conditions that the range checks above leave open.
+    if not dist.support_low < (1.0 - beta) * z + beta * dist.mean:
+        raise ConfigError("z", "solver assumption violated: "
+                          "w_low < (1 - beta) * z + beta * mean_wage")
+    if not z + c < dist.support_high:
+        raise ConfigError("c", "solver assumption violated: z + c < w_high")
 
-    return RunConfig(beta=beta, z=z, c=c, n_periods=n_periods,
-                     delta_true=delta_true, len_true=len_true,
-                     delta_belief=delta_belief, len_belief=len_belief,
+    return RunConfig(params=MarketParams(beta=beta, z=z, c=c, n_periods=n_periods),
+                     truth=ExtensionSpec(delta=delta_true, length=len_true),
+                     belief=ExtensionSpec(delta=delta_belief, length=len_belief),
                      distribution=dist, tol=tol, max_iter=max_iter,
                      max_periods=max_periods, seed=seed, spells=spells)

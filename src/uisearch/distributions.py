@@ -5,13 +5,14 @@ Every distribution exposes the CDF, the partial expectation
 sampling. The solver and the evaluator call the first two on one float
 at a time; the simulator calls the quantile on whole arrays of
 variates. Instances are immutable after construction and safe to share
-across threads.
+across threads. The conditions a model puts on its distribution (an
+interior zero-entitlement wage, ``z + c`` below the top of the support)
+are checked by ``parse_config``; the fixed-point solvers check the ones
+their own iteration needs.
 """
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-
-from .params import MarketParams
 
 
 class OfferDistribution(ABC):
@@ -93,24 +94,3 @@ class UniformOffers(OfferDistribution):
 
     def quantile(self, u):
         return self.low + u * (self.high - self.low)
-
-
-def validate_assumptions(dist: OfferDistribution, params: MarketParams) -> list[str]:
-    """Check the conditions under which the solver's theory holds.
-
-    Returns the list of violated conditions (empty when all pass).
-    Violations are data, not exceptions: callers decide whether a
-    violation is fatal.
-    """
-    violations = []
-    if not dist.support_low < (1.0 - params.beta) * params.z + params.beta * dist.mean:
-        violations.append("w_low < (1 - beta) * z + beta * mean_wage")
-    if not params.z > 0.0:
-        violations.append("z > 0")
-    if not params.z + params.c < dist.support_high:
-        violations.append("z + c < w_high")
-    if not 0.0 < params.beta < 1.0:
-        violations.append("0 < beta < 1")
-    if not params.c > 0.0:
-        violations.append("c > 0")
-    return violations

@@ -15,9 +15,8 @@ class MarketParams:
     Parameters
     ----------
     beta : float
-        Discount factor. Economically meaningful values lie in (0, 1);
-        out-of-range values are representable so that
-        ``validate_assumptions`` can report them as violations.
+        Discount factor. The solver needs it in (0, 1); out-of-range
+        values are representable, and ``parse_config`` rejects them.
     z : float
         Flow value of nonwork (leisure and home production), received
         every period while unemployed.
@@ -38,11 +37,6 @@ class MarketParams:
         if int(self.n_periods) != self.n_periods or self.n_periods < 0:
             raise ValueError("n_periods must be a nonnegative integer")
         object.__setattr__(self, "n_periods", int(self.n_periods))
-
-    @property
-    def interest_rate(self):
-        """Implied per-period interest rate, 1/beta - 1."""
-        return 1.0 / self.beta - 1.0
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,10 @@ perceived chance ``delta`` of gaining ``length`` extra periods, and the
 zero-entitlement wage is the fixed point of a contraction with modulus
 ``beta * (1 - delta) * F``. Both schedules then build upward by a
 one-step recursion on the option-value kernel.
+
+In exact arithmetic every wage stays below the top of the wage support
+when ``z + c`` does. With ``z + c`` a few ulps below the top, rounding
+can carry a step past it, so each step is capped at the top.
 """
 
 from dataclasses import dataclass
@@ -57,9 +61,11 @@ def post_extension_state(n, length):
 def _fixed_point(dist, base, slope, tol, max_iter, label):
     """Picard iteration on ``x -> base + slope * upsilon(x)`` from the
     bottom of the support."""
-    x = dist.support_low
+    x, top = dist.support_low, dist.support_high
     for _ in range(max_iter):
         nxt = base + slope * upsilon(dist, x)
+        if nxt > top:
+            nxt = top
         if abs(nxt - x) < tol:
             return nxt
         x = nxt
@@ -101,8 +107,9 @@ def build_basic_schedule(dist: OfferDistribution, params: MarketParams, horizon,
     wages = np.empty(horizon + 1)
     wages[0] = solve_w0_basic(dist, params, params.z, tol=tol, max_iter=max_iter)
     base = (params.z + params.c) * (1.0 - params.beta)
+    top = dist.support_high
     for n in range(1, horizon + 1):
-        wages[n] = base + params.beta * upsilon(dist, wages[n - 1])
+        wages[n] = min(base + params.beta * upsilon(dist, wages[n - 1]), top)
     return wages
 
 
@@ -146,11 +153,13 @@ def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
                                   tol=tol, max_iter=max_iter)
     beta, delta = params.beta, belief.delta
     base = (params.z + params.c) * (1.0 - beta)
+    top = dist.support_high
     for n in range(1, n_periods + 1):
         post = basic[post_extension_state(n, length)]
-        wages[n] = (base
-                    + beta * delta * upsilon(dist, post)
-                    + beta * (1.0 - delta) * upsilon(dist, wages[n - 1]))
+        wages[n] = min(base
+                       + beta * delta * upsilon(dist, post)
+                       + beta * (1.0 - delta) * upsilon(dist, wages[n - 1]),
+                       top)
     return wages
 
 
@@ -160,40 +169,28 @@ class ReservationSchedule:
 
     ``basic[n]`` is the wage with ``n`` periods of entitlement after the
     extension question is settled; ``with_extension[n]`` is the wage
-    while an extension is still possible (None when no belief was
-    given). Arrays are read-only, so instances are safe to share across
-    threads.
+    while an extension is still possible. A belief with ``delta = 0``
+    is the problem without an extension: ``with_extension`` then equals
+    ``basic[:n_periods + 1]``. Arrays are read-only, so instances are
+    safe to share across threads.
     """
 
     basic: np.ndarray
-    with_extension: np.ndarray | None
+    with_extension: np.ndarray
     params: MarketParams
-    belief: ExtensionSpec | None
+    belief: ExtensionSpec
     tol: float
 
     def __post_init__(self):
         self.basic.flags.writeable = False
-        if self.with_extension is not None:
-            self.with_extension.flags.writeable = False
-
-    def job_value(self, w):
-        """Present value of holding a job at wage w forever."""
-        return w / (1.0 - self.params.beta)
-
-    def unemployment_value(self, n):
-        """Value of unemployment at entitlement n, extension settled."""
-        return self.basic[n] / (1.0 - self.params.beta)
-
-    def unemployment_value_pre(self, n):
-        """Value of unemployment at entitlement n, extension possible."""
-        return self.with_extension[n] / (1.0 - self.params.beta)
+        self.with_extension.flags.writeable = False
 
 
 def solve_schedules(dist: OfferDistribution, params: MarketParams,
-                    belief: ExtensionSpec | None = None,
+                    belief: ExtensionSpec,
                     tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
                     horizon=None) -> ReservationSchedule:
-    """Solve both schedules for one parameterization.
+    """Solve both schedules for one parameterization and belief.
 
     ``horizon`` sets the top entitlement of the basic schedule. The
     default covers every index the pre-extension recursion looks up,
@@ -201,15 +198,10 @@ def solve_schedules(dist: OfferDistribution, params: MarketParams,
     basic schedule must also cover a different true extension length.
     """
     if horizon is None:
-        if belief is None:
-            horizon = params.n_periods
-        else:
-            horizon = post_extension_state(params.n_periods, belief.length)
+        horizon = post_extension_state(params.n_periods, belief.length)
     basic = build_basic_schedule(dist, params, horizon, tol=tol, max_iter=max_iter)
-    with_ext = None
-    if belief is not None:
-        with_ext = build_extension_schedule(dist, params, belief, basic,
-                                            tol=tol, max_iter=max_iter)
+    with_ext = build_extension_schedule(dist, params, belief, basic,
+                                        tol=tol, max_iter=max_iter)
     return ReservationSchedule(basic=basic, with_extension=with_ext,
                                params=params, belief=belief, tol=tol)
 
@@ -227,31 +219,21 @@ def reservation_identity_residual(dist: OfferDistribution,
 
     where flow is ``z`` at n = 0 and ``z + c`` above, y is the
     post-extension wage the extension would lead to, and u is the wage
-    one entitlement down (x itself at n = 0). For a schedule solved
-    without a belief the same identity applies with delta = 0. A solved
-    schedule satisfies this to solver precision; the residual is a
-    cheap independence check on the fixed-point algebra.
+    one entitlement down (x itself at n = 0). A solved schedule
+    satisfies this to solver precision; the residual is a cheap
+    independence check on the fixed-point algebra.
     """
     params = schedule.params
-    beta = params.beta
-    per_period = beta / (1.0 - beta)
-
-    if schedule.with_extension is None:
-        delta, length = 0.0, 0
-        wages = schedule.basic
-        post = schedule.basic
-    else:
-        delta, length = schedule.belief.delta, schedule.belief.length
-        wages = schedule.with_extension
-        post = schedule.basic
+    per_period = params.beta / (1.0 - params.beta)
+    delta, length = schedule.belief.delta, schedule.belief.length
+    wages, post = schedule.with_extension, schedule.basic
 
     worst = 0.0
     for n in range(len(wages)):
         x = wages[n]
         flow = params.z if n == 0 else params.z + params.c
         u = x if n == 0 else wages[n - 1]
-        y = (post[post_extension_state(n, length)]
-             if schedule.with_extension is not None else u)
+        y = post[post_extension_state(n, length)]
         lhs = x - flow
         rhs = per_period * (delta * (upsilon(dist, y) - x)
                             + (1.0 - delta) * (upsilon(dist, u) - x))

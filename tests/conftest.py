@@ -26,6 +26,26 @@ def benchmark_truth():
     return ExtensionSpec(delta=0.5, length=25)
 
 
+# Config fields parse_config accepts whose float rounding reaches the
+# edges of the model. Here z + c is one ulp below the top of the support,
+# and an uncapped step of the basic recursion rounds one ulp past the top.
+FLOW_AN_ULP_BELOW_TOP = {
+    "beta": 0.3644547477637597, "z": 0.3644547477637596,
+    "c": 5.551115123125783e-17, "N": 0,
+    "delta_true": 0.0, "len_true": 1, "delta_belief": 0.0, "len_belief": 9,
+    "distribution": {"type": "uniform", "low": 0.3019547477637597,
+                     "high": 0.3644547477637597},
+}
+# Here the post-extension threshold at zero entitlement lies below the top
+# of the support, but on [-5, 1] its CDF (x + 5) / 6 rounds to 1, so
+# evaluate_policy raises DivergenceError.
+ROUNDED_TO_CERTAIN_REJECTION = {
+    "beta": 0.001, "z": 0.9999999999999998, "c": 1.1102230246251565e-16,
+    "N": 1, "delta_true": 0.5, "len_true": 2, "delta_belief": 0.5, "len_belief": 2,
+    "distribution": {"type": "uniform", "low": -5.0, "high": 1.0},
+}
+
+
 def random_valid_params(rng: np.random.Generator):
     """Draw parameters satisfying every solver assumption (uniform offers).
 

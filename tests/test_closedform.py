@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from uisearch import (ExtensionSpec, MarketParams, expected_welfare_at_offer,
-                      solve_schedules, uniform_closed_form,
-                      w0_basic_closed_form, w0_extension_closed_form)
+                      solve_schedules, uniform_closed_form)
+from uisearch.closedform import w0_basic_closed_form, w0_extension_closed_form
 
 
 def test_w0_exact_hand_value(fig3_params):
@@ -23,9 +23,9 @@ def test_matches_iterative_solver_on_benchmark(uniform, benchmark_params):
 
 
 def test_delta_zero_equals_no_extension_form(fig3_params):
-    basic_only = uniform_closed_form(fig3_params, belief=None, horizon=10)
     with_zero = uniform_closed_form(fig3_params, ExtensionSpec(delta=0.0, length=13))
-    assert np.max(np.abs(with_zero.with_extension - basic_only.basic)) < 1e-15
+    basic_only = with_zero.basic[:fig3_params.n_periods + 1]
+    assert np.max(np.abs(with_zero.with_extension - basic_only)) < 1e-15
     assert w0_extension_closed_form(0.95, 0.42, 0.0, 0.9) == pytest.approx(
         w0_basic_closed_form(0.95, 0.42), abs=1e-15)
 

@@ -1,12 +1,16 @@
 import contextlib
+import hashlib
 import json
 import signal
 from dataclasses import asdict
 
 import pytest
 
-from uisearch import ConfigError, build_policy, parse_config, simulate_many
+from uisearch import ConfigError, build_policy, simulate_many, solve_schedules
 from uisearch.cli import MAX_GRID_POINTS, _parse_grid, main
+from uisearch.config import parse_config
+
+from conftest import FLOW_AN_ULP_BELOW_TOP, ROUNDED_TO_CERTAIN_REJECTION
 
 BENCHMARK = {
     "beta": 0.95, "z": 0.4025, "c": 0.4025, "N": 10,
@@ -25,8 +29,8 @@ def config_path(tmp_path):
 class TestParseConfig:
     def test_benchmark_file(self, config_path):
         cfg = parse_config(config_path)
-        assert cfg.beta == 0.95
-        assert cfg.n_periods == 10
+        assert cfg.params.beta == 0.95
+        assert cfg.params.n_periods == 10
         assert cfg.truth.delta == 0.5 and cfg.truth.length == 25
         assert cfg.belief.delta == 0.1
         assert cfg.tol == 1e-12 and cfg.max_iter == 100_000
@@ -60,6 +64,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(str(path))
         assert excinfo.value.field == "c"
+
+    @pytest.mark.parametrize("fields, blamed", [
+        ({"beta": 1.0}, "beta"), ({"beta": 0.0}, "beta"),
+        ({"z": 0.0}, "z"), ({"c": 0.0}, "c"),
+    ], ids=["beta_one", "beta_zero", "z_zero", "c_zero"])
+    def test_range_checks_cover_model_conditions(self, tmp_path, fields, blamed):
+        # 0 < beta < 1, z > 0 and c > 0 are range checks on single fields
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**BENCHMARK, **fields}))
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(str(path))
+        assert excinfo.value.field == blamed
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"distribution": {"type": "uniform", "low": 0.95, "high": 1.0}, "z": 0.01},
+         "z: solver assumption violated: w_low < (1 - beta) * z + beta * mean_wage"),
+        ({"z": 0.7, "c": 0.7}, "c: solver assumption violated: z + c < w_high"),
+        # interiority is checked first when both conditions fail
+        ({"distribution": {"type": "uniform", "low": 0.95, "high": 1.0},
+          "z": 0.01, "c": 2.0},
+         "z: solver assumption violated: w_low < (1 - beta) * z + beta * mean_wage"),
+    ], ids=["interiority", "flow_above_support", "both"])
+    def test_model_condition_names_field(self, tmp_path, capsys, fields, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**BENCHMARK, **fields}))
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(str(path))
+        assert str(excinfo.value) == message
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_required_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -250,6 +284,27 @@ class TestCli:
     def test_exit_code_infeasible(self, capsys):
         assert main(["calibrate", "--duration", "1"]) == 4
 
+    def test_flow_an_ulp_below_top_stays_in_support(self, tmp_path, capsys):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(FLOW_AN_ULP_BELOW_TOP))
+        cfg = parse_config(str(path))
+        schedule = solve_schedules(cfg.distribution, cfg.params, cfg.belief)
+        top = cfg.distribution.support_high
+        assert max(schedule.basic.max(), schedule.with_extension.max()) <= top
+        for command in ("solve", "evaluate", "sweep"):
+            assert main([command, "--config", str(path)]) == 0
+            assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_exit_code_divergence(self, tmp_path, capsys, command):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(ROUNDED_TO_CERTAIN_REJECTION))
+        assert main([command, "--config", str(path)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") <= 1  # at most the CSV header
+        assert captured.err == ("error: post-extension state 0 never accepts; "
+                                "duration diverges\n")
+
     def test_calibrate_unreachable_duration_is_infeasible(self, capsys):
         assert main(["calibrate", "--duration", "1e13"]) == 4
         captured = capsys.readouterr()
@@ -262,6 +317,75 @@ class TestCli:
 
     def test_bad_grid_is_config_error(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--grid", "oops"]) == 2
+
+    @pytest.mark.parametrize("grid", ["1:3:0.5", "1.5:3:1"])
+    def test_fractional_length_grid_rejected(self, config_path, capsys, grid):
+        # rounding would turn 1:3:0.5 into the lengths 1, 2, 2, 2, 3
+        assert main(["sweep", "--config", config_path, "--vary", "len",
+                     "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid: ")
+
+    def test_whole_length_grid_with_fractional_end(self, config_path, capsys):
+        assert main(["sweep", "--config", config_path, "--vary", "len",
+                     "--grid", "20:30.5:5"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["20", "25", "30"]
+
+
+class TestStdoutDigests:
+    """The bytes each subcommand writes to stdout, as sha256 digests.
+
+    Recorded before the belief-free schedule path and the scalar
+    ``RunConfig`` fields were removed; any change to the printed data
+    shows here.
+    """
+
+    CONFIGS = {
+        "unit": BENCHMARK,
+        "wide": {**BENCHMARK,
+                 "distribution": {"type": "uniform", "low": 0.2, "high": 1.7}},
+    }
+    COMMANDS = {
+        "solve": ["solve"],
+        "evaluate": ["evaluate"],
+        "sweep_delta": ["sweep", "--vary", "delta"],
+        "sweep_len": ["sweep", "--vary", "len"],
+        "simulate": ["simulate", "--spells", "20000", "--trace", "20",
+                     "--threads", "2"],
+    }
+    DIGESTS = {
+        ("solve", "unit"): "d646d8542a79df1195a245400b3cba07c2bef37591bd37fb623f4fbae20eb933",
+        ("evaluate", "unit"): "ca83b4c496695b58d7c7786c541e2b9d26d8623e99eb770cb5e53cf1fee3e33f",
+        ("sweep_delta", "unit"): "2e461ee9b8785e1ea39dc2ac2a98694e3d366621c8ce773488a47372298fc008",
+        ("sweep_len", "unit"): "032ae5fbf9e10d415483ce9e7604b00979b7d03bf4c0f59560a55939e7dbba8a",
+        ("simulate", "unit"): "5eb827ce36043d960c031869f6f70cbf83345e9d6213b6f477e725d68394e4bf",
+        ("solve", "wide"): "c569a40011e3b30853d7074f47e32e7147ca11e8437f7adb2afa3ee8c00ece0d",
+        ("evaluate", "wide"): "888d7cdfd9dc88a4f7c6ded009738662d4610a353bcad2319e4e5c251ed7ef0b",
+        ("sweep_delta", "wide"): "30a7f3d364a94b8c2ff4fc0b744f3219cfeee6c237cd13ba9cbf15a6a744fe5f",
+        ("sweep_len", "wide"): "87e49e26ad7fa890996a701bb2a459ec56f3c02d14345957c50ae4665ba4431a",
+        ("simulate", "wide"): "ff9b173a1d20123755237360ba5d995e6f7b883e527f2c25903f8f8b3ec8e758",
+    }
+    CALIBRATE_DIGEST = "6d05c59dcd33bda5cc297997b9a0ad44a89c59dce855f3446f7df8a70eb897c5"
+
+    @staticmethod
+    def digest(argv, capsys):
+        assert main(argv) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("command, config", sorted(DIGESTS),
+                             ids=lambda v: v)
+    def test_config_command(self, tmp_path, capsys, command, config):
+        path = tmp_path / f"{config}.json"
+        path.write_text(json.dumps(self.CONFIGS[config]))
+        name, *rest = self.COMMANDS[command]
+        argv = [name, "--config", str(path), *rest]
+        assert self.digest(argv, capsys) == self.DIGESTS[command, config]
+
+    def test_calibrate(self, capsys):
+        argv = ["calibrate", "--duration", "10"]
+        assert self.digest(argv, capsys) == self.CALIBRATE_DIGEST
 
 
 @contextlib.contextmanager

@@ -4,11 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from uisearch import (Calibration, ExtensionSpec, MarketParams, UniformOffers,
-                      build_basic_schedule, build_policy, calibrate_z,
-                      evaluate_policy, reservation_identity_residual,
-                      solve_schedules, sweep_beliefs, upsilon,
-                      validate_assumptions)
+from uisearch import (ExtensionSpec, MarketParams, UniformOffers, build_policy,
+                      calibrate_z, evaluate_policy,
+                      reservation_identity_residual, solve_schedules,
+                      sweep_beliefs)
+from uisearch.experiments import Calibration
+from uisearch.schedule import build_basic_schedule, upsilon
 
 
 def quadrature_partial_expectation(dist, a, b, n=200_001):
@@ -180,27 +181,6 @@ class TestScalarTraffic:
         assert len(rows) == len(grid) and len(basics) == 1
         # the baseline and every belief share the chain of one basic schedule
         assert chained == list(basics[0])
-
-
-class TestValidateAssumptions:
-    def test_benchmark_passes(self, uniform):
-        p = MarketParams(beta=0.95, z=0.42, c=0.42, n_periods=10)
-        assert validate_assumptions(uniform, p) == []
-
-    def test_flow_above_support(self, uniform):
-        p = MarketParams(beta=0.95, z=1.2, c=0.42, n_periods=10)
-        assert validate_assumptions(uniform, p) == ["z + c < w_high"]
-
-    def test_degenerate_discounting(self, uniform):
-        p = MarketParams(beta=1.0, z=0.4, c=0.4, n_periods=10)
-        assert validate_assumptions(uniform, p) == ["0 < beta < 1"]
-
-    def test_violations_accumulate(self, uniform):
-        p = MarketParams(beta=1.5, z=-0.1, c=0.0, n_periods=0)
-        violations = validate_assumptions(uniform, p)
-        assert "z > 0" in violations
-        assert "0 < beta < 1" in violations
-        assert "c > 0" in violations
 
 
 def test_support_must_be_ordered():

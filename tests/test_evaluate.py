@@ -8,28 +8,32 @@ import pytest
 
 import uisearch.evaluate
 from uisearch import (DivergenceError, ExtensionSpec, MarketParams,
-                      PolicyProfile, UniformOffers, build_policy,
-                      evaluate_policy, expected_welfare_at_offer,
-                      simulate_many, solve_schedules, solve_w0_basic, upsilon,
-                      validate_assumptions, welfare_loss)
+                      UniformOffers, build_policy, evaluate_policy,
+                      expected_welfare_at_offer, simulate_many,
+                      solve_schedules, solve_w0_basic, welfare_loss)
+from uisearch.evaluate import PolicyProfile
+from uisearch.schedule import upsilon
 
 from conftest import random_belief, random_valid_params
 
 
+NO_EXTENSION = ExtensionSpec(delta=0.0, length=1)
+
+
 class TestPostExtensionValues:
     def test_continuation_value(self, uniform, fig3_params):
-        schedule = solve_schedules(uniform, fig3_params)
-        assert schedule.unemployment_value(0) == pytest.approx(16.0, abs=1e-7)
+        basic = solve_schedules(uniform, fig3_params, NO_EXTENSION).basic
+        assert basic[0] / (1 - fig3_params.beta) == pytest.approx(16.0, abs=1e-7)
 
     def test_offer_node_value(self, uniform, fig3_params):
-        basic = solve_schedules(uniform, fig3_params).basic
+        basic = solve_schedules(uniform, fig3_params, NO_EXTENSION).basic
         assert upsilon(uniform, basic[0]) / (1 - fig3_params.beta) == pytest.approx(
             16.4, abs=1e-7)
 
     def test_myopic_limit(self, uniform):
         p = MarketParams(beta=1e-9, z=0.3, c=0.1, n_periods=1)
-        schedule = solve_schedules(uniform, p)
-        assert schedule.unemployment_value(0) == pytest.approx(0.3, abs=1e-6)
+        basic = solve_schedules(uniform, p, NO_EXTENSION).basic
+        assert basic[0] / (1 - p.beta) == pytest.approx(0.3, abs=1e-6)
 
 
 class TestBellmanConsistency:
@@ -386,7 +390,9 @@ class TestMarkovChainOracle:
         params, low, high, truth, belief = _oracle_cases()[case]
         assert belief != truth
         dist = UniformOffers(low, high)
-        assert validate_assumptions(dist, params) == []
+        # the two model conditions parse_config enforces on a run
+        assert low < (1 - params.beta) * params.z + params.beta * dist.mean
+        assert params.z + params.c < high
         policy = build_policy(dist, params, belief, true_length=truth.length)
         ev = evaluate_policy(policy, truth, params, dist)
         welfare, duration, wage, offer_values = markov_chain_oracle(

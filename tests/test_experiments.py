@@ -7,9 +7,10 @@ import pytest
 import uisearch.experiments
 from uisearch import (ExtensionSpec, InfeasibleError, UniformOffers, build_policy,
                       calibrate_z, default_calibration, simulate_many,
-                      solve_w0_basic, sweep_beliefs, upsilon)
+                      solve_w0_basic, sweep_beliefs)
 from uisearch.experiments import DELTA_GRID_DEFAULT, LENGTH_GRID_DEFAULT
 from uisearch.montecarlo import DEFAULT_CHUNK
+from uisearch.schedule import upsilon
 
 
 def invert_flow_for_threshold(dist, beta, w0):

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from uisearch import (CounterStream, ExtensionSpec, MarketParams,
-                      PolicyProfile, UniformOffers, build_policy, simulate_block,
-                      simulate_many, simulate_spell, solve_w0_basic)
+                      UniformOffers, build_policy, simulate_many,
+                      simulate_spell, solve_w0_basic)
 from uisearch import montecarlo
-from uisearch.montecarlo import _variate, _variates
+from uisearch.evaluate import PolicyProfile
+from uisearch.montecarlo import _variate, _variates, simulate_block
 
 BENCH = MarketParams(beta=0.95, z=0.4025, c=0.4025, n_periods=10)
 BENCH_TRUTH = ExtensionSpec(delta=0.5, length=25)

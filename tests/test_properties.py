@@ -4,14 +4,21 @@
 so every run checks the same ones and a failure reproduces.
 """
 
-from hypothesis import given, settings
+import math
+
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from uisearch import (Calibration, ExtensionSpec, MarketParams, PolicyProfile,
-                      UniformOffers, build_basic_schedule,
-                      build_extension_schedule, evaluate_policy, sweep_beliefs)
-from uisearch.evaluate import loss_pct
-from uisearch.schedule import post_extension_state
+from uisearch import (ConfigError, DivergenceError, ExtensionSpec,
+                      MarketParams, NonConvergenceError, UniformOffers,
+                      build_policy, evaluate_policy, sweep_beliefs)
+from uisearch.config import parse_config
+from uisearch.evaluate import PolicyProfile, loss_pct
+from uisearch.experiments import Calibration
+from uisearch.schedule import (build_basic_schedule, build_extension_schedule,
+                               post_extension_state)
+
+from conftest import FLOW_AN_ULP_BELOW_TOP, ROUNDED_TO_CERTAIN_REJECTION
 
 
 @st.composite
@@ -76,3 +83,64 @@ def test_sweep_rows_match_unshared_evaluation(case):
         if value == true_value:
             assert row.loss_pct == 0.0
         assert row.loss_pct >= -1e-12
+
+
+@st.composite
+def accepted_configs(draw):
+    """Config fields ``parse_config`` mostly accepts, edges included:
+    ``z + c`` one ulp below the top of the support, ``z`` one ulp below
+    that, ``beta`` from 0.001 up to 0.99, negative support bottoms,
+    beliefs and truths with delta 0 or 1, and no initial entitlement."""
+    high = draw(st.floats(0.05, 3.0))
+    low = high - draw(st.floats(0.05, 10.0))
+    top = math.nextafter(high, -math.inf)
+    flow = draw(st.one_of(st.just(top), st.floats(0.0, top, exclude_min=True)))
+    z = draw(st.one_of(st.just(math.nextafter(flow, -math.inf)),
+                       st.floats(0.0, 1.0, exclude_min=True,
+                                 exclude_max=True).map(lambda u: u * flow)))
+    deltas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    return {
+        "beta": draw(st.one_of(st.sampled_from([0.001, 0.99]),
+                               st.floats(0.001, 0.99))),
+        "z": z, "c": flow - z,
+        "N": draw(st.one_of(st.just(0), st.integers(0, 12))),
+        "delta_true": draw(deltas), "len_true": draw(st.integers(1, 30)),
+        "delta_belief": draw(deltas), "len_belief": draw(st.integers(1, 30)),
+        "distribution": {"type": "uniform", "low": low, "high": high},
+    }
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(accepted_configs())
+@example(FLOW_AN_ULP_BELOW_TOP)
+@example(ROUNDED_TO_CERTAIN_REJECTION)
+@example({  # the pre-extension recursion rounds a step past the top
+    "beta": 0.5, "z": 2.468683795386459, "c": 4.440892098500626e-16, "N": 2,
+    "delta_true": 0.0, "len_true": 1, "delta_belief": 1.0, "len_belief": 6,
+    "distribution": {"type": "uniform", "low": 2.4179025453864598,
+                     "high": 2.4686837953864598}})
+def test_accepted_configs_diverge_only_by_rounding(fields):
+    # In exact arithmetic every threshold of an accepted config lies
+    # below the top of the support, so some offer is always acceptable.
+    # In floats a threshold reaches at most the top, and evaluate_policy
+    # raises DivergenceError (exit 5 in the CLI) only when the CDF of a
+    # state-0 threshold rounds to 1.
+    try:
+        cfg = parse_config(overrides=fields)
+    except ConfigError:
+        reject()
+    dist = cfg.distribution
+    try:
+        policies = [build_policy(dist, cfg.params, belief,
+                                 true_length=cfg.truth.length)
+                    for belief in (cfg.belief, cfg.truth)]
+    except NonConvergenceError:
+        return  # the CLI exits 3 before any evaluation
+    for policy in policies:
+        assert policy.post_thresholds.max() <= dist.support_high
+        assert policy.pre_thresholds.max() <= dist.support_high
+        try:
+            evaluate_policy(policy, cfg.truth, cfg.params, dist)
+        except DivergenceError:
+            state0 = (policy.post_thresholds[0], policy.pre_thresholds[0])
+            assert max(dist.cdf(w) for w in state0) == 1.0

@@ -1,23 +1,34 @@
-"""Every package name the benchmark harness and the demos use still exists.
+"""Every package name the benchmark harness, the demos and the acceptance
+suite use still exists, and the package exports no other.
 
-The scripts under ``bench/`` and ``demos/`` are parsed, never run: each
-``from uisearch... import X``, each attribute chain on an imported
-``uisearch`` module (``us.simulate_many``, ``uisearch.cli.main``) and
-each ``module.function`` key of the harness's ``TARGETS`` table must
-resolve against the installed package, and the arguments the harness
-sizes its spans by must still sit where it reads them.
+The scripts under ``bench/`` and ``demos/`` and ``tests/test_acceptance.py``
+are parsed, never run: each ``from uisearch... import X``, each attribute
+chain on an imported ``uisearch`` module (``us.simulate_many``,
+``uisearch.cli.main``) and each ``module.function`` key of the harness's
+``TARGETS`` table must resolve against the installed package, and the
+arguments the harness sizes its spans by must still sit where it reads
+them. ``uisearch.__all__`` holds exactly the top-level names these
+scripts and README use, plus the error classes callers catch.
 """
 
 import ast
 import importlib
 import inspect
+import pkgutil
+import re
 import types
 from pathlib import Path
 
 import pytest
 
+import uisearch
+
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py")])
+SCRIPTS = sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py"),
+                  ROOT / "tests" / "test_acceptance.py"])
+SUBMODULES = [m.name for m in pkgutil.iter_modules(uisearch.__path__)]
+ERRORS = {"ConfigError", "DivergenceError", "InfeasibleError",
+          "NonConvergenceError"}
 
 
 def _attribute_chain(node):
@@ -78,6 +89,22 @@ def resolves(dotted):
     return True
 
 
+def readme_names():
+    """Package names README imports in its Python examples or cites in
+    backticks, such as `SweepRow`."""
+    text = (ROOT / "README.md").read_text()
+    names = set()
+    for block in re.findall(r"```python\n(.*?)```", text, re.S):
+        names |= used_names(ast.parse(block))
+    modules = [importlib.import_module(f"uisearch.{name}") for name in SUBMODULES]
+    for word in set(re.findall(r"`([A-Za-z]\w*)`", text)):
+        defined = [getattr(m, word) for m in modules if hasattr(m, word)]
+        if any(getattr(obj, "__module__", "").startswith("uisearch")
+               for obj in defined):
+            names.add(f"uisearch.{word}")
+    return names
+
+
 def test_scripts_found():
     assert any(p.parent.name == "bench" for p in SCRIPTS)
     assert any(p.parent.name == "demos" for p in SCRIPTS)
@@ -88,6 +115,16 @@ def test_package_names_used_by_script_resolve(script):
     names = used_names(ast.parse(script.read_text(), filename=str(script)))
     missing = sorted(n for n in names if not resolves(n))
     assert not missing, f"{script.name} uses missing names: {missing}"
+
+
+def test_exports_are_the_names_in_use():
+    used = set(readme_names())
+    for script in SCRIPTS:
+        used |= used_names(ast.parse(script.read_text(), filename=str(script)))
+    top_level = {name.split(".")[1] for name in used if name.count(".") == 1}
+    assert "SweepRow" in top_level  # cited by README's prose only
+    assert set(uisearch.__all__) == (top_level - set(SUBMODULES)) | ERRORS
+    assert len(uisearch.__all__) == len(set(uisearch.__all__))
 
 
 def test_guard_catches_a_missing_name():
