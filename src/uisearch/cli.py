@@ -84,7 +84,13 @@ def _cmd_evaluate(args):
     return EXIT_OK
 
 
+def _check_threads(threads):
+    if threads < 1:
+        raise ConfigError("threads", f"expected at least 1 worker process, got {threads}")
+
+
 def _cmd_simulate(args):
+    _check_threads(args.threads)
     overrides = {"spells": args.spells, "seed": args.seed,
                  "max_periods": args.max_periods}
     cfg = parse_config(args.config, overrides=overrides)
@@ -144,6 +150,7 @@ def _parse_grid(spec, as_int):
 
 
 def _cmd_sweep(args):
+    _check_threads(args.threads)
     overrides = {"spells": args.spells, "seed": args.seed}
     cfg = parse_config(args.config, overrides=overrides)
     cal = Calibration(params=cfg.params, dist=cfg.distribution, truth=cfg.truth,

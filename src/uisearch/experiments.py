@@ -125,7 +125,7 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
     mode simulates every grid point (and the baseline) with the same
     master seed, so common random numbers cancel out of the
     comparisons. Rows come back in grid order. Grid points run one
-    after another; ``n_workers`` sets the worker threads of each
+    after another; ``n_workers`` sets the worker processes of each
     ``simulate_many`` call in mc mode and does nothing in exact mode.
     """
     vary = {"len": "length"}.get(vary, vary)

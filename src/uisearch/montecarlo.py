@@ -15,14 +15,15 @@ blocks (``simulate_block``, whose lanes carry only a spell index and an
 extension period, with entitlement and welfare kept per extension
 period and draw counters derived from the period); the two paths
 consume identical streams and produce identical records.
-``simulate_many`` always cuts spells into blocks of ``DEFAULT_CHUNK``
-and combines per-block sums with an exact (order-insensitive)
-reduction, so a fixed ``(master_seed, n_spells)`` gives a
-bit-identical summary for any worker count.
+``simulate_many`` always cuts spells into blocks of ``DEFAULT_CHUNK``,
+runs them inline or on forked worker processes, and combines per-block
+sums with an exact (order-insensitive) reduction, so a fixed
+``(master_seed, n_spells)`` gives a bit-identical summary for any
+worker count.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,6 +282,31 @@ def _mean_stderr(total, total_sq, n):
     return mean, math.sqrt(var / n)
 
 
+# The job a forked pool worker serves: (policy, truth, params, dist,
+# master_seed, n_spells, max_periods). ``_set_job`` sets it once in each
+# worker process, handed over by fork without pickling; it stays None in
+# the calling process, whose inline path passes the job explicitly.
+_JOB = None
+
+
+def _set_job(job):
+    global _JOB
+    _JOB = job
+
+
+def _run_block(job, start):
+    """Partial sums of the block of ``job`` that starts at spell ``start``."""
+    policy, truth, params, dist, master_seed, n_spells, max_periods = job
+    count = min(DEFAULT_CHUNK, n_spells - start)
+    return _block_partials(simulate_block(
+        policy, truth, params, dist, master_seed, start, count,
+        max_periods=max_periods))
+
+
+def _worker_block(start):
+    return _run_block(_JOB, start)
+
+
 def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
                   dist: OfferDistribution, n_spells: int, master_seed: int,
                   max_periods=DEFAULT_MAX_PERIODS, n_workers=1) -> SimulationSummary:
@@ -291,24 +317,37 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     ``DEFAULT_CHUNK``, and cross-block totals are combined with exact
     summation, so the summary is bit-identical for a given
     ``(master_seed, n_spells)`` regardless of ``n_workers``.
+
+    Blocks run on ``min(n_workers, blocks, os.cpu_count())`` worker
+    processes, forked for this call and shut down before it returns:
+    processes rather than threads, because the kernel's many small
+    numpy calls hand the GIL back and forth. Workers inherit the job
+    through fork, so neither ``policy`` nor ``dist`` has to be
+    picklable. With one worker, or where the platform has no ``fork``
+    start method, the blocks run inline; with one worker
+    ``multiprocessing`` is not even imported.
     """
     if n_spells < 1:
         raise ValueError("n_spells must be at least 1")
     if n_spells > 1 << 32:
         raise ValueError("spell indices must fit in 32 bits")
-    starts = list(range(0, n_spells, DEFAULT_CHUNK))
-
-    def run(start):
-        count = min(DEFAULT_CHUNK, n_spells - start)
-        return _block_partials(simulate_block(
-            policy, truth, params, dist, master_seed, start, count,
-            max_periods=max_periods))
-
-    if n_workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(run, starts))
+    if n_workers < 1:
+        raise ValueError("n_workers must be at least 1")
+    job = (policy, truth, params, dist, master_seed, n_spells, max_periods)
+    starts = range(0, n_spells, DEFAULT_CHUNK)
+    workers = min(n_workers, len(starts), os.cpu_count() or 1)
+    if workers > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        partials = [_run_block(job, s) for s in starts]
     else:
-        partials = [run(s) for s in starts]
+        from concurrent.futures.process import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_set_job, initargs=(job,)) as pool:
+            partials = list(pool.map(_worker_block, starts))
 
     n_done = sum(p[0] for p in partials)
     sums = [math.fsum(p[k] for p in partials) for k in range(1, 7)]

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,12 @@ ROUNDED_TO_CERTAIN_REJECTION = {
     "N": 1, "delta_true": 0.5, "len_true": 2, "delta_belief": 0.5, "len_belief": 2,
     "distribution": {"type": "uniform", "low": -5.0, "high": 1.0},
 }
+
+
+def summary_bits(summary):
+    """A ``SimulationSummary`` with each float as ``float.hex``, so that
+    equality is equality bit for bit."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in astuple(summary))
 
 
 def random_valid_params(rng: np.random.Generator):

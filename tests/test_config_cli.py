@@ -1,11 +1,15 @@
 import contextlib
 import hashlib
 import json
+import os
 import signal
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
 
+import uisearch
 from uisearch import ConfigError, build_policy, simulate_many, solve_schedules
 from uisearch.cli import MAX_GRID_POINTS, _parse_grid, main
 from uisearch.config import parse_config
@@ -248,6 +252,22 @@ class TestCli:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("command, threads", [(["simulate"], "0"),
+                                                  (["simulate"], "-1"),
+                                                  (["sweep", "--mode", "mc"], "0"),
+                                                  (["sweep"], "-3")])
+    def test_threads_below_one_rejected(self, config_path, capsys, monkeypatch,
+                                        command, threads):
+        def no_config(*args, **kwargs):
+            raise AssertionError("the config was read before --threads was checked")
+
+        monkeypatch.setattr("uisearch.cli.parse_config", no_config)
+        assert main([*command, "--config", config_path, "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: threads: expected at least 1 worker "
+                                f"process, got {threads}\n")
+
     def test_sweep_csv_schema(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--vary", "delta",
                      "--grid", "0.3:0.7:0.2"]) == 0
@@ -455,3 +475,16 @@ class TestNonFiniteInputs:
         monkeypatch.setattr("uisearch.cli.calibrate_z", no_solve)
         assert main(["calibrate", "--duration", duration]) == 2
         assert capsys.readouterr().err.startswith("error: duration")
+
+
+def test_cli_import_leaves_worker_pool_unloaded():
+    """CLI start-up does not pay for ``multiprocessing`` or ``concurrent.futures``;
+    ``simulate_many`` imports them only when it starts a worker pool."""
+    src = os.path.dirname(os.path.dirname(uisearch.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, uisearch.cli; print(sorted(m for m in sys.modules if m in "
+            "('multiprocessing', 'concurrent.futures')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -1,8 +1,13 @@
+import concurrent.futures.process
 import hashlib
 import itertools
 import math
+import multiprocessing
+import os
+import pickle
+import threading
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +17,10 @@ from uisearch import (CounterStream, ExtensionSpec, MarketParams,
                       simulate_spell, solve_w0_basic)
 from uisearch import montecarlo
 from uisearch.evaluate import PolicyProfile
-from uisearch.montecarlo import _variate, _variates, simulate_block
+from uisearch.montecarlo import (DEFAULT_CHUNK, _variate, _variates,
+                                 simulate_block)
+
+from conftest import summary_bits
 
 BENCH = MarketParams(beta=0.95, z=0.4025, c=0.4025, n_periods=10)
 BENCH_TRUTH = ExtensionSpec(delta=0.5, length=25)
@@ -273,6 +281,14 @@ class TestSimulateMany:
             simulate_many(policy, benchmark_truth, benchmark_params, uniform,
                           (1 << 32) + 1, 1)
 
+    @pytest.mark.parametrize("n_workers", [0, -1])
+    def test_requires_at_least_one_worker(self, uniform, benchmark_params,
+                                          benchmark_truth, n_workers):
+        policy = build_policy(uniform, benchmark_params, benchmark_truth)
+        with pytest.raises(ValueError, match="n_workers"):
+            simulate_many(policy, benchmark_truth, benchmark_params, uniform,
+                          10, 1, n_workers=n_workers)
+
     def test_stderr_definition(self, uniform, benchmark_params, benchmark_truth):
         policy = build_policy(uniform, benchmark_params, benchmark_truth)
         block = simulate_block(policy, benchmark_truth, benchmark_params,
@@ -389,5 +405,96 @@ class TestGolden:
         policy = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
         summary = simulate_many(policy, BENCH_TRUTH, BENCH, UNIT, 140_000, 2024,
                                 n_workers=n_workers)
-        assert tuple(v.hex() if isinstance(v, float) else v
-                     for v in astuple(summary)) == self.SUMMARY
+        assert summary_bits(summary) == self.SUMMARY
+
+
+class LockedUniform(UniformOffers):
+    """Uniform offers on [0, 1] holding a lock, so they cannot be pickled."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "lock", threading.Lock())
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the worker pool needs the fork start method")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs as far as ``simulate_many`` can tell, so the pool runs on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every process pool started, which still runs."""
+    started = []
+    real = concurrent.futures.process.ProcessPoolExecutor
+
+    class RecordingPool(real):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+class TestWorkerPool:
+    """``simulate_many`` on forked worker processes.
+
+    The three-block job is ``TestGolden``'s, so ``TestGolden.SUMMARY``
+    is its 1-worker summary.
+    """
+
+    POLICY = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 3)])
+    def test_worker_count_capped_by_cpus_and_blocks(self, monkeypatch, cpus, expected):
+        asked = []
+
+        class NoPool:
+            def __init__(self, max_workers, **kwargs):
+                asked.append(max_workers)
+                raise InterruptedError("no process is started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+        with pytest.raises(InterruptedError):
+            simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT,
+                          2 * DEFAULT_CHUNK + 1, 3, n_workers=10 ** 6)
+        assert asked == [expected]
+
+    @needs_fork
+    def test_unpicklable_distribution(self, two_cpus, pools):
+        dist = LockedUniform()
+        with pytest.raises(TypeError):
+            pickle.dumps(dist)
+        summary = simulate_many(self.POLICY, BENCH_TRUTH, BENCH, dist, 140_000, 2024,
+                                n_workers=2)
+        assert pools == [2]
+        assert summary_bits(summary) == TestGolden.SUMMARY
+
+    @needs_fork
+    def test_worker_error_keeps_its_type(self, two_cpus, pools):
+        short = PolicyProfile(pre_thresholds=self.POLICY.pre_thresholds,
+                              post_thresholds=self.POLICY.post_thresholds[:3])
+        raised = []
+        for n_workers in (1, 2):
+            with pytest.raises(Exception) as info:
+                simulate_many(short, BENCH_TRUTH, BENCH, UNIT, DEFAULT_CHUNK + 1, 6,
+                              n_workers=n_workers)
+            raised.append(type(info.value))
+        assert pools == [2]
+        assert raised[0] is raised[1] is IndexError
+
+    def test_inline_without_fork(self, monkeypatch, two_cpus, pools):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        summary = simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 140_000, 2024,
+                                n_workers=2)
+        assert pools == []
+        assert summary_bits(summary) == TestGolden.SUMMARY

@@ -5,20 +5,25 @@ so every run checks the same ones and a failure reproduces.
 """
 
 import math
+import os
+from unittest import mock
 
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from uisearch import (ConfigError, DivergenceError, ExtensionSpec,
                       MarketParams, NonConvergenceError, UniformOffers,
-                      build_policy, evaluate_policy, sweep_beliefs)
+                      build_policy, evaluate_policy, simulate_many,
+                      sweep_beliefs)
 from uisearch.config import parse_config
 from uisearch.evaluate import PolicyProfile, loss_pct
 from uisearch.experiments import Calibration
+from uisearch.montecarlo import DEFAULT_CHUNK
 from uisearch.schedule import (build_basic_schedule, build_extension_schedule,
                                post_extension_state)
 
-from conftest import FLOW_AN_ULP_BELOW_TOP, ROUNDED_TO_CERTAIN_REJECTION
+from conftest import (FLOW_AN_ULP_BELOW_TOP, ROUNDED_TO_CERTAIN_REJECTION,
+                      summary_bits)
 
 
 @st.composite
@@ -144,3 +149,27 @@ def test_accepted_configs_diverge_only_by_rounding(fields):
         except DivergenceError:
             state0 = (policy.post_thresholds[0], policy.pre_thresholds[0])
             assert max(dist.cdf(w) for w in state0) == 1.0
+
+
+@st.composite
+def extension_specs(draw):
+    return ExtensionSpec(delta=draw(st.floats(0.0, 1.0)), length=draw(st.integers(1, 30)))
+
+
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(truth=extension_specs(), belief=extension_specs(),
+       seed=st.integers(0, 2 ** 63 - 1),
+       n_spells=st.integers(DEFAULT_CHUNK + 1, 3 * DEFAULT_CHUNK))
+def test_summary_bits_independent_of_worker_count(truth, belief, seed, n_spells):
+    # Two or three blocks, so the 2-worker call fans them out to forked
+    # workers; two CPUs are reported so that it does so on any host.
+    params = MarketParams(beta=0.95, z=0.4025, c=0.4025, n_periods=10)
+    dist = UniformOffers()
+    policy = build_policy(dist, params, belief, true_length=truth.length)
+
+    def bits(n_workers):
+        return summary_bits(simulate_many(policy, truth, params, dist, n_spells, seed,
+                                          n_workers=n_workers))
+
+    with mock.patch.object(os, "cpu_count", return_value=2):
+        assert bits(1) == bits(2)
