@@ -3,7 +3,8 @@
 Subcommands: solve, evaluate, simulate, sweep, calibrate. Data goes to
 stdout (or --out); diagnostics go to stderr. Exit codes: 0 success,
 2 configuration or validation problem, 3 solver nonconvergence,
-4 infeasible calibration, 5 a policy whose expected duration diverges.
+4 infeasible calibration, 5 a policy whose expected duration diverges
+or cannot be resolved in floating point.
 """
 
 import argparse
@@ -118,7 +119,10 @@ def _cmd_simulate(args):
                 out.write(f"{i},{rec.duration},{wage},{_fmt(rec.welfare)},"
                           f"{str(rec.extended).lower()},{period},"
                           f"{str(rec.truncated).lower()}\n")
-        json.dump(asdict(summary), out)
+        # A mean over no completed spell, or a stderr over one, is
+        # undefined: JSON null, since NaN is not JSON.
+        json.dump({key: None if isinstance(value, float) and math.isnan(value) else value
+                   for key, value in asdict(summary).items()}, out, allow_nan=False)
         out.write("\n")
     return EXIT_OK
 

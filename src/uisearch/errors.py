@@ -14,10 +14,12 @@ class NonConvergenceError(RuntimeError):
 
 
 class DivergenceError(ValueError):
-    """A policy evaluation has no finite answer.
+    """A policy evaluation has no finite answer that floats can resolve.
 
     Raised when the acceptance probability is zero in an absorbing state,
-    so expected duration (and the accepted-wage expectation) diverge.
+    so expected duration (and the accepted-wage expectation) diverge, or
+    when acceptance probabilities are so small that rounding carries the
+    expected accepted wage out of the offer support.
     """
 
 

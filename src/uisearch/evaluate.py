@@ -130,7 +130,9 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     closed form as one linear equation. The post-extension chains are
     belief-free: they are computed once and reused while calls pass the
     same read-only ``post_thresholds`` array with the same ``beta`` and
-    ``dist``, as the beliefs of one sweep do.
+    ``dist``, as the beliefs of one sweep do. Raises ``DivergenceError``
+    when a state-0 acceptance probability is zero, or when the expected
+    accepted wage comes out outside the support.
     """
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
@@ -185,10 +187,20 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
         durations[n] = delta * d_post[m] + (1.0 - delta) * (1.0 + reject * durations[k])
         wages[n] = delta * a_post[m] + (1.0 - delta) * (tail + reject * wages[k])
 
+    # The expected accepted wage averages offers inside the support. With
+    # thresholds a few ulps below its top, acceptance probabilities and
+    # tails are so small that their rounding carries the quotients out.
+    accepted_wage = wages[n_periods]
+    if not dist.support_low <= accepted_wage <= hi:
+        raise DivergenceError(
+            f"expected accepted wage {float(accepted_wage)!r} lies outside the offer "
+            f"support [{dist.support_low!r}, {hi!r}]: acceptance probabilities too "
+            "small to resolve in floating point")
+
     return PolicyEvaluation(
         welfare=values[n_periods],
         duration=durations[n_periods],
-        accepted_wage=wages[n_periods],
+        accepted_wage=accepted_wage,
         offer_values=np.array(rejects) * values + np.array(tails) / (1.0 - beta),
     )
 

@@ -11,15 +11,17 @@ within a period.
 
 Spells are simulated either one at a time (``simulate_spell``, which
 also accepts hand-built variate streams for tracing) or in vectorized
-blocks (``simulate_block``, whose lanes carry only a spell index and an
-extension period, with entitlement and welfare kept per extension
-period and draw counters derived from the period); the two paths
-consume identical streams and produce identical records.
-``simulate_many`` always cuts spells into blocks of ``DEFAULT_CHUNK``,
-runs them inline or on forked worker processes, and combines per-block
-sums with an exact (order-insensitive) reduction, so a fixed
-``(master_seed, n_spells)`` gives a bit-identical summary for any
-worker count.
+blocks (``simulate_block``); the two paths consume identical streams and
+produce identical records. A block's lanes carry only a spell index and
+sit in segments of one extension period each, the pending prefix first,
+so entitlement, welfare, thresholds and draw counters are per-segment
+values. ``simulate_many`` always cuts spells into blocks of
+``DEFAULT_CHUNK``, runs them inline or on forked worker processes, and
+combines per-block sums with an exact (order-insensitive) reduction, so
+a fixed ``(master_seed, n_spells)`` gives a bit-identical summary for
+any worker count. Each process running blocks reuses one workspace of
+arrays for all of them, so a block allocates no array of its size
+beyond a few short-lived temporaries.
 """
 
 import math
@@ -38,6 +40,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_U32, _U30, _U27, _U31, _U11 = (np.uint64(k) for k in (32, 30, 27, 31, 11))
+_GAMMA_U, _MIX1_U, _MIX2_U = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
 
 
 def _mix64(x: int) -> int:
@@ -59,21 +63,28 @@ def _variate(seed_offset: int, spell: int, draw: int) -> float:
     return (_mix64(state) >> 11) * 2.0 ** -53
 
 
-def _variates(seed_offset, spells: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Vectorized ``_variate`` over uint64 index arrays, computed in place."""
-    x = np.left_shift(spells, np.uint64(32))
+def _variates(seed_offset, spells: np.ndarray, draws, out=None) -> np.ndarray:
+    """Vectorized ``_variate`` over a uint64 spell array and uint64 draws.
+
+    ``out`` is an optional pair of uint64 scratch arrays shaped like
+    ``spells``; the result is a float64 view of the second one.
+    ``(counter + 1) * gamma + offset`` is evaluated as
+    ``counter * gamma + (gamma + offset)``, equal modulo 2**64.
+    """
+    x, shifted = out if out is not None else (np.empty(len(spells), np.uint64),
+                                              np.empty(len(spells), np.uint64))
+    np.left_shift(spells, _U32, out=x)
     x |= draws
-    x += np.uint64(1)
-    x *= np.uint64(_GAMMA)
-    x += np.uint64(seed_offset)
-    shifted = np.right_shift(x, np.uint64(30))
-    x ^= shifted
-    x *= np.uint64(_MIX1)
-    x ^= np.right_shift(x, np.uint64(27), out=shifted)
-    x *= np.uint64(_MIX2)
-    x ^= np.right_shift(x, np.uint64(31), out=shifted)
-    x >>= np.uint64(11)
-    return np.multiply(x, 2.0 ** -53, out=shifted.view(np.float64))
+    x *= _GAMMA_U
+    x += np.uint64((_GAMMA + seed_offset) & _MASK64)
+    x ^= np.right_shift(x, _U30, out=shifted)
+    x *= _MIX1_U
+    x ^= np.right_shift(x, _U27, out=shifted)
+    x *= _MIX2_U
+    x ^= np.right_shift(x, _U31, out=shifted)
+    x >>= _U11
+    # Below 2**53 the int64 conversion is exact, and faster than uint64's.
+    return np.multiply(x.view(np.int64), 2.0 ** -53, out=shifted.view(np.float64))
 
 
 class CounterStream:
@@ -155,78 +166,170 @@ def simulate_spell(policy, truth: ExtensionSpec, params: MarketParams,
                        truncated=True)
 
 
+class _Workspace:
+    """The arrays one process reuses for every block of a simulation.
+
+    Sized for the largest block, ``min(DEFAULT_CHUNK, n_spells)`` spells
+    (about 4.8 MB at ``DEFAULT_CHUNK``): two lane buffers that compaction
+    copies between, the two ``_variates`` scratch arrays (which
+    ``_block_partials`` reuses), the spells in the order they ended, the
+    four per-spell outputs, which ``simulate_block`` returns views of,
+    and a mask for the trial and acceptance outcomes. Each
+    ``simulate_many`` call and each of its worker processes makes its
+    own, so concurrent calls share no array.
+    """
+
+    def __init__(self, size):
+        # One allocation for the nine word arrays, not nine. Freeing a
+        # chunk this large raises glibc malloc's mmap and trim
+        # thresholds above it, so later calls take their workspace from
+        # the heap, and the blocks' temporaries are no longer handed
+        # back to the OS and faulted in again every period.
+        words = np.empty((9, size), np.uint64)
+        self.lanes = words[0], words[1]
+        self.scratch = words[2], words[3]
+        self.order = words[4]
+        self.duration = words[5].view(np.int64)
+        self.accepted_wage = words[6].view(np.float64)
+        self.welfare = words[7].view(np.float64)
+        self.extension_period = words[8].view(np.int64)
+        self.mask = np.empty(size, bool)
+
+    def variates_out(self, n):
+        return self.scratch[0][:n], self.scratch[1][:n]
+
+
 def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
                    dist: OfferDistribution, master_seed: int,
                    start: int, count: int,
-                   max_periods=DEFAULT_MAX_PERIODS) -> dict:
+                   max_periods=DEFAULT_MAX_PERIODS, *, workspace=None) -> dict:
     """Simulate spells ``start .. start + count - 1`` vectorized.
 
     Consumes exactly the streams ``CounterStream(master_seed, i)`` would,
     so results are independent of how spells are grouped into blocks.
     Returns arrays keyed ``duration``, ``accepted_wage`` (NaN when
     truncated), ``welfare``, ``extended``, ``extension_period`` (-1 when
-    none), and ``truncated``.
+    none), and ``truncated``. They are fresh arrays unless a
+    ``workspace`` of at least ``count`` spells is given; then they are
+    views of it, valid until its next block.
 
     All active lanes are at the same period ``t``, so a lane's
-    entitlement, welfare and discount depend on it only through its
-    extension period ``k`` (0 while the trial is pending). Lanes carry
-    their spell index and ``k``; entitlement and welfare are per-``k``
-    vectors. Draw counters are derived: a pending lane draws its trial
-    at ``2t`` and its offer at ``2t + 1``, an extended one its offer at
-    ``t + k``.
+    entitlement, welfare, threshold and draw counters depend on it only
+    through its extension period ``k`` (0 while the trial is pending). A
+    lane carries just its spell index, and lanes sit in segments of
+    equal ``k``: the pending prefix first, then the extended lanes,
+    newest extension first. The trial runs on the prefix, and the lanes
+    it extends move to a new segment right after it. Entitlement and
+    welfare are kept per segment, and per-lane draw counters and
+    thresholds are repeated from per-segment values: a pending lane
+    draws its trial at ``2t`` and its offer at ``2t + 1``, an extended
+    one its offer at ``t + k``. Compaction keeps the segments in order.
+    A spell's record is written when it ends, in the order spells end,
+    and the records are put in spell order once, after the last period.
     """
     if start + count > 1 << 32:
         raise ValueError("spell indices must fit in 32 bits")
     if max_periods > 1 << 30:
         raise ValueError("max_periods too large for the draw counter")
+    ws = _Workspace(count) if workspace is None else workspace
     z, c, beta = params.z, params.c, params.beta
     delta, length = truth.delta, truth.length
     pre = policy.pre_thresholds
     post = policy.post_thresholds
     offset = _seed_offset(master_seed)
 
-    duration = np.full(count, max_periods, dtype=np.int64)
-    wage = np.full(count, np.nan)
-    welfare = np.zeros(count)
-    ext_period = np.zeros(count, dtype=np.int64)
+    order = ws.order[:count]
+    duration = ws.duration[:count]
+    wage = ws.accepted_wage[:count]
+    welfare = ws.welfare[:count]
+    ext_period = ws.extension_period[:count]
 
-    # Active lanes, compacted as spells end, and the per-k state.
-    spell = np.arange(start, start + count, dtype=np.uint64)
-    k = np.zeros(count, dtype=np.int64)
-    n_k = np.array([params.n_periods], dtype=np.int64)
-    wel_k = np.zeros(1)
+    # Active lanes are lane[:m]. Segment i holds the next sizes[i] of
+    # them, extended in period ks[i] (0 for the pending prefix), with
+    # entitlement ns[i] and welfare so far wels[i].
+    lane, spare = ws.lanes
+    lane[:count] = np.arange(start, start + count, dtype=np.uint64)
+    m = count
+    sizes = np.array([count])
+    ks = np.zeros(1, dtype=np.int64)
+    ns = np.array([params.n_periods])
+    wels = np.zeros(1)
     disc = 1.0
+    # Spells leave the lanes in order[:ended], and the outputs hold their
+    # records in that order until one scatter per output at the end puts
+    # them in spell order: cheaper than four scatters every period, since
+    # each output then stays in cache while it is placed.
+    ended = 0
 
     for t in range(max_periods):
-        wel_k = wel_k + disc * (z + c * (n_k > 0))
-        n_k = np.maximum(n_k - 1, 0)
-        n_k = np.append(n_k, n_k[0] + length)
-        wel_k = np.append(wel_k, wel_k[0])
-        pending = np.flatnonzero(k == 0)
-        if pending.size:
-            u_ext = _variates(offset, spell[pending], np.uint64(2 * t))
-            k[pending[u_ext < delta]] = t + 1
+        wels = wels + disc * (z + c * (ns > 0))
+        ns = np.maximum(ns - 1, 0)
+        pending = int(sizes[0])
+        if pending:
+            u_ext = _variates(offset, lane[:pending], np.uint64(2 * t),
+                              out=ws.variates_out(pending))
+            hit = np.less(u_ext, delta, out=ws.mask[:pending])
+            if hit.any():
+                # This period's extensions leave the prefix for a segment
+                # of their own, right after it.
+                moved = hit.nonzero()[0]
+                stay = np.logical_not(hit, out=hit).nonzero()[0]
+                lane.take(stay, out=spare[:stay.size], mode="wrap")
+                lane.take(moved, out=spare[stay.size:pending], mode="wrap")
+                lane[:pending] = spare[:pending]
+                sizes = np.concatenate(([stay.size, moved.size], sizes[1:]))
+                ks = np.concatenate(([0, t + 1], ks[1:]))
+                ns = np.concatenate((ns[:1], ns[:1] + length, ns[1:]))
+                wels = np.concatenate((wels[:1], wels))
         disc *= beta
-        draws = np.arange(t, 2 * t + 2, dtype=np.uint64)
-        draws[0] = 2 * t + 1
-        w = dist.quantile(_variates(offset, spell, draws[k]))
-        accept = w >= np.concatenate((pre[n_k[:1]], post[n_k[1:]]))[k]
-        acc = np.flatnonzero(accept)
-        if acc.size:
-            orig = (spell[acc] - start).view(np.int64)
-            k_acc, w_acc = k[acc], w[acc]
-            welfare[orig] = wel_k[k_acc] + disc * w_acc / (1.0 - beta)
-            duration[orig] = t + 1
-            wage[orig] = w_acc
-            ext_period[orig] = k_acc
-            keep = np.flatnonzero(~accept)
-            spell, k = spell[keep], k[keep]
-            if spell.size == 0:
-                break
+        # Full-size temporaries are dropped as soon as they are used, so
+        # that at most two are alive at a time.
+        seg_draws = ks + t
+        seg_draws[0] = 2 * t + 1
+        draws = seg_draws.repeat(sizes).view(np.uint64)
+        w = dist.quantile(_variates(offset, lane[:m], draws, out=ws.variates_out(m)))
+        del draws
+        thr = np.concatenate((pre[ns[:1]], post[ns[1:]])).repeat(sizes)
+        accept = np.greater_equal(w, thr, out=ws.mask[:m])
+        del thr
+        acc = accept.nonzero()[0]
+        if not acc.size:
+            continue
+        ends = sizes.cumsum()
+        seg = ends.searchsorted(acc, side="right")
+        records = slice(ended, ended + acc.size)
+        lane.take(acc, out=order[records], mode="wrap")
+        w_acc = w.take(acc, out=wage[records], mode="wrap")
+        del w
+        welfare[records] = wels[seg] + disc * w_acc / (1.0 - beta)
+        duration[records] = t + 1
+        ext_period[records] = ks[seg]
+        ended += acc.size
 
-    orig = (spell - start).view(np.int64)
-    welfare[orig] = wel_k[k]
-    ext_period[orig] = k
+        # Compact the survivors into the spare buffer; the segments keep
+        # their order.
+        kept = np.logical_not(accept, out=accept).nonzero()[0]
+        below = kept.searchsorted(ends)
+        sizes = below.copy()
+        np.subtract(below[1:], below[:-1], out=sizes[1:])
+        m = kept.size
+        lane.take(kept, out=spare[:m], mode="wrap")
+        del kept
+        lane, spare = spare, lane
+        if m == 0:
+            break
+
+    rest = slice(ended, count)
+    order[rest] = lane[:m]
+    duration[rest] = max_periods
+    wage[rest] = np.nan
+    welfare[rest] = wels.repeat(sizes)
+    ext_period[rest] = ks.repeat(sizes)
+    order -= np.uint64(start)
+    for out in (duration, wage, welfare, ext_period):
+        records = ws.scratch[0][:count].view(out.dtype)
+        records[:] = out
+        out[order.view(np.int64)] = records
     extended = ext_period > 0
     ext_period[~extended] = -1
     return {"duration": duration, "accepted_wage": wage, "welfare": welfare,
@@ -257,19 +360,29 @@ class SimulationSummary:
         return self.extension_count / self.n_spells
 
 
-def _block_partials(block: dict) -> tuple:
-    done = ~block["truncated"]
-    w = block["welfare"][done]
-    d = block["duration"][done].astype(float)
-    a = block["accepted_wage"][done]
-    return (
-        int(done.sum()),
-        float(np.sum(w)), float(np.sum(w * w)),
-        float(np.sum(d)), float(np.sum(d * d)),
-        float(np.sum(a)), float(np.sum(a * a)),
-        int(block["extended"].sum()),
-        int(block["truncated"].sum()),
-    )
+def _block_partials(block: dict, workspace: _Workspace) -> tuple:
+    """Counts and sums of one block's spells.
+
+    Squares, durations as floats and, when a spell is truncated, the
+    completed spells' values go to the scratch arrays of ``workspace``.
+    Each sum runs over a contiguous array in spell order, so it rounds
+    as a sum over a fresh array would.
+    """
+    truncated = block["truncated"]
+    n_truncated = int(np.count_nonzero(truncated))
+    n_done = truncated.size - n_truncated
+    done = np.flatnonzero(~truncated) if n_truncated else None
+    x, sq = (a[:n_done].view(np.float64) for a in workspace.scratch)
+    sums = []
+    for key in ("welfare", "duration", "accepted_wage"):
+        values = block[key]
+        if done is not None:
+            values = np.take(values, done, out=sq.view(values.dtype), mode="wrap")
+        if values.dtype != np.float64:
+            np.copyto(x, values)
+            values = x
+        sums += [float(np.sum(values)), float(np.sum(np.multiply(values, values, out=sq)))]
+    return (n_done, *sums, int(np.count_nonzero(block["extended"])), n_truncated)
 
 
 def _mean_stderr(total, total_sq, n):
@@ -282,29 +395,30 @@ def _mean_stderr(total, total_sq, n):
     return mean, math.sqrt(var / n)
 
 
-# The job a forked pool worker serves: (policy, truth, params, dist,
-# master_seed, n_spells, max_periods). ``_set_job`` sets it once in each
-# worker process, handed over by fork without pickling; it stays None in
-# the calling process, whose inline path passes the job explicitly.
+# What a forked pool worker serves: the job (policy, truth, params,
+# dist, master_seed, n_spells, max_periods) and the worker's own
+# workspace. ``_set_job`` sets it once in each worker process, the job
+# handed over by fork without pickling; it stays None in the calling
+# process, whose inline path passes the job and a workspace explicitly.
 _JOB = None
 
 
 def _set_job(job):
     global _JOB
-    _JOB = job
+    _JOB = job, _Workspace(min(DEFAULT_CHUNK, job[5]))
 
 
-def _run_block(job, start):
+def _run_block(job, workspace, start):
     """Partial sums of the block of ``job`` that starts at spell ``start``."""
     policy, truth, params, dist, master_seed, n_spells, max_periods = job
     count = min(DEFAULT_CHUNK, n_spells - start)
-    return _block_partials(simulate_block(
-        policy, truth, params, dist, master_seed, start, count,
-        max_periods=max_periods))
+    block = simulate_block(policy, truth, params, dist, master_seed, start, count,
+                           max_periods=max_periods, workspace=workspace)
+    return _block_partials(block, workspace)
 
 
 def _worker_block(start):
-    return _run_block(_JOB, start)
+    return _run_block(*_JOB, start)
 
 
 def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
@@ -325,7 +439,9 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     through fork, so neither ``policy`` nor ``dist`` has to be
     picklable. With one worker, or where the platform has no ``fork``
     start method, the blocks run inline; with one worker
-    ``multiprocessing`` is not even imported.
+    ``multiprocessing`` is not even imported. The calling process, or
+    each worker, runs its blocks in one ``_Workspace`` of
+    ``min(DEFAULT_CHUNK, n_spells)`` spells made for this call.
     """
     if n_spells < 1:
         raise ValueError("n_spells must be at least 1")
@@ -341,7 +457,8 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers == 1:
-        partials = [_run_block(job, s) for s in starts]
+        workspace = _Workspace(min(DEFAULT_CHUNK, n_spells))
+        partials = [_run_block(job, workspace, s) for s in starts]
     else:
         from concurrent.futures.process import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers,

@@ -47,6 +47,17 @@ ROUNDED_TO_CERTAIN_REJECTION = {
     "distribution": {"type": "uniform", "low": -5.0, "high": 1.0},
 }
 
+# Here every threshold lies a few ulps below the top of [-5, 1] and no
+# CDF rounds to 1, but the acceptance probabilities and tails, near
+# 1e-14, are resolved so coarsely that the expected accepted wage comes
+# out at 1.0006211180124218, above the support; evaluate_policy raises
+# DivergenceError instead of returning it.
+ACCEPTED_WAGE_LEAVES_SUPPORT = {
+    "beta": 0.5, "z": 0.9999999999999996, "c": 3.3306690738754696e-16,
+    "N": 2, "delta_true": 0.5, "len_true": 2, "delta_belief": 0.5, "len_belief": 2,
+    "distribution": {"type": "uniform", "low": -5.0, "high": 1.0},
+}
+
 
 def summary_bits(summary):
     """A ``SimulationSummary`` with each float as ``float.hex``, so that

@@ -7,14 +7,17 @@ import subprocess
 import sys
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 import uisearch
-from uisearch import ConfigError, build_policy, simulate_many, solve_schedules
+from uisearch import ConfigError, build_policy, cli, simulate_many, solve_schedules
 from uisearch.cli import MAX_GRID_POINTS, _parse_grid, main
 from uisearch.config import parse_config
+from uisearch.evaluate import PolicyProfile
 
-from conftest import FLOW_AN_ULP_BELOW_TOP, ROUNDED_TO_CERTAIN_REJECTION
+from conftest import (ACCEPTED_WAGE_LEAVES_SUPPORT, FLOW_AN_ULP_BELOW_TOP,
+                      ROUNDED_TO_CERTAIN_REJECTION)
 
 BENCHMARK = {
     "beta": 0.95, "z": 0.4025, "c": 0.4025, "N": 10,
@@ -197,6 +200,36 @@ class TestCli:
             f"warning: {summary.truncated_count} of 1000 spells truncated at "
             "max_periods=1; means cover completed spells only\n")
 
+    @pytest.mark.parametrize("completed", [0, 1])
+    def test_undefined_statistics_are_json_null(self, tmp_path, capsys, monkeypatch,
+                                               completed):
+        # max_periods 1 and thresholds above the support complete no
+        # spell; a single spell completes one. A mean over no spell and a
+        # standard error over fewer than two are undefined.
+        path = tmp_path / "run.json"
+        if completed == 0:
+            def above_support(dist, params, belief, **kwargs):
+                top = dist.support_high + 0.1
+                return PolicyProfile(
+                    pre_thresholds=np.full(params.n_periods + 1, top),
+                    post_thresholds=np.full(params.n_periods + belief.length + 1, top))
+
+            monkeypatch.setattr(cli, "build_policy", above_support)
+            path.write_text(json.dumps({**BENCHMARK, "max_periods": 1, "spells": 50}))
+        else:
+            path.write_text(json.dumps({**BENCHMARK, "spells": 1}))
+        assert main(["simulate", "--config", str(path)]) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        summary = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        means = ("welfare_mean", "duration_mean", "wage_mean")
+        stderrs = ("welfare_stderr", "duration_stderr", "wage_stderr")
+        assert all(summary[key] is None for key in stderrs)
+        assert all((summary[key] is None) == (completed == 0) for key in means)
+        assert summary["truncated_count"] == summary["n_spells"] - completed
+
     def test_spells_beyond_index_space_rejected_before_work(self, config_path,
                                                             capsys, monkeypatch):
         def no_block(*args, **kwargs):
@@ -311,9 +344,15 @@ class TestCli:
         schedule = solve_schedules(cfg.distribution, cfg.params, cfg.belief)
         top = cfg.distribution.support_high
         assert max(schedule.basic.max(), schedule.with_extension.max()) <= top
-        for command in ("solve", "evaluate", "sweep"):
+        for command in ("solve", "evaluate"):
             assert main([command, "--config", str(path)]) == 0
             assert capsys.readouterr().err == ""
+        # Acceptance probabilities near 1e-12 leave the sweep's expected
+        # accepted wage about four digits, and for some beliefs that
+        # carries it past the top; the sweep refuses to print those rows.
+        assert main(["sweep", "--config", str(path)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected accepted wage ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_exit_code_divergence(self, tmp_path, capsys, command):
@@ -324,6 +363,17 @@ class TestCli:
         assert captured.out.count("\n") <= 1  # at most the CSV header
         assert captured.err == ("error: post-extension state 0 never accepts; "
                                 "duration diverges\n")
+
+    def test_unresolvable_accepted_wage_exits_5(self, tmp_path, capsys):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(ACCEPTED_WAGE_LEAVES_SUPPORT))
+        assert main(["evaluate", "--config", str(path)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: expected accepted wage 1.0006211180124218 lies outside the offer "
+            "support [-5.0, 1.0]: acceptance probabilities too small to resolve in "
+            "floating point\n")
 
     def test_calibrate_unreachable_duration_is_infeasible(self, capsys):
         assert main(["calibrate", "--duration", "1e13"]) == 4

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import sys
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -205,6 +206,14 @@ ORACLE_CASES = {
                    {"max_periods": 3, "start": 9}),
     "above_support": (replace(BENCH, n_periods=1), UNIT, ExtensionSpec(0.5, 2), None,
                       {"max_periods": 7}),
+    # a rare extension keeps the pending prefix alive for dozens of
+    # periods, so many extension-period segments coexist
+    "many_periods": (BENCH, UNIT, ExtensionSpec(0.05, 40), ExtensionSpec(0.9, 40), {}),
+    # both pending and extended lanes are still searching at truncation
+    "truncate_mixed": (BENCH, UNIT, ExtensionSpec(0.3, 25), ExtensionSpec(0.1, 25),
+                       {"max_periods": 4}),
+    "one_spell_extended": (BENCH, UNIT, ExtensionSpec(1.0, 25), ExtensionSpec(0.6, 25),
+                           {"start": 131_071, "count": 1}),
 }
 
 
@@ -228,6 +237,22 @@ class TestBlockEquivalence:
             assert rec.truncated == block["truncated"][i]
             assert rec.accepted_wage == (None if np.isnan(wage) else wage)
             assert rec.extension_period == (None if period == -1 else period)
+
+    def test_cases_reach_their_situations(self):
+        def block(case):
+            params, dist, truth, belief, overrides = ORACLE_CASES[case]
+            kwargs = {"master_seed": 77, "start": 0, "count": 300, **overrides}
+            return simulate_block(_policy(dist, params, truth, belief), truth, params,
+                                  dist, **kwargs)
+
+        many = block("many_periods")
+        assert len(np.unique(many["extension_period"][many["extended"]])) >= 20
+        mixed = block("truncate_mixed")
+        truncated = mixed["truncated"]
+        assert truncated.any() and (mixed["extended"] & truncated).any() \
+            and (~mixed["extended"] & truncated).any()
+        one = block("one_spell_extended")
+        assert one["extended"].tolist() == [True]
 
     def test_block_start_offset_matches_global_indexing(self, uniform,
                                                         benchmark_params,
@@ -300,6 +325,27 @@ class TestSimulateMany:
         assert summary.welfare_stderr == pytest.approx(
             welfare.std(ddof=1) / math.sqrt(welfare.size), rel=1e-9)
 
+    @pytest.mark.parametrize("max_periods", [3, montecarlo.DEFAULT_MAX_PERIODS])
+    def test_sums_cover_completed_spells_bit_for_bit(self, max_periods):
+        # One block: the summary is these numpy sums over the completed
+        # spells, however the block's scratch is reused.
+        policy = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
+        block = simulate_block(policy, BENCH_TRUTH, BENCH, UNIT, 8, 0, 4_000,
+                               max_periods=max_periods)
+        summary = simulate_many(policy, BENCH_TRUTH, BENCH, UNIT, 4_000, 8,
+                                max_periods=max_periods)
+        done = ~block["truncated"]
+        n = int(done.sum())
+        for key, field in (("welfare", "welfare"), ("duration", "duration"),
+                           ("accepted_wage", "wage")):
+            values = block[key][done].astype(float)
+            mean = float(np.sum(values)) / n
+            var = max(float(np.sum(values * values)) - n * mean * mean, 0.0) / (n - 1)
+            assert getattr(summary, f"{field}_mean") == mean
+            assert getattr(summary, f"{field}_stderr") == math.sqrt(var / n)
+        assert summary.truncated_count == 4_000 - n
+        assert (summary.truncated_count > 0) == (max_periods == 3)
+
 
 class CountingUniform(UniformOffers):
     """Uniform offers that count ``quantile`` calls."""
@@ -319,7 +365,8 @@ class TestStreamConsumption:
     """
 
     @pytest.mark.parametrize("case", ["benchmark", "delta_one", "truncate_2",
-                                      "above_support"])
+                                      "above_support", "many_periods",
+                                      "truncate_mixed"])
     def test_block_draws_each_variate_once(self, case, monkeypatch):
         params, _, truth, belief, overrides = ORACLE_CASES[case]
         dist = CountingUniform()
@@ -327,11 +374,11 @@ class TestStreamConsumption:
         drawn = Counter()
         sizes = []
 
-        def counting(offset, spells, draws):
+        def counting(offset, spells, draws, out=None):
             sizes.append(len(spells))
             drawn.update(zip(spells.tolist(),
                              np.broadcast_to(draws, spells.shape).tolist()))
-            return _variates(offset, spells, draws)
+            return _variates(offset, spells, draws, out=out)
 
         monkeypatch.setattr(montecarlo, "_variates", counting)
         kwargs = {"master_seed": 5, "start": 0, "count": 400, **overrides}
@@ -344,6 +391,33 @@ class TestStreamConsumption:
             spell = kwargs["start"] + i
             assert all((spell, j) in drawn for j in range(n))
         assert dist.calls == duration.max()
+
+    def test_serial_blocks_go_through_module_seams(self, monkeypatch):
+        # Three blocks inline: each is one call of the module-level
+        # simulate_block with count at position 6, and every trial and
+        # offer batch one positional _variates call. bench/layers.py
+        # times both seams.
+        n_spells = 2 * DEFAULT_CHUNK + 500
+        policy = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
+        blocks, sizes = [], []
+        real_block, real_variates = simulate_block, _variates
+
+        def block(*args, **kwargs):
+            out = real_block(*args, **kwargs)
+            trials = np.where(out["extended"], out["extension_period"], out["duration"])
+            blocks.append((args[5], args[6], int(out["duration"].sum() + trials.sum())))
+            return out
+
+        def variates(offset, spells, draws, out=None):
+            sizes.append(len(spells))
+            return real_variates(offset, spells, draws, out=out)
+
+        monkeypatch.setattr(montecarlo, "simulate_block", block)
+        monkeypatch.setattr(montecarlo, "_variates", variates)
+        simulate_many(policy, BENCH_TRUTH, BENCH, UNIT, n_spells, 13)
+        assert [(start, count) for start, count, _ in blocks] == [
+            (0, DEFAULT_CHUNK), (DEFAULT_CHUNK, DEFAULT_CHUNK), (2 * DEFAULT_CHUNK, 500)]
+        assert sum(sizes) == sum(draws for _, _, draws in blocks)
 
 
 class TestGolden:
@@ -396,9 +470,52 @@ class TestGolden:
         (params, dist, truth, belief), kwargs, expected = self.BLOCKS[name]
         block = simulate_block(_policy(dist, params, truth, belief), truth, params,
                                dist, **kwargs)
-        digests = {key: hashlib.sha256(a.dtype.str.encode() + a.tobytes()).hexdigest()
-                   for key, a in block.items()}
-        assert digests == expected
+        assert self._digests(block) == expected
+
+    def test_one_workspace_serves_blocks_of_any_size(self):
+        # A full block, then shorter ones, then a full one again: nothing
+        # a block leaves in the workspace reaches the next one.
+        workspace = montecarlo._Workspace(3000)
+        for name in ("benchmark", "certain_wide", "truncating", "benchmark"):
+            (params, dist, truth, belief), kwargs, expected = self.BLOCKS[name]
+            block = simulate_block(_policy(dist, params, truth, belief), truth, params,
+                                   dist, workspace=workspace, **kwargs)
+            assert self._digests(block) == expected, name
+
+    @staticmethod
+    def _digests(block):
+        return {key: hashlib.sha256(a.dtype.str.encode() + a.tobytes()).hexdigest()
+                for key, a in block.items()}
+
+    def test_concurrent_calls_share_no_workspace(self):
+        # Two threads run this job and one with another seed at once;
+        # each must get the bits it gets alone.
+        policy = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
+
+        def bits(seed):
+            return summary_bits(simulate_many(policy, BENCH_TRUTH, BENCH, UNIT,
+                                              140_000, seed))
+
+        seeds = (2024, 2024, 7)
+        expected = [self.SUMMARY, self.SUMMARY, bits(7)]
+        results = [None] * len(seeds)
+
+        def run(i):
+            results[i] = bits(seeds[i])
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True)
+                   for i in range(len(seeds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
     def test_summary_bits(self, n_workers):

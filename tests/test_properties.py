@@ -22,8 +22,8 @@ from uisearch.montecarlo import DEFAULT_CHUNK
 from uisearch.schedule import (build_basic_schedule, build_extension_schedule,
                                post_extension_state)
 
-from conftest import (FLOW_AN_ULP_BELOW_TOP, ROUNDED_TO_CERTAIN_REJECTION,
-                      summary_bits)
+from conftest import (ACCEPTED_WAGE_LEAVES_SUPPORT, FLOW_AN_ULP_BELOW_TOP,
+                      ROUNDED_TO_CERTAIN_REJECTION, summary_bits)
 
 
 @st.composite
@@ -119,6 +119,7 @@ def accepted_configs(draw):
 @given(accepted_configs())
 @example(FLOW_AN_ULP_BELOW_TOP)
 @example(ROUNDED_TO_CERTAIN_REJECTION)
+@example(ACCEPTED_WAGE_LEAVES_SUPPORT)
 @example({  # the pre-extension recursion rounds a step past the top
     "beta": 0.5, "z": 2.468683795386459, "c": 4.440892098500626e-16, "N": 2,
     "delta_true": 0.0, "len_true": 1, "delta_belief": 1.0, "len_belief": 6,
@@ -126,10 +127,13 @@ def accepted_configs(draw):
                      "high": 2.4686837953864598}})
 def test_accepted_configs_diverge_only_by_rounding(fields):
     # In exact arithmetic every threshold of an accepted config lies
-    # below the top of the support, so some offer is always acceptable.
-    # In floats a threshold reaches at most the top, and evaluate_policy
-    # raises DivergenceError (exit 5 in the CLI) only when the CDF of a
-    # state-0 threshold rounds to 1.
+    # below the top of the support, so some offer is always acceptable,
+    # and the expected accepted wage lies inside the support. In floats
+    # a threshold reaches at most the top, and evaluate_policy raises
+    # DivergenceError (exit 5 in the CLI) only by rounding: when the CDF
+    # of a state-0 threshold rounds to 1, or when acceptance
+    # probabilities too small to resolve carry the expected accepted
+    # wage out of the support. Otherwise that wage lies inside it.
     try:
         cfg = parse_config(overrides=fields)
     except ConfigError:
@@ -145,10 +149,13 @@ def test_accepted_configs_diverge_only_by_rounding(fields):
         assert policy.post_thresholds.max() <= dist.support_high
         assert policy.pre_thresholds.max() <= dist.support_high
         try:
-            evaluate_policy(policy, cfg.truth, cfg.params, dist)
-        except DivergenceError:
+            result = evaluate_policy(policy, cfg.truth, cfg.params, dist)
+        except DivergenceError as exc:
             state0 = (policy.post_thresholds[0], policy.pre_thresholds[0])
-            assert max(dist.cdf(w) for w in state0) == 1.0
+            assert (max(dist.cdf(w) for w in state0) == 1.0
+                    or "outside the offer support" in str(exc))
+        else:
+            assert dist.support_low <= result.accepted_wage <= dist.support_high
 
 
 @st.composite
