@@ -92,6 +92,8 @@ def _check_threads(threads):
 
 def _cmd_simulate(args):
     _check_threads(args.threads)
+    if args.trace < 0:
+        raise ConfigError("trace", f"expected at least 0 spell records, got {args.trace}")
     overrides = {"spells": args.spells, "seed": args.seed,
                  "max_periods": args.max_periods}
     cfg = parse_config(args.config, overrides=overrides)
@@ -158,7 +160,7 @@ def _cmd_sweep(args):
     overrides = {"spells": args.spells, "seed": args.seed}
     cfg = parse_config(args.config, overrides=overrides)
     cal = Calibration(params=cfg.params, dist=cfg.distribution, truth=cfg.truth,
-                      z_full=cfg.params.z + cfg.params.c, target_duration=float("nan"))
+                      target_duration=float("nan"))
     grid = None
     if args.grid:
         grid = _parse_grid(args.grid, as_int=(args.vary == "len"))

@@ -38,19 +38,19 @@ def w0_extension_closed_form(beta, z, delta, w_basic_at_length) -> float:
     return (1.0 - math.sqrt(inner)) / (beta * (1.0 - delta))
 
 
-def uniform_closed_form(params: MarketParams, belief: ExtensionSpec,
-                        horizon=None) -> ReservationSchedule:
+def uniform_closed_form(params: MarketParams,
+                        belief: ExtensionSpec) -> ReservationSchedule:
     """Build both schedules under uniform offers on [0, 1] from the
     closed forms alone.
 
-    Mirrors ``solve_schedules`` (including the default horizon) but
-    never iterates, so it is a path-independent check on the solver.
+    Mirrors ``solve_schedules`` at its default horizon,
+    ``post_extension_state(n_periods, length)``, but never iterates, so
+    it is a path-independent check on the solver.
     """
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
     delta, length = belief.delta, belief.length
-    if horizon is None:
-        horizon = post_extension_state(n_periods, length)
+    horizon = post_extension_state(n_periods, length)
 
     basic = np.empty(horizon + 1)
     basic[0] = w0_basic_closed_form(beta, z)

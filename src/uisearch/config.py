@@ -12,15 +12,17 @@ from pathlib import Path
 
 from .distributions import UniformOffers
 from .errors import ConfigError
+from .montecarlo import DEFAULT_MAX_PERIODS, MAX_PERIODS, MAX_SPELLS
 from .params import ExtensionSpec, MarketParams
+from .schedule import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 _DEFAULTS = {
     "delta_belief": None,   # falls back to delta_true
     "len_belief": None,     # falls back to len_true
     "distribution": {"type": "uniform", "low": 0.0, "high": 1.0},
-    "tol": 1e-12,
-    "max_iter": 100_000,
-    "max_periods": 2_000,
+    "tol": DEFAULT_TOL,
+    "max_iter": DEFAULT_MAX_ITER,
+    "max_periods": DEFAULT_MAX_PERIODS,
     "seed": 0,
     "spells": 1_000_000,
 }
@@ -43,13 +45,19 @@ class RunConfig:
     spells: int
 
 
+def _numbers(values, field, not_number, not_finite):
+    """``values`` as finite floats, or a ConfigError naming ``field``."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ConfigError(field, not_number.format(*values))
+    values = [float(v) for v in values]
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(field, not_finite.format(*values))
+    return values
+
+
 def _require_number(data, field, lo=None, hi=None, lo_open=False, hi_open=False):
-    value = data[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field, f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(field, f"expected a finite number, got {value}")
+    value, = _numbers([data[field]], field, "expected a number, got {!r}",
+                      "expected a finite number, got {}")
     if lo is not None and (value <= lo if lo_open else value < lo):
         raise ConfigError(field, f"value {value} below the admissible range")
     if hi is not None and (value >= hi if hi_open else value > hi):
@@ -72,15 +80,17 @@ def _build_distribution(descriptor):
     if descriptor["type"] != "uniform":
         raise ConfigError("distribution",
                           f"unsupported type {descriptor['type']!r}")
-    low = descriptor.get("low", 0.0)
-    high = descriptor.get("high", 1.0)
-    if not isinstance(low, (int, float)) or not isinstance(high, (int, float)):
-        raise ConfigError("distribution", "low and high must be numbers")
-    if not math.isfinite(low) or not math.isfinite(high):
-        raise ConfigError("distribution", "low and high must be finite")
+    low, high = _numbers([descriptor.get("low", 0.0), descriptor.get("high", 1.0)],
+                         "distribution", "low and high must be numbers",
+                         "low and high must be finite")
     if not low < high:
         raise ConfigError("distribution", "low must be strictly less than high")
-    return UniformOffers(low=float(low), high=float(high))
+    # Last, so that every descriptor refused before keeps its message.
+    unknown = sorted(descriptor.keys() - {"type", "low", "high"})
+    if unknown:
+        raise ConfigError("distribution", f"unknown keys {unknown}: expected only "
+                          "'type', 'low' and 'high'")
+    return UniformOffers(low=low, high=high)
 
 
 def parse_config(path=None, overrides=None) -> RunConfig:
@@ -129,12 +139,12 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     tol = _require_number(data, "tol", lo=0.0, lo_open=True)
     max_iter = _require_int(data, "max_iter", lo=1)
     max_periods = _require_int(data, "max_periods", lo=1)
-    if max_periods > 1 << 30:
+    if max_periods > MAX_PERIODS:
         raise ConfigError("max_periods", f"value {max_periods} exceeds the 2**30 "
                           "periods the draw counter allows")
     seed = _require_int(data, "seed", lo=0)
     spells = _require_int(data, "spells", lo=1)
-    if spells > 1 << 32:
+    if spells > MAX_SPELLS:
         raise ConfigError("spells", f"value {spells} exceeds the 2**32 spell indices")
     dist = _build_distribution(data["distribution"])
 

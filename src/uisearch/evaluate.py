@@ -17,8 +17,8 @@ import numpy as np
 from .distributions import OfferDistribution
 from .errors import DivergenceError
 from .params import ExtensionSpec, MarketParams
-from .schedule import (DEFAULT_MAX_ITER, DEFAULT_TOL, build_basic_schedule,
-                       build_extension_schedule, post_extension_state, upsilon)
+from .schedule import (DEFAULT_MAX_ITER, DEFAULT_TOL, post_extension_state,
+                       solve_schedules, upsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,17 +44,19 @@ def build_policy(dist: OfferDistribution, params: MarketParams,
                  tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PolicyProfile:
     """Solve the thresholds a worker holding ``belief`` would use.
 
-    ``true_length`` extends the post-extension schedule far enough to
-    index the states a true extension of that length can reach; it
-    defaults to the believed length.
+    This is ``solve_schedules`` with its two arrays renamed:
+    ``with_extension`` becomes ``pre_thresholds`` and ``basic``
+    ``post_thresholds``. ``true_length`` extends the post-extension
+    schedule far enough to index the states a true extension of that
+    length can reach; it defaults to the believed length.
     """
     if true_length is None:
         true_length = belief.length
     horizon = post_extension_state(params.n_periods, max(belief.length, true_length))
-    basic = build_basic_schedule(dist, params, horizon, tol=tol, max_iter=max_iter)
-    pre = build_extension_schedule(dist, params, belief, basic,
-                                   tol=tol, max_iter=max_iter)
-    return PolicyProfile(pre_thresholds=pre, post_thresholds=basic)
+    schedule = solve_schedules(dist, params, belief, tol=tol, max_iter=max_iter,
+                               horizon=horizon)
+    return PolicyProfile(pre_thresholds=schedule.with_extension,
+                         post_thresholds=schedule.basic)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,18 +208,15 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
 
 
 def welfare_loss(belief: ExtensionSpec, truth: ExtensionSpec,
-                 params: MarketParams, dist: OfferDistribution,
-                 tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> float:
+                 params: MarketParams, dist: OfferDistribution) -> float:
     """Percent welfare lost to holding ``belief`` instead of the truth.
 
-    Both policies are evaluated under the same true process; the
-    true-belief policy is optimal, so the loss is nonnegative up to
-    solver precision and zero when belief equals truth.
+    Both policies are solved at the default tolerance and evaluated under
+    the same true process; the true-belief policy is optimal, so the loss
+    is nonnegative up to solver precision and zero when belief equals truth.
     """
-    policy_b = build_policy(dist, params, belief, true_length=truth.length,
-                            tol=tol, max_iter=max_iter)
-    policy_t = build_policy(dist, params, truth, true_length=truth.length,
-                            tol=tol, max_iter=max_iter)
+    policy_b = build_policy(dist, params, belief, true_length=truth.length)
+    policy_t = build_policy(dist, params, truth, true_length=truth.length)
     j_belief = evaluate_policy(policy_b, truth, params, dist).welfare
     j_truth = evaluate_policy(policy_t, truth, params, dist).welfare
     return loss_pct(j_truth, j_belief)

@@ -26,23 +26,28 @@ LENGTH_GRID_DEFAULT = tuple(range(5, 46, 5))
 
 @dataclass(frozen=True)
 class Calibration:
-    """A fully pinned-down experiment environment."""
+    """A fully pinned-down experiment environment. ``z_full`` is derived
+    as ``z + c``, so it cannot disagree with ``params``;
+    ``target_duration`` is NaN when no duration was calibrated to."""
 
     params: MarketParams
     dist: OfferDistribution
     truth: ExtensionSpec
-    z_full: float
     target_duration: float
 
+    @property
+    def z_full(self) -> float:
+        return self.params.z + self.params.c
 
-def calibrate_z(target_duration, beta, dist: OfferDistribution,
-                tol=1e-12, max_iter=DEFAULT_MAX_ITER) -> float:
+
+def calibrate_z(target_duration, beta, dist: OfferDistribution) -> float:
     """Nonwork flow that yields a target expected unemployment duration.
 
     With no benefits and no extension the acceptance threshold is
     constant, so expected duration is the geometric mean
     ``1 / (1 - F(w0))``; this inverts that relation by bisecting on the
-    flow value. Duration targets at or below 1 are infeasible (they
+    flow value to within ``DEFAULT_TOL``, with default solver settings.
+    Duration targets at or below 1 are infeasible (they
     would require certain acceptance), as are infinite or NaN targets,
     targets below the duration implied by a zero flow value, and targets
     above the duration at the top of the bisection's flow range.
@@ -52,7 +57,7 @@ def calibrate_z(target_duration, beta, dist: OfferDistribution,
     probe = MarketParams(beta=beta, z=1.0, c=1.0, n_periods=0)
 
     def duration(flow):
-        w0 = solve_w0_basic(dist, probe, flow, tol=tol, max_iter=max_iter)
+        w0 = solve_w0_basic(dist, probe, flow)
         return 1.0 / (1.0 - dist.cdf(w0))
 
     feasible_floor = max(
@@ -62,7 +67,7 @@ def calibrate_z(target_duration, beta, dist: OfferDistribution,
     if duration(lo) >= target_duration:
         raise InfeasibleError(
             f"target duration {target_duration} implies a nonpositive flow value")
-    while hi - lo > tol:
+    while hi - lo > DEFAULT_TOL:
         mid = 0.5 * (lo + hi)
         if duration(mid) < target_duration:
             lo = mid
@@ -78,16 +83,15 @@ def calibrate_z(target_duration, beta, dist: OfferDistribution,
     return 0.5 * (lo + hi)
 
 
-def default_calibration(target_duration=10.0, beta=0.95, n_periods=10,
-                        truth=ExtensionSpec(delta=0.5, length=25),
+def default_calibration(truth=ExtensionSpec(delta=0.5, length=25),
                         dist=UniformOffers()) -> Calibration:
-    """Benchmark environment: solve the nonwork flow, then split it
-    half-and-half between leisure value and compensation."""
-    z_full = calibrate_z(target_duration, beta, dist)
-    half = 0.5 * z_full
-    params = MarketParams(beta=beta, z=half, c=half, n_periods=n_periods)
-    return Calibration(params=params, dist=dist, truth=truth,
-                       z_full=z_full, target_duration=target_duration)
+    """Benchmark environment: beta 0.95 and N = 10, with the nonwork flow
+    calibrated to an expected duration of 10 and split half-and-half
+    between leisure value and compensation. The halves are exact, so
+    ``z_full`` is the calibrated flow bit for bit."""
+    half = 0.5 * calibrate_z(10.0, 0.95, dist)
+    params = MarketParams(beta=0.95, z=half, c=half, n_periods=10)
+    return Calibration(params=params, dist=dist, truth=truth, target_duration=10.0)
 
 
 @dataclass(frozen=True)
@@ -105,13 +109,7 @@ class SweepRow:
     loss_pct: float
     duration_ratio: float
     wage_gap_pct: float
-    truncated_count: int = 0
-
-
-def _belief_for(cal: Calibration, vary, value) -> ExtensionSpec:
-    if vary == "delta":
-        return ExtensionSpec(delta=float(value), length=cal.truth.length)
-    return ExtensionSpec(delta=cal.truth.delta, length=int(value))
+    truncated_count: int
 
 
 def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
@@ -128,8 +126,7 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
     after another; ``n_workers`` sets the worker processes of each
     ``simulate_many`` call in mc mode and does nothing in exact mode.
     """
-    vary = {"len": "length"}.get(vary, vary)
-    if vary not in ("delta", "length"):
+    if vary not in ("delta", "len"):
         raise ValueError("vary must be 'delta' or 'len'")
     if mode not in ("exact", "mc"):
         raise ValueError("mode must be 'exact' or 'mc'")
@@ -137,7 +134,10 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
         grid = DELTA_GRID_DEFAULT if vary == "delta" else LENGTH_GRID_DEFAULT
 
     params, dist, truth = cal.params, cal.dist, cal.truth
-    beliefs = [_belief_for(cal, vary, v) for v in grid]
+    if vary == "delta":
+        beliefs = [ExtensionSpec(delta=float(v), length=truth.length) for v in grid]
+    else:
+        beliefs = [ExtensionSpec(delta=truth.delta, length=int(v)) for v in grid]
     max_length = max([truth.length] + [b.length for b in beliefs])
     horizon = post_extension_state(params.n_periods, max_length)
     basic = build_basic_schedule(dist, params, horizon, tol=tol, max_iter=max_iter)
@@ -161,7 +161,7 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
         welfare, dur, wage, truncated = statistics(belief)
         true_value = truth.delta if vary == "delta" else truth.length
         rows.append(SweepRow(
-            varied_param=vary if vary == "delta" else "len",
+            varied_param=vary,
             belief_value=float(value),
             misperception=float(value) - true_value,
             loss_pct=loss_pct(base_welfare, welfare),

@@ -35,6 +35,8 @@ from .params import ExtensionSpec, MarketParams
 
 DEFAULT_MAX_PERIODS = 2_000
 DEFAULT_CHUNK = 65_536
+MAX_SPELLS = 1 << 32   # spell indices fill a counter's high 32 bits
+MAX_PERIODS = 1 << 30  # two draws a period fill its low 32
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -227,9 +229,9 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
     A spell's record is written when it ends, in the order spells end,
     and the records are put in spell order once, after the last period.
     """
-    if start + count > 1 << 32:
+    if start + count > MAX_SPELLS:
         raise ValueError("spell indices must fit in 32 bits")
-    if max_periods > 1 << 30:
+    if max_periods > MAX_PERIODS:
         raise ValueError("max_periods too large for the draw counter")
     ws = _Workspace(count) if workspace is None else workspace
     z, c, beta = params.z, params.c, params.beta
@@ -445,7 +447,7 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     """
     if n_spells < 1:
         raise ValueError("n_spells must be at least 1")
-    if n_spells > 1 << 32:
+    if n_spells > MAX_SPELLS:
         raise ValueError("spell indices must fit in 32 bits")
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")

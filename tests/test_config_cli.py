@@ -135,6 +135,21 @@ class TestParseConfig:
         cfg = parse_config(str(path))
         assert cfg.distribution.low == 0.0 and cfg.distribution.high == 1.0
 
+    @pytest.mark.parametrize("descriptor, message", [
+        ({"type": "uniform", "low": "0", "high": float("inf")},
+         "low and high must be numbers"),
+        ({"type": "uniform", "low": float("nan")}, "low and high must be finite"),
+        ({"type": "uniform", "low": 1, "high": 0.5, "lo": 0},
+         "low must be strictly less than high"),
+        ({"type": "uniform", "lo": 0.5, "hi": 1.0},
+         "unknown keys ['hi', 'lo']: expected only 'type', 'low' and 'high'"),
+    ], ids=["not_number_first", "not_finite", "order_before_keys", "typos"])
+    def test_distribution_error_lines(self, tmp_path, capsys, descriptor, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**BENCHMARK, "distribution": descriptor}))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: distribution: {message}\n"
+
     def test_unsupported_distribution(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**BENCHMARK,
@@ -300,6 +315,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: threads: expected at least 1 worker "
                                 f"process, got {threads}\n")
+
+    def test_negative_trace_rejected(self, config_path, capsys, monkeypatch):
+        def no_config(*args, **kwargs):
+            raise AssertionError("the config was read before --trace was checked")
+
+        monkeypatch.setattr("uisearch.cli.parse_config", no_config)
+        assert main(["simulate", "--config", config_path, "--trace", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace: expected at least 0 spell records, got -3\n"
 
     def test_sweep_csv_schema(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--vary", "delta",
@@ -486,8 +511,11 @@ class TestNonFiniteInputs:
         ({"distribution": {"type": "uniform", "low": float("-inf"), "high": 1.0}},
          "distribution"),
         ({"z": float("inf")}, "z"),
+        ({"distribution": {"type": "uniform", "low": False, "high": True}},
+         "distribution"),
+        ({"distribution": {"type": "uniform", "lo": 0.5, "high": 1.0}}, "distribution"),
     ], ids=["delta_true_nan", "delta_belief_nan", "tol_nan", "tol_inf", "beta_nan",
-            "low_minus_inf", "z_inf"])
+            "low_minus_inf", "z_inf", "low_high_bool", "unknown_key_lo"])
     def test_config_number_names_field(self, tmp_path, capsys, monkeypatch,
                                        fields, blamed):
         def no_solve(*args, **kwargs):

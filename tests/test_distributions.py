@@ -125,7 +125,7 @@ TRAFFIC_TRUTH = ExtensionSpec(delta=0.5, length=30)
 
 def _traffic_sweep(vary, grid):
     return lambda dist: sweep_beliefs(
-        Calibration(TRAFFIC_PARAMS, dist, TRAFFIC_TRUTH, 1.4, 10.0),
+        Calibration(TRAFFIC_PARAMS, dist, TRAFFIC_TRUTH, 10.0),
         vary=vary, grid=grid)
 
 

@@ -80,6 +80,9 @@ class TestDefaultCalibration:
         assert cal.params.n_periods == 10
         assert cal.truth == ExtensionSpec(delta=0.5, length=25)
 
+    def test_z_full_is_the_calibrated_flow_bit_for_bit(self):
+        assert default_calibration().z_full == calibrate_z(10.0, 0.95, UniformOffers())
+
 
 @pytest.fixture(scope="module")
 def cal():

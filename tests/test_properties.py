@@ -49,7 +49,7 @@ def sweep_cases(draw):
         true_value = truth.length
     grid = draw(st.permutations(others + [true_value]))
     cal = Calibration(params=params, dist=UniformOffers(low, high), truth=truth,
-                      z_full=z + c, target_duration=float("nan"))
+                      target_duration=float("nan"))
     return cal, vary, grid, true_value
 
 

@@ -8,7 +8,9 @@ chain on an imported ``uisearch`` module (``us.simulate_many``,
 ``TARGETS`` table must resolve against the installed package, and the
 arguments the harness sizes its spans by must still sit where it reads
 them. ``uisearch.__all__`` holds exactly the top-level names these
-scripts and README use, plus the error classes callers catch.
+scripts and README use, plus the error classes callers catch, and every
+defaulted parameter of an exported function is set by some call in
+``src/``, these scripts or README's Python examples.
 """
 
 import ast
@@ -26,6 +28,7 @@ import uisearch
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py"),
                   ROOT / "tests" / "test_acceptance.py"])
+CALL_SITES = sorted([*ROOT.glob("src/uisearch/*.py"), *SCRIPTS])
 SUBMODULES = [m.name for m in pkgutil.iter_modules(uisearch.__path__)]
 ERRORS = {"ConfigError", "DivergenceError", "InfeasibleError",
           "NonConvergenceError"}
@@ -89,13 +92,19 @@ def resolves(dotted):
     return True
 
 
+def readme_examples():
+    """README's Python examples, parsed."""
+    text = (ROOT / "README.md").read_text()
+    return [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", text, re.S)]
+
+
 def readme_names():
     """Package names README imports in its Python examples or cites in
     backticks, such as `SweepRow`."""
     text = (ROOT / "README.md").read_text()
     names = set()
-    for block in re.findall(r"```python\n(.*?)```", text, re.S):
-        names |= used_names(ast.parse(block))
+    for tree in readme_examples():
+        names |= used_names(tree)
     modules = [importlib.import_module(f"uisearch.{name}") for name in SUBMODULES]
     for word in set(re.findall(r"`([A-Za-z]\w*)`", text)):
         defined = [getattr(m, word) for m in modules if hasattr(m, word)]
@@ -125,6 +134,56 @@ def test_exports_are_the_names_in_use():
     assert "SweepRow" in top_level  # cited by README's prose only
     assert set(uisearch.__all__) == (top_level - set(SUBMODULES)) | ERRORS
     assert len(uisearch.__all__) == len(set(uisearch.__all__))
+
+
+def set_parameters(tree, functions):
+    """The (function, parameter) pairs that calls in ``tree`` set.
+
+    A call is matched to ``functions`` by the last name of its callee,
+    ``f(...)`` or ``module.f(...)``. It sets the parameters it passes by
+    position or keyword, and all of them when it unpacks ``*args`` or
+    ``**kwargs``.
+    """
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name not in functions:
+            continue
+        params = list(inspect.signature(functions[name]).parameters)
+        if (any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords)):
+            passed = params
+        else:
+            passed = params[:len(node.args)] + [k.arg for k in node.keywords]
+        found.update((name, param) for param in passed)
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    functions = {name: getattr(uisearch, name) for name in uisearch.__all__
+                 if inspect.isfunction(getattr(uisearch, name))}
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in CALL_SITES]
+    set_somewhere = set()
+    for tree in trees + readme_examples():
+        set_somewhere |= set_parameters(tree, functions)
+    defaulted = {(name, param.name) for name, fn in functions.items()
+                 for param in inspect.signature(fn).parameters.values()
+                 if param.default is not param.empty}
+    assert sorted(defaulted - set_somewhere) == []
+
+
+def test_parameter_guard_counts_position_keyword_and_unpacking():
+    def f(a, b=0, c=0, d=0):
+        pass
+
+    def g(a=0, b=0):
+        pass
+
+    tree = ast.parse("f(1, 2)\nm.f(1, d=3)\ng(*xs)\nh(1, 2, c=3)\n")
+    assert set_parameters(tree, {"f": f, "g": g}) == {
+        ("f", "a"), ("f", "b"), ("f", "d"), ("g", "a"), ("g", "b")}
 
 
 def test_guard_catches_a_missing_name():
