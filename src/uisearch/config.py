@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .distributions import UniformOffers
 from .errors import ConfigError
-from .montecarlo import DEFAULT_MAX_PERIODS, MAX_PERIODS, MAX_SPELLS
+from .montecarlo import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
+                         MAX_PERIODS, MAX_SEED, MAX_SPELLS)
 from .params import ExtensionSpec, MarketParams
 from .schedule import DEFAULT_MAX_ITER, DEFAULT_TOL
 
@@ -23,8 +24,8 @@ _DEFAULTS = {
     "tol": DEFAULT_TOL,
     "max_iter": DEFAULT_MAX_ITER,
     "max_periods": DEFAULT_MAX_PERIODS,
-    "seed": 0,
-    "spells": 1_000_000,
+    "seed": DEFAULT_SEED,
+    "spells": DEFAULT_SPELLS,
 }
 _REQUIRED = ("beta", "z", "c", "N", "delta_true", "len_true")
 
@@ -49,7 +50,10 @@ def _numbers(values, field, not_number, not_finite):
     """``values`` as finite floats, or a ConfigError naming ``field``."""
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
         raise ConfigError(field, not_number.format(*values))
-    values = [float(v) for v in values]
+    try:
+        values = [float(v) for v in values]
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(field, not_finite.format(math.inf, math.inf)) from None
     if not all(map(math.isfinite, values)):
         raise ConfigError(field, not_finite.format(*values))
     return values
@@ -65,12 +69,14 @@ def _require_number(data, field, lo=None, hi=None, lo_open=False, hi_open=False)
     return value
 
 
-def _require_int(data, field, lo):
+def _require_int(data, field, lo, hi=None, limit=None):
     value = data[field]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(field, f"expected an integer, got {value!r}")
     if value < lo:
         raise ConfigError(field, f"value {value} must be at least {lo}")
+    if hi is not None and value > hi:
+        raise ConfigError(field, f"value {value} exceeds {limit}")
     return value
 
 
@@ -108,7 +114,7 @@ def parse_config(path=None, overrides=None) -> RunConfig:
             raise ConfigError("config", f"cannot read {path}: {exc}") from exc
         try:
             loaded = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer over int's digit limit
             raise ConfigError("config", f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top-level JSON value must be an object")
@@ -138,14 +144,12 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     len_belief = _require_int(data, "len_belief", lo=1)
     tol = _require_number(data, "tol", lo=0.0, lo_open=True)
     max_iter = _require_int(data, "max_iter", lo=1)
-    max_periods = _require_int(data, "max_periods", lo=1)
-    if max_periods > MAX_PERIODS:
-        raise ConfigError("max_periods", f"value {max_periods} exceeds the 2**30 "
-                          "periods the draw counter allows")
-    seed = _require_int(data, "seed", lo=0)
-    spells = _require_int(data, "spells", lo=1)
-    if spells > MAX_SPELLS:
-        raise ConfigError("spells", f"value {spells} exceeds the 2**32 spell indices")
+    max_periods = _require_int(data, "max_periods", lo=1, hi=MAX_PERIODS,
+                               limit="the 2**30 periods the draw counter allows")
+    seed = _require_int(data, "seed", lo=0, hi=MAX_SEED,
+                        limit="2**64 - 1, the largest seed")
+    spells = _require_int(data, "spells", lo=1, hi=MAX_SPELLS,
+                          limit="the 2**32 spell indices")
     dist = _build_distribution(data["distribution"])
 
     # The model's two conditions that the range checks above leave open.

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from .distributions import OfferDistribution, UniformOffers
 from .errors import InfeasibleError
 from .evaluate import PolicyProfile, evaluate_policy, loss_pct
-from .montecarlo import DEFAULT_MAX_PERIODS, simulate_many
+from .montecarlo import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
+                         simulate_many)
 from .params import ExtensionSpec, MarketParams
 from .schedule import (DEFAULT_MAX_ITER, DEFAULT_TOL, build_basic_schedule,
-                       build_extension_schedule, post_extension_state,
-                       solve_w0_basic)
+                       build_extension_schedule, check_solvable,
+                       post_extension_state, upsilon)
 
 DELTA_GRID_DEFAULT = tuple(round(0.10 + 0.05 * k, 2) for k in range(17))
 LENGTH_GRID_DEFAULT = tuple(range(5, 46, 5))
@@ -43,44 +44,32 @@ class Calibration:
 def calibrate_z(target_duration, beta, dist: OfferDistribution) -> float:
     """Nonwork flow that yields a target expected unemployment duration.
 
-    With no benefits and no extension the acceptance threshold is
-    constant, so expected duration is the geometric mean
-    ``1 / (1 - F(w0))``; this inverts that relation by bisecting on the
-    flow value to within ``DEFAULT_TOL``, with default solver settings.
-    Duration targets at or below 1 are infeasible (they
-    would require certain acceptance), as are infinite or NaN targets,
-    targets below the duration implied by a zero flow value, and targets
-    above the duration at the top of the bisection's flow range.
+    With no benefits and no extension the threshold ``w0`` is constant,
+    so the duration ``1 / (1 - F(w0))`` fixes ``w0 = F^{-1}(1 - 1 / D)``,
+    and the fixed point ``w0 = flow (1 - beta) + beta * upsilon(w0)``
+    gives the flow in closed form. A target is infeasible when it is not
+    finite and above 1, when ``w0`` rounds to an end of the support, or
+    when the flow is not positive or fails ``check_solvable``. ``beta``
+    must lie in (0, 1).
     """
     if not 1.0 < target_duration < math.inf:
         raise InfeasibleError("duration target must be finite and exceed 1")
-    probe = MarketParams(beta=beta, z=1.0, c=1.0, n_periods=0)
-
-    def duration(flow):
-        w0 = solve_w0_basic(dist, probe, flow)
-        return 1.0 / (1.0 - dist.cdf(w0))
-
-    feasible_floor = max(
-        0.0, (dist.support_low - beta * dist.mean) / (1.0 - beta))
-    lo = feasible_floor + 1e-9
-    hi = top = dist.support_high - 1e-12
-    if duration(lo) >= target_duration:
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie in (0, 1) to solve a fixed point")
+    w0 = dist.quantile(1.0 - 1.0 / target_duration)
+    if not dist.support_low < w0 < dist.support_high:
+        raise InfeasibleError(f"target duration {target_duration} puts the "
+                              f"threshold at the edge of the support, {w0}")
+    flow = (w0 - beta * upsilon(dist, w0)) / (1.0 - beta)
+    if not flow > 0.0:
         raise InfeasibleError(
             f"target duration {target_duration} implies a nonpositive flow value")
-    while hi - lo > DEFAULT_TOL:
-        mid = 0.5 * (lo + hi)
-        if duration(mid) < target_duration:
-            lo = mid
-        else:
-            hi = mid
-    # Only a target no midpoint reached can lie beyond the top flow value.
-    if hi == top:
-        longest = duration(top)
-        if longest < target_duration:
-            raise InfeasibleError(
-                f"target duration {target_duration} exceeds the longest "
-                f"reachable, {longest}")
-    return 0.5 * (lo + hi)
+    try:
+        check_solvable(dist, beta, flow)
+    except ValueError as exc:
+        raise InfeasibleError(f"target duration {target_duration} implies the "
+                              f"flow value {flow}: {exc}") from exc
+    return flow
 
 
 def default_calibration(truth=ExtensionSpec(delta=0.5, length=25),
@@ -113,8 +102,8 @@ class SweepRow:
 
 
 def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
-                  seed=0, spells=1_000_000, max_periods=DEFAULT_MAX_PERIODS,
-                  n_workers=1, tol=DEFAULT_TOL,
+                  seed=DEFAULT_SEED, spells=DEFAULT_SPELLS,
+                  max_periods=DEFAULT_MAX_PERIODS, n_workers=1, tol=DEFAULT_TOL,
                   max_iter=DEFAULT_MAX_ITER) -> list[SweepRow]:
     """Evaluate a grid of misperceived beliefs against the truth.
 

@@ -33,8 +33,11 @@ import numpy as np
 from .distributions import OfferDistribution
 from .params import ExtensionSpec, MarketParams
 
+DEFAULT_SEED = 0
+DEFAULT_SPELLS = 1_000_000
 DEFAULT_MAX_PERIODS = 2_000
 DEFAULT_CHUNK = 65_536
+MAX_SEED = (1 << 64) - 1  # the seed is mixed as one 64-bit word
 MAX_SPELLS = 1 << 32   # spell indices fill a counter's high 32 bits
 MAX_PERIODS = 1 << 30  # two draws a period fill its low 32
 
@@ -449,6 +452,8 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
         raise ValueError("n_spells must be at least 1")
     if n_spells > MAX_SPELLS:
         raise ValueError("spell indices must fit in 32 bits")
+    if not 0 <= master_seed <= MAX_SEED:
+        raise ValueError("master_seed must lie in [0, 2**64)")
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
     job = (policy, truth, params, dist, master_seed, n_spells, max_periods)

@@ -40,7 +40,8 @@ def upsilon(dist: OfferDistribution, x) -> float:
     return x * dist.cdf(x) + dist.partial_expectation(x, hi)
 
 
-def _check_solvable(dist, beta, flow):
+def check_solvable(dist, beta, flow):
+    """Raise ValueError unless the zero-entitlement fixed point is interior."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1) to solve a fixed point")
     if not flow < dist.support_high:
@@ -92,7 +93,7 @@ def solve_w0_basic(dist: OfferDistribution, params: MarketParams, flow,
         ``beta``.
     """
     beta = params.beta
-    _check_solvable(dist, beta, flow)
+    check_solvable(dist, beta, flow)
     return _fixed_point(dist, flow * (1.0 - beta), beta, tol, max_iter, "basic")
 
 
@@ -126,7 +127,7 @@ def solve_w0_extension(dist: OfferDistribution, params: MarketParams,
     and converges in one step).
     """
     beta, delta = params.beta, belief.delta
-    _check_solvable(dist, beta, params.z)
+    check_solvable(dist, beta, params.z)
     base = params.z * (1.0 - beta) + beta * delta * upsilon(dist, w_basic_at_length)
     return _fixed_point(dist, base, beta * (1.0 - delta), tol, max_iter, "extension")
 

@@ -119,9 +119,11 @@ class TestParseConfig:
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            parse_config(str(path))
+        # the second integer has more digits than int() converts
+        for text in ("{not json", '{"z": 1' + "0" * 5000 + "}"):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                parse_config(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -259,6 +261,22 @@ class TestCli:
         assert main(["simulate", "--config", config_path,
                      "--spells", "5000000000"]) == 2
         assert capsys.readouterr().err.startswith("error: spells")
+
+    def test_seed_beyond_one_word_rejected_before_work(self, config_path, capsys,
+                                                       monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("simulate_block ran before the seed was checked")
+
+        monkeypatch.setattr("uisearch.montecarlo.simulate_block", no_block)
+        at_limit = parse_config(config_path, overrides={"seed": (1 << 64) - 1})
+        assert at_limit.seed == (1 << 64) - 1
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(config_path, overrides={"seed": 1 << 64})
+        assert excinfo.value.field == "seed"
+        # 2**64 + 1 masked to 64 bits is seed 1
+        assert main(["simulate", "--config", config_path, "--spells", "10",
+                     "--seed", "18446744073709551617"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed")
 
     def test_max_periods_beyond_draw_counter_rejected_before_work(self, config_path,
                                                                   capsys, monkeypatch):
@@ -401,7 +419,8 @@ class TestCli:
             "floating point\n")
 
     def test_calibrate_unreachable_duration_is_infeasible(self, capsys):
-        assert main(["calibrate", "--duration", "1e13"]) == 4
+        # the flow, 1 - 1e-17, cannot be represented below the top of [0, 1]
+        assert main(["calibrate", "--duration", "1e17"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: target duration")
@@ -462,7 +481,7 @@ class TestStdoutDigests:
         ("sweep_len", "wide"): "87e49e26ad7fa890996a701bb2a459ec56f3c02d14345957c50ae4665ba4431a",
         ("simulate", "wide"): "ff9b173a1d20123755237360ba5d995e6f7b883e527f2c25903f8f8b3ec8e758",
     }
-    CALIBRATE_DIGEST = "6d05c59dcd33bda5cc297997b9a0ad44a89c59dce855f3446f7df8a70eb897c5"
+    CALIBRATE_DIGEST = "5e7f6e8ebf5beeecb442acfe33f6cc43cbcbe6b634158e99208f38bfd4421ea4"
 
     @staticmethod
     def digest(argv, capsys):
@@ -514,8 +533,10 @@ class TestNonFiniteInputs:
         ({"distribution": {"type": "uniform", "low": False, "high": True}},
          "distribution"),
         ({"distribution": {"type": "uniform", "lo": 0.5, "high": 1.0}}, "distribution"),
+        ({"z": 10 ** 400}, "z"),
     ], ids=["delta_true_nan", "delta_belief_nan", "tol_nan", "tol_inf", "beta_nan",
-            "low_minus_inf", "z_inf", "low_high_bool", "unknown_key_lo"])
+            "low_minus_inf", "z_inf", "low_high_bool", "unknown_key_lo",
+            "z_400_digits"])
     def test_config_number_names_field(self, tmp_path, capsys, monkeypatch,
                                        fields, blamed):
         def no_solve(*args, **kwargs):

@@ -1,30 +1,51 @@
 import hashlib
+import itertools
+import math
 from dataclasses import astuple
+from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import uisearch.experiments
-from uisearch import (ExtensionSpec, InfeasibleError, UniformOffers, build_policy,
-                      calibrate_z, default_calibration, simulate_many,
-                      solve_w0_basic, sweep_beliefs)
+import uisearch.schedule
+from uisearch import (ExtensionSpec, InfeasibleError, MarketParams, UniformOffers,
+                      build_policy, calibrate_z, default_calibration,
+                      simulate_many, solve_w0_basic, sweep_beliefs)
+from uisearch.config import parse_config
 from uisearch.experiments import DELTA_GRID_DEFAULT, LENGTH_GRID_DEFAULT
 from uisearch.montecarlo import DEFAULT_CHUNK
-from uisearch.schedule import upsilon
+from uisearch.schedule import DEFAULT_TOL
 
 
-def invert_flow_for_threshold(dist, beta, w0):
-    """Independent oracle: solve the fixed point for the flow value."""
-    return (w0 - beta * upsilon(dist, w0)) / (1 - beta)
+def exact_flow(dist, beta, target):
+    """Threshold and flow value a duration target implies, as exact
+    rationals of the float inputs: an oracle that shares no arithmetic
+    with ``calibrate_z``."""
+    lo, hi, b, d = map(Fraction, (dist.low, dist.high, beta, target))
+    w0 = lo + (1 - 1 / d) * (hi - lo)
+    upsilon = (w0 * (w0 - lo) + (hi * hi - w0 * w0) / 2) / (hi - lo)
+    return w0, (w0 - b * upsilon) / (1 - b)
+
+
+def relative_error(value, exact):
+    return abs(float((Fraction(value) - exact) / exact))
+
+
+ORACLE_SUPPORTS = [UniformOffers(), UniformOffers(0.2, 1.7), UniformOffers(-5.0, 1.0)]
+ORACLE_BETAS = [0.5, 0.95, 0.99]
+# 1e18 puts the threshold within half an ulp of the top on every support.
+ORACLE_TARGETS = [1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e18]
 
 
 class TestCalibrateZ:
     def test_duration_ten(self, uniform):
         z_full = calibrate_z(10.0, 0.95, uniform)
         # duration 10 needs acceptance probability 0.1, so threshold 0.9
-        oracle = invert_flow_for_threshold(uniform, 0.95, 0.9)
-        assert oracle == pytest.approx(0.805, abs=1e-12)
-        assert z_full == pytest.approx(oracle, abs=1e-9)
+        w0, oracle = exact_flow(uniform, 0.95, 10.0)
+        assert w0 == Fraction(9, 10)
+        assert float(oracle) == pytest.approx(0.805, abs=1e-12)
+        assert relative_error(z_full, oracle) < 1e-13
 
     def test_duration_five(self, uniform):
         assert calibrate_z(5.0, 0.95, uniform) == pytest.approx(0.42, abs=1e-9)
@@ -34,6 +55,30 @@ class TestCalibrateZ:
             z_full = calibrate_z(target, 0.95, uniform)
             w0 = solve_w0_basic(uniform, fig3_params, flow=z_full)
             assert 1 / (1 - uniform.cdf(w0)) == pytest.approx(target, abs=1e-6)
+
+    def test_matches_exact_rational_flow(self):
+        """Infeasible exactly where the exact flow is at or below 0 or
+        rounds to the top of the support, or the exact threshold rounds
+        to an end of it; within 1e-13 of the exact flow elsewhere."""
+        cases = list(itertools.product(ORACLE_SUPPORTS, ORACLE_BETAS, ORACLE_TARGETS))
+        infeasible = 0
+        for dist, beta, target in cases:
+            w0, flow = exact_flow(dist, beta, target)
+            if flow > 0 and dist.low < float(w0) < dist.high and float(flow) < dist.high:
+                assert relative_error(calibrate_z(target, beta, dist), flow) < 1e-13
+            else:
+                infeasible += 1
+                with pytest.raises(InfeasibleError):
+                    calibrate_z(target, beta, dist)
+        assert 0 < infeasible < len(cases)
+
+    @pytest.mark.parametrize("target, beta, dist", [
+        (1e13, 0.95, UniformOffers()),
+        (1 + 1e-15, 0.5, UniformOffers(0.9, 1.0)),
+    ], ids=["long", "barely_above_one"])
+    def test_edge_targets_are_feasible(self, target, beta, dist):
+        _, exact = exact_flow(dist, beta, target)
+        assert relative_error(calibrate_z(target, beta, dist), exact) < 1e-13
 
     def test_infeasible_targets(self, uniform):
         with pytest.raises(InfeasibleError):
@@ -46,28 +91,60 @@ class TestCalibrateZ:
         for target in (float("nan"), float("inf")):
             with pytest.raises(InfeasibleError, match="finite"):
                 calibrate_z(target, 0.95, uniform)
+        # the threshold rounds to the bottom of the support
+        with pytest.raises(InfeasibleError, match="edge of the support"):
+            calibrate_z(math.nextafter(1.0, 2.0), 0.5, UniformOffers(0.9, 1.0))
 
     def test_target_beyond_top_flow_is_infeasible(self, uniform):
-        # the top of the flow range gives about 5e10 periods on [0, 1]
-        with pytest.raises(InfeasibleError, match="longest reachable"):
-            calibrate_z(1e13, 0.95, uniform)
+        # the threshold, 1 - 1e-17, rounds to the top of [0, 1]
+        with pytest.raises(InfeasibleError, match="edge of the support"):
+            calibrate_z(1e17, 0.95, uniform)
+        # the threshold is inside, but the flow rounds to the top
+        with pytest.raises(InfeasibleError, match="below the top"):
+            calibrate_z(2e15, 0.9, uniform)
 
-    @pytest.mark.parametrize("target, solves", [(10.0, 41), (1e13, 42)])
-    def test_only_unreached_targets_cost_an_extra_solve(self, uniform, monkeypatch,
-                                                       target, solves):
-        calls = []
-        solve = uisearch.experiments.solve_w0_basic
+    @pytest.mark.parametrize("beta", [1.5, 1.0, 0.0, float("nan")])
+    def test_beta_outside_unit_interval(self, uniform, beta):
+        with pytest.raises(ValueError, match="beta") as excinfo:
+            calibrate_z(10.0, beta, uniform)
+        assert not isinstance(excinfo.value, InfeasibleError)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+    @pytest.mark.parametrize("target", [10.0, 1e13])
+    def test_makes_no_fixed_point_solve(self, uniform, monkeypatch, target):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("calibrate_z solved a fixed point")
 
-        monkeypatch.setattr(uisearch.experiments, "solve_w0_basic", counting)
+        monkeypatch.setattr(uisearch.schedule, "_fixed_point", no_solve)
+        calibrate_z(target, 0.95, uniform)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(low=st.floats(-5.0, 1.0), width=st.floats(0.01, 5.0),
+           beta=st.floats(0.01, 0.99), exponent=st.floats(-16.0, 18.0))
+    def test_returned_flows_are_admissible(self, low, width, beta, exponent):
+        """Every flow returned passes the solver's and the config's checks,
+        split in half as the CLI splits it, and the solved threshold gives
+        back the target's acceptance probability to the solver's error."""
+        dist = UniformOffers(low, low + width)
+        target = 1.0 + 10.0 ** exponent
         try:
-            calibrate_z(target, 0.95, uniform)
+            flow = calibrate_z(target, beta, dist)
         except InfeasibleError:
-            pass
-        assert len(calls) == solves
+            return
+        params = MarketParams(beta=beta, z=0.5 * flow, c=0.5 * flow, n_periods=0)
+        w0 = solve_w0_basic(dist, params, flow)
+        # Picard stops on a step below DEFAULT_TOL, so its error is below
+        # DEFAULT_TOL / (1 - beta).
+        slack = (DEFAULT_TOL / (1.0 - beta) + 1e-12) / width
+        assert abs((1.0 - dist.cdf(w0)) - 1.0 / target) <= slack
+        # Any positive z is interior when the support's bottom is at most
+        # beta times its mean; parse_config checks interiority at z alone.
+        if dist.support_low <= beta * dist.mean:
+            cfg = parse_config(overrides={
+                "beta": beta, "z": params.z, "c": params.c, "N": 0,
+                "delta_true": 0.0, "len_true": 1,
+                "distribution": {"type": "uniform", "low": dist.low,
+                                 "high": dist.high}})
+            assert cfg.params == params
 
 
 class TestDefaultCalibration:
@@ -178,14 +255,15 @@ def _rows_digest(rows):
 
 
 class TestSweepGolden:
-    """Default exact sweeps recorded before the evaluator reused the
-    post-extension chains across beliefs, so "bit for bit" is checked."""
+    """Default exact sweeps, recorded with the post-extension chains
+    computed afresh for every belief, so reusing them across beliefs is
+    checked bit for bit."""
 
     DIGESTS = {
-        ("unit", "delta"): "71ee566fbf56eb4b3391eaa2dc18c5aaffbf8edc1aee4f0d8c9834379c2f287b",
-        ("unit", "len"): "08ec41e843c5e4c47d50d7dac6b9c391319c0c6a599e2276991047157cb18725",
-        ("wide", "delta"): "4d141d025f46e07a7734fef4f15c0e96a1a50660009ecf12d6a5bcb80bd19d8c",
-        ("wide", "len"): "00b312509027d2ff51fe18a3d9a03f4763891cbd0a1c4662409fb32f3c69cad3",
+        ("unit", "delta"): "07504f1562e3aaa280282670300cd17e64318901daefea6d686bcfd65d9383ae",
+        ("unit", "len"): "4c0c47ed06ea5aedb7b1f2c921cf9faaaf1d9cf54f04779a02426a7d69f887a9",
+        ("wide", "delta"): "82b495ff429b1f631121f80fe18bb525fc5b8edda1b4c6dfc4969b826cc65b84",
+        ("wide", "len"): "7e4c3e4d35443ce8a9cc284c5097f2d28ed3452f442a818a8bf6d311a6370fef",
     }
     SUPPORTS = {"unit": UniformOffers(), "wide": UniformOffers(0.2, 1.7)}
 

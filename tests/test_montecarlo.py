@@ -306,6 +306,20 @@ class TestSimulateMany:
             simulate_many(policy, benchmark_truth, benchmark_params, uniform,
                           (1 << 32) + 1, 1)
 
+    @pytest.mark.parametrize("seed", [-1, montecarlo.MAX_SEED + 1, (1 << 64) + 1])
+    def test_rejects_seed_beyond_one_word(self, uniform, benchmark_params,
+                                          benchmark_truth, monkeypatch, seed):
+        # a seed masked to 64 bits would silently replay another seed's spells
+        policy = build_policy(uniform, benchmark_params, benchmark_truth)
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("simulate_block ran before the seed was checked")
+
+        monkeypatch.setattr("uisearch.montecarlo.simulate_block", no_block)
+        with pytest.raises(ValueError, match="master_seed"):
+            simulate_many(policy, benchmark_truth, benchmark_params, uniform,
+                          10, seed)
+
     @pytest.mark.parametrize("n_workers", [0, -1])
     def test_requires_at_least_one_worker(self, uniform, benchmark_params,
                                           benchmark_truth, n_workers):
