@@ -8,6 +8,9 @@ entitlement state, so they can be computed exactly instead of by brute
 Monte Carlo. The timing convention matches the simulator: the spell
 starts at a flow node with full entitlement, and the first offer
 arrives the following period.
+
+Post-extension behaviour is belief-free, so a sweep over beliefs
+computes ``post_chains`` once and hands them to every evaluation.
 """
 
 from dataclasses import dataclass
@@ -75,27 +78,13 @@ class PolicyEvaluation:
     offer_values: np.ndarray
 
 
-# The chains of the last read-only post array evaluated, as
-# (post, its bytes, beta, dist, chains).
-_post_memo = None
-
-
-def _post_chains(post, beta, dist):
+def post_chains(post, beta, dist):
     """Option-value, duration and accepted-wage chains over the
     post-extension offer nodes ``0..len(post) - 1``.
 
-    They depend on ``post``, ``beta`` and ``dist`` alone. The chains of
-    the last read-only ``post`` are kept and served again while the same
-    array object, still read-only and holding the same bytes, comes back
-    with an equal ``beta`` and the same ``dist`` object.
+    They depend on ``post``, ``beta`` and ``dist`` alone, not on the
+    belief, so one set serves every policy that shares ``post``.
     """
-    global _post_memo
-    memo = _post_memo
-    if (memo is not None and memo[0] is post and memo[2] == beta
-            and memo[3] is dist and not post.flags.writeable
-            and memo[1] == post.tobytes()):
-        return memo[4]
-
     hi = dist.support_high
     g_post = np.array([upsilon(dist, x) for x in post]) / (1.0 - beta)
     d_post = np.empty(len(post))
@@ -113,28 +102,24 @@ def _post_chains(post, beta, dist):
         reject = dist.cdf(post[m])
         d_post[m] = 1.0 + reject * d_post[m - 1]
         a_post[m] = dist.partial_expectation(post[m], hi) + reject * a_post[m - 1]
-
-    chains = (g_post, d_post, a_post)
-    for chain in chains:
-        chain.flags.writeable = False
-    if not post.flags.writeable:
-        _post_memo = (post, post.tobytes(), beta, dist, chains)
-    return chains
+    return g_post, d_post, a_post
 
 
 def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
-                    params: MarketParams, dist: OfferDistribution) -> PolicyEvaluation:
+                    params: MarketParams, dist: OfferDistribution, *,
+                    chains=None) -> PolicyEvaluation:
     """Expected welfare, duration, and accepted wage under the true process.
 
-    Solves the post-extension chains first (their values are optimal
-    Bellman quantities), then the pre-extension recursions upward from
+    Takes the post-extension chains (their values are optimal Bellman
+    quantities), then solves the pre-extension recursions upward from
     entitlement 0, whose equation is self-referencing and is solved in
-    closed form as one linear equation. The post-extension chains are
-    belief-free: they are computed once and reused while calls pass the
-    same read-only ``post_thresholds`` array with the same ``beta`` and
-    ``dist``, as the beliefs of one sweep do. Raises ``DivergenceError``
-    when a state-0 acceptance probability is zero, or when the expected
-    accepted wage comes out outside the support.
+    closed form as one linear equation. ``chains``, when given, must be
+    ``post_chains(policy.post_thresholds, params.beta, dist)``, computed
+    once by a caller that evaluates many beliefs against one basic
+    schedule; results are bit-identical without it, when the chains are
+    computed here. Raises ``DivergenceError`` when a state-0 acceptance
+    probability is zero, or when the expected accepted wage comes out
+    outside the support.
     """
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
@@ -163,7 +148,9 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     if accept0_pre_stuck <= 0.0:
         raise DivergenceError("pre-extension state 0 never accepts; duration diverges")
 
-    g_post, d_post, a_post = _post_chains(post, beta, dist)
+    if chains is None:
+        chains = post_chains(post, beta, dist)
+    g_post, d_post, a_post = chains
     tails = [dist.partial_expectation(x, hi) for x in pre]
 
     # Pre-extension flow-node recursions. At entitlement 0 the state

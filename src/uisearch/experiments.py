@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .distributions import OfferDistribution, UniformOffers
 from .errors import InfeasibleError
-from .evaluate import PolicyProfile, evaluate_policy, loss_pct
+from .evaluate import PolicyProfile, evaluate_policy, loss_pct, post_chains
 from .montecarlo import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
                          simulate_many)
 from .params import ExtensionSpec, MarketParams
@@ -130,13 +130,15 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
     max_length = max([truth.length] + [b.length for b in beliefs])
     horizon = post_extension_state(params.n_periods, max_length)
     basic = build_basic_schedule(dist, params, horizon, tol=tol, max_iter=max_iter)
+    # Belief-free, so one set serves the baseline and every belief.
+    chains = post_chains(basic, params.beta, dist) if mode == "exact" else None
 
     def statistics(belief):
         pre = build_extension_schedule(dist, params, belief, basic,
                                        tol=tol, max_iter=max_iter)
         policy = PolicyProfile(pre_thresholds=pre, post_thresholds=basic)
         if mode == "exact":
-            ev = evaluate_policy(policy, truth, params, dist)
+            ev = evaluate_policy(policy, truth, params, dist, chains=chains)
             return ev.welfare, ev.duration, ev.accepted_wage, 0
         summary = simulate_many(policy, truth, params, dist, spells, seed,
                                 max_periods=max_periods, n_workers=n_workers)

@@ -58,7 +58,11 @@ def _mix64(x: int) -> int:
 
 
 def _seed_offset(master_seed: int) -> int:
-    return _mix64(master_seed & _MASK64)
+    """Stream offset of ``master_seed``, which must fit one word: masked,
+    it would replay another seed's streams."""
+    if not 0 <= master_seed <= MAX_SEED:
+        raise ValueError("master_seed must lie in [0, 2**64)")
+    return _mix64(master_seed)
 
 
 def _variate(seed_offset: int, spell: int, draw: int) -> float:
@@ -452,8 +456,7 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
         raise ValueError("n_spells must be at least 1")
     if n_spells > MAX_SPELLS:
         raise ValueError("spell indices must fit in 32 bits")
-    if not 0 <= master_seed <= MAX_SEED:
-        raise ValueError("master_seed must lie in [0, 2**64)")
+    _seed_offset(master_seed)  # rejects a bad seed before any worker starts
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
     job = (policy, truth, params, dist, master_seed, n_spells, max_periods)

@@ -1,7 +1,4 @@
 import hashlib
-import sys
-import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +8,7 @@ from uisearch import (DivergenceError, ExtensionSpec, MarketParams,
                       UniformOffers, build_policy, evaluate_policy,
                       expected_welfare_at_offer, simulate_many,
                       solve_schedules, solve_w0_basic, welfare_loss)
-from uisearch.evaluate import PolicyProfile
+from uisearch.evaluate import PolicyProfile, post_chains
 from uisearch.schedule import upsilon
 
 from conftest import random_belief, random_valid_params
@@ -170,12 +167,6 @@ def _bits(ev):
             hashlib.sha256(ev.offer_values.tobytes()).hexdigest()[:16])
 
 
-def _fresh(policy):
-    """The same thresholds in new arrays, which no earlier call has seen."""
-    return PolicyProfile(pre_thresholds=policy.pre_thresholds.copy(),
-                         post_thresholds=policy.post_thresholds.copy())
-
-
 @pytest.fixture
 def post_chain_calls(monkeypatch):
     """Thresholds the evaluator runs its post-extension chain on, in order."""
@@ -190,12 +181,11 @@ def post_chain_calls(monkeypatch):
 
 
 class TestPostChainReuse:
-    """The belief-free post-extension chains are reused only for the same
-    read-only array, holding the same values, with an equal beta and the
-    same distribution object."""
+    """The belief-free post-extension chains give the same bits whether
+    the call computes them or reuses chains it is handed."""
 
     # float.hex of welfare, duration and accepted wage, and a digest of
-    # offer_values, recorded before the chains were reused across calls.
+    # offer_values, recorded when every call computed its own chains.
     BITS = {
         ExtensionSpec(0.1, 25): ("0x1.1fe401ba2577bp+4", "0x1.31875c78c62fbp+3",
                                  "0x1.e4d66d5063d22p-1", "ab154ad2ae5c7891"),
@@ -218,78 +208,21 @@ class TestPostChainReuse:
             for belief, policy in policies.items():
                 ev = evaluate_policy(policy, benchmark_truth, benchmark_params, uniform)
                 assert _bits(ev) == self.BITS[belief]
-        # one entry: each array evicts the other's chains
+        # without chains every call runs its own
         assert len(post_chain_calls) == 3 * (35 + 50)
 
-    def test_same_array_runs_the_chain_once(self, setting, post_chain_calls):
-        policy = setting[0]
-        first = evaluate_policy(*setting)
-        assert post_chain_calls == list(policy.post_thresholds)
-        assert _bits(evaluate_policy(*setting)) == _bits(first)
-        assert len(post_chain_calls) == len(policy.post_thresholds)
-
-    def test_other_beta_or_dist_object_recomputes(self, setting, post_chain_calls):
-        policy, truth, params, uniform = setting
-        others = [(replace(params, beta=0.9), uniform), (params, UniformOffers())]
-        # computed first: a call on a new array replaces the stored chains
-        expected = [_bits(evaluate_policy(_fresh(policy), truth, other_params, other_dist))
-                    for other_params, other_dist in others]
-        for (other_params, other_dist), bits in zip(others, expected):
-            evaluate_policy(*setting)  # stores this array's chains
+    def test_passed_chains_keep_recorded_values(
+            self, uniform, benchmark_params, benchmark_truth, post_chain_calls):
+        for belief, bits in self.BITS.items():
+            policy = build_policy(uniform, benchmark_params, belief,
+                                  true_length=benchmark_truth.length)
+            chains = post_chains(policy.post_thresholds, benchmark_params.beta, uniform)
             before = len(post_chain_calls)
-            assert _bits(evaluate_policy(policy, truth, other_params, other_dist)) == bits
-            assert len(post_chain_calls) == before + len(policy.post_thresholds)
-        assert expected[0] != expected[1]
-
-    def test_rewritten_post_array_is_recomputed(self, setting):
-        policy, truth, params, uniform = setting
-        post = policy.post_thresholds
-
-        def raised(entries):
-            """Bits for a new array holding ``post`` with ``entries`` raised."""
-            new_post = post.copy()
-            new_post[entries] += 0.01
-            return _bits(evaluate_policy(
-                PolicyProfile(pre_thresholds=policy.pre_thresholds.copy(),
-                              post_thresholds=new_post), truth, params, uniform))
-
-        # computed first: a call on a new array replaces the stored chains
-        changed, relocked = raised([3]), raised([3, 4])
-        first = _bits(evaluate_policy(*setting))
-        post.flags.writeable = True
-        post[3] += 0.01
-        assert _bits(evaluate_policy(*setting)) == changed != first
-        # changed and locked again: the stored chains hold the first values
-        post[4] += 0.01
-        post.flags.writeable = False
-        assert _bits(evaluate_policy(*setting)) == relocked != changed
-
-    def test_threads_sharing_the_memo_keep_recorded_values(
-            self, uniform, benchmark_params, benchmark_truth):
-        policies = [(build_policy(uniform, benchmark_params, belief,
-                                  true_length=benchmark_truth.length), bits)
-                    for belief, bits in self.BITS.items()]
-        wrong = []
-
-        def worker(offset):
-            for i in range(40):
-                policy, bits = policies[(i + offset) % 2]
-                ev = evaluate_policy(policy, benchmark_truth, benchmark_params, uniform)
-                if _bits(ev) != bits:
-                    wrong.append(i)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
+            ev = evaluate_policy(policy, benchmark_truth, benchmark_params, uniform,
+                                 chains=chains)
+            assert _bits(ev) == bits
+            assert len(post_chain_calls) == before
+        assert len(post_chain_calls) == 35 + 50
 
     def test_out_of_support_post_threshold_raises(self, setting):
         policy, truth, params, uniform = setting

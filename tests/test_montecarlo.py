@@ -178,6 +178,22 @@ class TestCounterStreams:
         assert a == b
         assert a != c and a != d
 
+    # Masked to one word, 2**64 + 1 and -(2**64) + 1 would replay seed 1's
+    # streams and -1 seed 2**64 - 1's.
+    @pytest.mark.parametrize("seed", [-1, montecarlo.MAX_SEED + 1, (1 << 64) + 1,
+                                      -(1 << 64) + 1])
+    def test_seed_beyond_one_word_rejected_by_stream_and_block(self, seed):
+        message = r"master_seed must lie in \[0, 2\*\*64\)"
+        with pytest.raises(ValueError, match=message):
+            CounterStream(seed, 0)
+        policy = build_policy(UNIT, BENCH, BENCH_TRUTH)
+        with pytest.raises(ValueError, match=message):
+            simulate_block(policy, BENCH_TRUTH, BENCH, UNIT, seed, 0, 4)
+
+    def test_seeds_at_the_ends_of_one_word_are_distinct(self):
+        first = {CounterStream(seed, 0)._next() for seed in (0, 1, montecarlo.MAX_SEED)}
+        assert len(first) == 3
+
     def test_draws_uniform_on_unit_interval(self):
         from uisearch.montecarlo import _seed_offset
         offset = _seed_offset(1234)

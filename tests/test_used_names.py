@@ -215,3 +215,32 @@ def test_overridden_distribution_methods_keep_their_parameters():
     for name, params in expected.items():
         signature = inspect.signature(getattr(UniformOffers, name))
         assert list(signature.parameters) == ["self", *params], name
+
+
+
+def global_statements(node, scope=None):
+    """(function, names) of each ``global`` statement under ``node``,
+    where function is the innermost enclosing one, None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Global):
+            yield scope, tuple(child.names)
+        inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else scope)
+        yield from global_statements(child, inner)
+
+
+def test_only_the_worker_job_is_module_state():
+    # Module state set at run time hides an input from callers. The one
+    # exception hands a forked worker its job, which a pool initializer
+    # can only leave in a global.
+    found = [(path.stem, *statement)
+             for path in sorted(ROOT.glob("src/uisearch/*.py"))
+             for statement in global_statements(ast.parse(path.read_text()))]
+    assert found == [("montecarlo", "_set_job", ("_JOB",))]
+
+
+def test_global_guard_finds_module_level_and_nested_statements():
+    tree = ast.parse("global a\ndef f():\n    def g():\n        global b\n"
+                     "    global c\n")
+    assert list(global_statements(tree)) == [(None, ("a",)), ("g", ("b",)),
+                                             ("f", ("c",))]
