@@ -1,14 +1,14 @@
 """Wage-offer distributions and the analytic operations the solver needs.
 
-Every distribution exposes the CDF, the partial expectation
-``int_a^b w dF(w)``, and the quantile function used for inverse-CDF
-sampling. The solver and the evaluator call the first two on one float
-at a time; the simulator calls the quantile on whole arrays of
-variates. Instances are immutable after construction and safe to share
-across threads. The conditions a model puts on its distribution (an
-interior zero-entitlement wage, ``z + c`` below the top of the support)
-are checked by ``parse_config``; the fixed-point solvers check the ones
-their own iteration needs.
+Every distribution exposes the CDF, the survival function ``1 - F``,
+the partial expectation ``int_a^b w dF(w)``, and the quantile function
+used for inverse-CDF sampling. The solver and the evaluator call the
+first three on one float at a time; the simulator calls the quantile on
+whole arrays of variates. Instances are immutable after construction
+and safe to share across threads. The conditions a model puts on its
+distribution (an interior zero-entitlement wage, ``z + c`` below the
+top of the support) are checked by ``parse_config``; the fixed-point
+solvers check the ones their own iteration needs.
 """
 
 from abc import ABC, abstractmethod
@@ -37,6 +37,12 @@ class OfferDistribution(ABC):
     def cdf(self, x) -> float:
         """P(w <= x) for one float x. Clamps to 0 below the support and 1
         above it."""
+
+    @abstractmethod
+    def sf(self, x) -> float:
+        """P(w > x) for one float x, computed without forming ``1 - cdf(x)``,
+        which cancels near the top of the support. Clamps to 1 below the
+        support and 0 above it."""
 
     @abstractmethod
     def partial_expectation(self, a, b) -> float:
@@ -83,6 +89,9 @@ class UniformOffers(OfferDistribution):
 
     def cdf(self, x):
         return min(max((x - self.low) / (self.high - self.low), 0.0), 1.0)
+
+    def sf(self, x):
+        return min(max((self.high - x) / (self.high - self.low), 0.0), 1.0)
 
     def partial_expectation(self, a, b):
         if a > b:

@@ -89,7 +89,7 @@ def post_chains(post, beta, dist):
     g_post = np.array([upsilon(dist, x) for x in post]) / (1.0 - beta)
     d_post = np.empty(len(post))
     a_post = np.empty(len(post))
-    accept0 = 1.0 - dist.cdf(post[0])
+    accept0 = dist.sf(post[0])
     if accept0 > 0.0:
         d_post[0] = 1.0 / accept0
         a_post[0] = dist.partial_expectation(post[0], hi) / accept0
@@ -138,11 +138,13 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
 
     # Each pre-extension threshold's rejection probability and acceptance
     # tail, computed once for the recursions and the offer-node values.
-    # The tails come after the divergence checks: a threshold above the
-    # support diverges, and its partial_expectation would raise first.
+    # State-0 acceptance comes from the survival function, which keeps
+    # its digits where 1 - cdf(x) cancels. The tails come after the
+    # divergence checks: a threshold above the support diverges, and its
+    # partial_expectation would raise first.
     rejects = [dist.cdf(x) for x in pre]
-    accept0_post = 1.0 - dist.cdf(post[0])
-    accept0_pre_stuck = 1.0 - (1.0 - delta) * rejects[0]
+    accept0_post = dist.sf(post[0])
+    accept0_pre_stuck = delta + (1.0 - delta) * dist.sf(pre[0])
     if delta > 0.0 and accept0_post <= 0.0:
         raise DivergenceError("post-extension state 0 never accepts; duration diverges")
     if accept0_pre_stuck <= 0.0:
@@ -177,8 +179,8 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
         wages[n] = delta * a_post[m] + (1.0 - delta) * (tail + reject * wages[k])
 
     # The expected accepted wage averages offers inside the support. With
-    # thresholds a few ulps below its top, acceptance probabilities and
-    # tails are so small that their rounding carries the quotients out.
+    # thresholds a few ulps below its top, the tails hi**2 - x**2 cancel,
+    # and their rounding carries the quotients out.
     accepted_wage = wages[n_periods]
     if not dist.support_low <= accepted_wage <= hi:
         raise DivergenceError(

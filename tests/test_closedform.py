@@ -18,8 +18,8 @@ def test_matches_iterative_solver_on_benchmark(uniform, benchmark_params):
     belief = ExtensionSpec(delta=0.5, length=25)
     iterative = solve_schedules(uniform, benchmark_params, belief)
     closed = uniform_closed_form(benchmark_params, belief)
-    assert np.max(np.abs(iterative.basic - closed.basic)) < 1e-9
-    assert np.max(np.abs(iterative.with_extension - closed.with_extension)) < 1e-9
+    assert np.max(np.abs(iterative.basic - closed.basic)) < 1e-14
+    assert np.max(np.abs(iterative.with_extension - closed.with_extension)) < 1e-14
 
 
 def test_delta_zero_equals_no_extension_form(fig3_params):
@@ -34,7 +34,7 @@ def test_delta_one_limit_matches_solver(uniform, fig3_params):
     belief = ExtensionSpec(delta=1.0, length=13)
     iterative = solve_schedules(uniform, fig3_params, belief)
     closed = uniform_closed_form(fig3_params, belief)
-    assert np.max(np.abs(iterative.with_extension - closed.with_extension)) < 1e-9
+    assert np.max(np.abs(iterative.with_extension - closed.with_extension)) < 1e-14
 
 
 def test_expected_welfare_at_offer_hand_value():

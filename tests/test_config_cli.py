@@ -387,36 +387,37 @@ class TestCli:
         schedule = solve_schedules(cfg.distribution, cfg.params, cfg.belief)
         top = cfg.distribution.support_high
         assert max(schedule.basic.max(), schedule.with_extension.max()) <= top
-        for command in ("solve", "evaluate"):
-            assert main([command, "--config", str(path)]) == 0
-            assert capsys.readouterr().err == ""
-        # Acceptance probabilities near 1e-12 leave the sweep's expected
-        # accepted wage about four digits, and for some beliefs that
-        # carries it past the top; the sweep refuses to print those rows.
-        assert main(["sweep", "--config", str(path)]) == 5
-        err = capsys.readouterr().err
-        assert err.startswith("error: expected accepted wage ") and err.count("\n") == 1
+        assert main(["solve", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_exit_code_divergence(self, tmp_path, capsys, command):
+        # Thresholds 1-2 ulps below the top leave the tails hi**2 - x**2
+        # no correct digit, and the accepted wage they average lands above
+        # the support; evaluate and sweep refuse to print it.
         path = tmp_path / "edge.json"
-        path.write_text(json.dumps(ROUNDED_TO_CERTAIN_REJECTION))
+        path.write_text(json.dumps(FLOW_AN_ULP_BELOW_TOP))
         assert main([command, "--config", str(path)]) == 5
         captured = capsys.readouterr()
-        assert captured.out.count("\n") <= 1  # at most the CSV header
-        assert captured.err == ("error: post-extension state 0 never accepts; "
-                                "duration diverges\n")
-
-    def test_unresolvable_accepted_wage_exits_5(self, tmp_path, capsys):
-        path = tmp_path / "edge.json"
-        path.write_text(json.dumps(ACCEPTED_WAGE_LEAVES_SUPPORT))
-        assert main(["evaluate", "--config", str(path)]) == 5
-        captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: expected accepted wage 1.0006211180124218 lies outside the offer "
-            "support [-5.0, 1.0]: acceptance probabilities too small to resolve in "
-            "floating point\n")
+        assert (captured.err.startswith("error: expected accepted wage ")
+                and captured.err.count("\n") == 1)
+
+    @pytest.mark.parametrize("fields, command", [
+        (ROUNDED_TO_CERTAIN_REJECTION, "evaluate"),
+        (ROUNDED_TO_CERTAIN_REJECTION, "sweep"),
+        (ACCEPTED_WAGE_LEAVES_SUPPORT, "evaluate"),
+    ], ids=["rounded_to_certain_rejection-evaluate", "rounded_to_certain_rejection-sweep",
+            "accepted_wage_leaves_support-evaluate"])
+    def test_thresholds_ulps_below_top_evaluate(self, tmp_path, capsys, fields, command):
+        # test_rational_oracle checks these values within 2 ulps of exact
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(fields))
+        assert main([command, "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "evaluate":
+            assert -5.0 <= json.loads(captured.out)["accepted_wage"] <= 1.0
 
     def test_calibrate_unreachable_duration_is_infeasible(self, capsys):
         # the flow, 1 - 1e-17, cannot be represented below the top of [0, 1]
@@ -451,9 +452,7 @@ class TestCli:
 class TestStdoutDigests:
     """The bytes each subcommand writes to stdout, as sha256 digests.
 
-    Recorded before the belief-free schedule path and the scalar
-    ``RunConfig`` fields were removed; any change to the printed data
-    shows here.
+    Any change to the printed data shows here.
     """
 
     CONFIGS = {
@@ -470,15 +469,15 @@ class TestStdoutDigests:
                      "--threads", "2"],
     }
     DIGESTS = {
-        ("solve", "unit"): "d646d8542a79df1195a245400b3cba07c2bef37591bd37fb623f4fbae20eb933",
-        ("evaluate", "unit"): "ca83b4c496695b58d7c7786c541e2b9d26d8623e99eb770cb5e53cf1fee3e33f",
-        ("sweep_delta", "unit"): "2e461ee9b8785e1ea39dc2ac2a98694e3d366621c8ce773488a47372298fc008",
-        ("sweep_len", "unit"): "032ae5fbf9e10d415483ce9e7604b00979b7d03bf4c0f59560a55939e7dbba8a",
+        ("solve", "unit"): "006b610e9db45f00b719bebafd17ec318a9d54986c6797e09cf71cb43c34fbcc",
+        ("evaluate", "unit"): "00aa951d8c0b49136179e05b7137312e20ed5336110021add04fc2385e8ebc27",
+        ("sweep_delta", "unit"): "0cead1a616b5e6a5047f03fde25f54130eedca7d59aa5a2a44e31b7ae227cc1c",
+        ("sweep_len", "unit"): "3778f308b1592128004c1900b53eed7262c9b91cba84138dc1ac6a6e824da6f3",
         ("simulate", "unit"): "5eb827ce36043d960c031869f6f70cbf83345e9d6213b6f477e725d68394e4bf",
-        ("solve", "wide"): "c569a40011e3b30853d7074f47e32e7147ca11e8437f7adb2afa3ee8c00ece0d",
-        ("evaluate", "wide"): "888d7cdfd9dc88a4f7c6ded009738662d4610a353bcad2319e4e5c251ed7ef0b",
-        ("sweep_delta", "wide"): "30a7f3d364a94b8c2ff4fc0b744f3219cfeee6c237cd13ba9cbf15a6a744fe5f",
-        ("sweep_len", "wide"): "87e49e26ad7fa890996a701bb2a459ec56f3c02d14345957c50ae4665ba4431a",
+        ("solve", "wide"): "9d2adcf9999c148d36897090fd094e137607e39492d5846828f354a000e415cb",
+        ("evaluate", "wide"): "e8ed97d31b656bd78dd8720d93ec06b8e2b034a5ba9f7d3bde79d1857b1f64d7",
+        ("sweep_delta", "wide"): "a63fec163f5ede9b8100961991b8052389754a52facafd5c48b864f66749c83e",
+        ("sweep_len", "wide"): "3cd0cb78cc097fbc08e56a2531274461478a9731ea6153f22b9ca1dc387269b1",
         ("simulate", "wide"): "ff9b173a1d20123755237360ba5d995e6f7b883e527f2c25903f8f8b3ec8e758",
     }
     CALIBRATE_DIGEST = "5e7f6e8ebf5beeecb442acfe33f6cc43cbcbe6b634158e99208f38bfd4421ea4"

@@ -1,3 +1,4 @@
+import math
 import numbers
 from collections import Counter
 
@@ -41,6 +42,24 @@ class TestCdf:
         assert d.cdf(2.0) == 0.0
         assert d.cdf(5.0) == 1.0
         assert d.cdf(3.5) == pytest.approx(0.5)
+
+
+class TestSurvival:
+    def test_support_endpoints_and_clamps(self, uniform):
+        assert uniform.sf(0.0) == 1.0 and uniform.sf(1.0) == 0.0
+        assert uniform.sf(-3.0) == 1.0 and uniform.sf(7.0) == 0.0
+
+    def test_complements_cdf(self):
+        d = UniformOffers(low=-5.0, high=1.0)
+        for x in np.linspace(-5.0, 1.0, 61):
+            assert d.sf(x) + d.cdf(x) == pytest.approx(1.0, abs=1e-15)
+
+    def test_resolves_an_ulp_below_the_top(self):
+        # (x + 5) / 6 rounds to 1 here, so 1 - cdf(x) would be 0
+        d = UniformOffers(low=-5.0, high=1.0)
+        x = math.nextafter(1.0, 0.0)
+        assert d.cdf(x) == 1.0
+        assert d.sf(x) == (1.0 - x) / 6.0 > 0.0
 
 
 class TestPartialExpectation:
@@ -97,8 +116,8 @@ class TestSampling:
 
 
 class ScalarOnlyUniform(UniformOffers):
-    """Uniform offers that count ``cdf`` and ``partial_expectation`` calls
-    and reject any argument that is not one real number."""
+    """Uniform offers that count ``cdf``, ``sf`` and ``partial_expectation``
+    calls and reject any argument that is not one real number."""
 
     def __init__(self, low=0.0, high=1.0):
         super().__init__(low=low, high=high)
@@ -112,6 +131,10 @@ class ScalarOnlyUniform(UniformOffers):
     def cdf(self, x):
         self._count("cdf", x)
         return super().cdf(x)
+
+    def sf(self, x):
+        self._count("sf", x)
+        return super().sf(x)
 
     def partial_expectation(self, a, b):
         self._count("partial_expectation", a, b)

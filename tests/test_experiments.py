@@ -132,7 +132,8 @@ class TestCalibrateZ:
             return
         params = MarketParams(beta=beta, z=0.5 * flow, c=0.5 * flow, n_periods=0)
         w0 = solve_w0_basic(dist, params, flow)
-        # Picard stops on a step below DEFAULT_TOL, so its error is below
+        # The solver stops on a Newton step below DEFAULT_TOL, where
+        # |g| < DEFAULT_TOL and |g'| >= 1 - beta, so its error is below
         # DEFAULT_TOL / (1 - beta).
         slack = (DEFAULT_TOL / (1.0 - beta) + 1e-12) / width
         assert abs((1.0 - dist.cdf(w0)) - 1.0 / target) <= slack
@@ -260,10 +261,10 @@ class TestSweepGolden:
     checked bit for bit."""
 
     DIGESTS = {
-        ("unit", "delta"): "07504f1562e3aaa280282670300cd17e64318901daefea6d686bcfd65d9383ae",
-        ("unit", "len"): "4c0c47ed06ea5aedb7b1f2c921cf9faaaf1d9cf54f04779a02426a7d69f887a9",
-        ("wide", "delta"): "82b495ff429b1f631121f80fe18bb525fc5b8edda1b4c6dfc4969b826cc65b84",
-        ("wide", "len"): "7e4c3e4d35443ce8a9cc284c5097f2d28ed3452f442a818a8bf6d311a6370fef",
+        ("unit", "delta"): "038f308113e43dcb130ee4affeebddc16ac7c219f65000ed92e2748e3e8c6902",
+        ("unit", "len"): "321bfbdf79e8630b8a78c90444ca0b1ab551bc0f107e5fd34191f2575c29e373",
+        ("wide", "delta"): "3b881e028bad7a13c790671a57cf85b01d4ea26b9c7109d68427cbfc7aae1532",
+        ("wide", "len"): "81dc55b890b3329c62b3e233558178735be5d5f1d47774832b8d86f3dc73ac98",
     }
     SUPPORTS = {"unit": UniformOffers(), "wide": UniformOffers(0.2, 1.7)}
 

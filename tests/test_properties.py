@@ -130,10 +130,10 @@ def test_accepted_configs_diverge_only_by_rounding(fields):
     # below the top of the support, so some offer is always acceptable,
     # and the expected accepted wage lies inside the support. In floats
     # a threshold reaches at most the top, and evaluate_policy raises
-    # DivergenceError (exit 5 in the CLI) only by rounding: when the CDF
-    # of a state-0 threshold rounds to 1, or when acceptance
-    # probabilities too small to resolve carry the expected accepted
-    # wage out of the support. Otherwise that wage lies inside it.
+    # DivergenceError (exit 5 in the CLI) only by rounding: when a
+    # state-0 threshold rounds to the top, so that its survival function
+    # is 0, or when tails too small to resolve carry the expected
+    # accepted wage out of the support. Otherwise that wage lies inside it.
     try:
         cfg = parse_config(overrides=fields)
     except ConfigError:
@@ -152,7 +152,7 @@ def test_accepted_configs_diverge_only_by_rounding(fields):
             result = evaluate_policy(policy, cfg.truth, cfg.params, dist)
         except DivergenceError as exc:
             state0 = (policy.post_thresholds[0], policy.pre_thresholds[0])
-            assert (max(dist.cdf(w) for w in state0) == 1.0
+            assert (min(dist.sf(w) for w in state0) == 0.0
                     or "outside the offer support" in str(exc))
         else:
             assert dist.support_low <= result.accepted_wage <= dist.support_high

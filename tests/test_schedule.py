@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from uisearch import (ExtensionSpec, MarketParams, NonConvergenceError,
-                      ReservationSchedule, reservation_identity_residual,
-                      solve_schedules, solve_w0_basic, solve_w0_extension)
+                      ReservationSchedule, default_calibration,
+                      reservation_identity_residual, solve_schedules, solve_w0_basic,
+                      solve_w0_extension, sweep_beliefs)
+from uisearch import schedule as schedule_module
 from uisearch.schedule import (build_basic_schedule, build_extension_schedule,
                                upsilon)
 
@@ -66,6 +68,30 @@ class TestBasicFixedPoint:
         p = MarketParams(beta=1.0, z=0.4, c=0.4, n_periods=1)
         with pytest.raises(ValueError):
             solve_w0_basic(uniform, p, flow=0.4)
+
+
+def test_default_sweeps_solve_each_fixed_point_in_at_most_twelve_steps(monkeypatch):
+    # Newton steps, one upsilon call each: measured 5 to 7 per solve.
+    calls, steps = [], []
+    fixed_point = schedule_module._fixed_point
+
+    def counting_upsilon(dist, x):
+        calls.append(x)
+        return upsilon(dist, x)
+
+    def counting_fixed_point(*args):
+        before = len(calls)
+        root = fixed_point(*args)
+        steps.append(len(calls) - before)
+        return root
+
+    monkeypatch.setattr(schedule_module, "upsilon", counting_upsilon)
+    monkeypatch.setattr(schedule_module, "_fixed_point", counting_fixed_point)
+    for vary in ("delta", "len"):
+        sweep_beliefs(default_calibration(), vary=vary)
+    # one basic solve per sweep and one extension solve per belief and baseline
+    assert len(steps) == 2 + (17 + 1) + (9 + 1)
+    assert max(steps) <= 12
 
 
 class TestBasicSchedule:
@@ -188,11 +214,11 @@ class TestReservationIdentity:
         for _ in range(10):
             p = random_valid_params(rng)
             s = solve_schedules(uniform, p, random_belief(rng))
-            assert reservation_identity_residual(uniform, s) < 1e-8
+            assert reservation_identity_residual(uniform, s) < 1e-13
 
     def test_basic_only_schedule(self, uniform, fig3_params):
         s = solve_schedules(uniform, fig3_params, ExtensionSpec(0.0, 1))
-        assert reservation_identity_residual(uniform, s) < 1e-8
+        assert reservation_identity_residual(uniform, s) < 1e-13
 
     def test_perturbation_gives_power(self, uniform, fig3_params):
         s = solve_schedules(uniform, fig3_params, ExtensionSpec(0.5, 13))
