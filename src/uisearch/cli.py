@@ -2,7 +2,8 @@
 
 Subcommands: solve, evaluate, simulate, sweep, calibrate. Data goes to
 stdout (or --out); diagnostics go to stderr. Exit codes: 0 success,
-2 configuration or validation problem, 3 solver nonconvergence,
+2 configuration or validation problem, 3 a fixed point that reached the
+solver's private Newton step cap (no accepted configuration is known to),
 4 infeasible calibration, 5 a policy whose expected duration diverges
 or cannot be resolved in floating point.
 """
@@ -52,8 +53,7 @@ def _output(path):
 
 def _cmd_solve(args):
     cfg = parse_config(args.config)
-    schedule = solve_schedules(cfg.distribution, cfg.params, cfg.belief,
-                               tol=cfg.tol, max_iter=cfg.max_iter)
+    schedule = solve_schedules(cfg.distribution, cfg.params, cfg.belief)
     with _output(args.out) as out:
         out.write("n,w_basic,w_ext\n")
         for n, w in enumerate(schedule.basic):
@@ -66,11 +66,9 @@ def _cmd_solve(args):
 def _cmd_evaluate(args):
     cfg = parse_config(args.config)
     policy = build_policy(cfg.distribution, cfg.params, cfg.belief,
-                          true_length=cfg.truth.length,
-                          tol=cfg.tol, max_iter=cfg.max_iter)
+                          true_length=cfg.truth.length)
     optimal = build_policy(cfg.distribution, cfg.params, cfg.truth,
-                           true_length=cfg.truth.length,
-                           tol=cfg.tol, max_iter=cfg.max_iter)
+                           true_length=cfg.truth.length)
     result = evaluate_policy(policy, cfg.truth, cfg.params, cfg.distribution)
     baseline = evaluate_policy(optimal, cfg.truth, cfg.params, cfg.distribution)
     payload = {
@@ -98,8 +96,7 @@ def _cmd_simulate(args):
                  "max_periods": args.max_periods}
     cfg = parse_config(args.config, overrides=overrides)
     policy = build_policy(cfg.distribution, cfg.params, cfg.belief,
-                          true_length=cfg.truth.length,
-                          tol=cfg.tol, max_iter=cfg.max_iter)
+                          true_length=cfg.truth.length)
     summary = simulate_many(policy, cfg.truth, cfg.params, cfg.distribution,
                             cfg.spells, cfg.seed,
                             max_periods=cfg.max_periods, n_workers=args.threads)
@@ -170,8 +167,7 @@ def _cmd_sweep(args):
             raise ConfigError("grid", "belief lengths must be at least 1")
     rows = sweep_beliefs(cal, vary=args.vary, grid=grid, mode=args.mode,
                          seed=cfg.seed, spells=cfg.spells,
-                         max_periods=cfg.max_periods, n_workers=args.threads,
-                         tol=cfg.tol, max_iter=cfg.max_iter)
+                         max_periods=cfg.max_periods, n_workers=args.threads)
     truncated_rows = sum(row.truncated_count > 0 for row in rows)
     if truncated_rows:
         print(f"warning: spells truncated at max_periods={cfg.max_periods} in "

@@ -68,7 +68,7 @@ def uniform_closed_form(params: MarketParams,
         )
 
     return ReservationSchedule(basic=basic, with_extension=with_ext,
-                               params=params, belief=belief, tol=0.0)
+                               params=params, belief=belief)
 
 
 def expected_welfare_at_offer(beta, reservation_wage) -> float:

@@ -15,14 +15,11 @@ from .errors import ConfigError
 from .montecarlo import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
                          MAX_PERIODS, MAX_SEED, MAX_SPELLS)
 from .params import ExtensionSpec, MarketParams
-from .schedule import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 _DEFAULTS = {
     "delta_belief": None,   # falls back to delta_true
     "len_belief": None,     # falls back to len_true
     "distribution": {"type": "uniform", "low": 0.0, "high": 1.0},
-    "tol": DEFAULT_TOL,
-    "max_iter": DEFAULT_MAX_ITER,
     "max_periods": DEFAULT_MAX_PERIODS,
     "seed": DEFAULT_SEED,
     "spells": DEFAULT_SPELLS,
@@ -33,14 +30,12 @@ _REQUIRED = ("beta", "z", "c", "N", "delta_true", "len_true")
 @dataclass(frozen=True)
 class RunConfig:
     """Validated inputs for one CLI run: the model objects and the
-    solver and simulation settings."""
+    simulation settings."""
 
     params: MarketParams
     truth: ExtensionSpec
     belief: ExtensionSpec
     distribution: UniformOffers
-    tol: float
-    max_iter: int
     max_periods: int
     seed: int
     spells: int
@@ -142,8 +137,6 @@ def parse_config(path=None, overrides=None) -> RunConfig:
         data["len_belief"] = len_true
     delta_belief = _require_number(data, "delta_belief", lo=0.0, hi=1.0)
     len_belief = _require_int(data, "len_belief", lo=1)
-    tol = _require_number(data, "tol", lo=0.0, lo_open=True)
-    max_iter = _require_int(data, "max_iter", lo=1)
     max_periods = _require_int(data, "max_periods", lo=1, hi=MAX_PERIODS,
                                limit="the 2**30 periods the draw counter allows")
     seed = _require_int(data, "seed", lo=0, hi=MAX_SEED,
@@ -162,5 +155,5 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     return RunConfig(params=MarketParams(beta=beta, z=z, c=c, n_periods=n_periods),
                      truth=ExtensionSpec(delta=delta_true, length=len_true),
                      belief=ExtensionSpec(delta=delta_belief, length=len_belief),
-                     distribution=dist, tol=tol, max_iter=max_iter,
-                     max_periods=max_periods, seed=seed, spells=spells)
+                     distribution=dist, max_periods=max_periods, seed=seed,
+                     spells=spells)

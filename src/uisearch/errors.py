@@ -2,10 +2,11 @@
 
 
 class NonConvergenceError(RuntimeError):
-    """A fixed-point iteration exhausted max_iter without meeting tol.
+    """A fixed point reached the solver's private Newton step cap.
 
-    Carries the last residual so callers can report how close the
-    iteration got.
+    No accepted configuration is known to reach it, so this marks a
+    defect. Carries the last residual so callers can report how close
+    the iteration got.
     """
 
     def __init__(self, message, residual=None):

@@ -20,8 +20,7 @@ import numpy as np
 from .distributions import OfferDistribution
 from .errors import DivergenceError
 from .params import ExtensionSpec, MarketParams
-from .schedule import (DEFAULT_MAX_ITER, DEFAULT_TOL, post_extension_state,
-                       solve_schedules, upsilon)
+from .schedule import post_extension_state, solve_schedules, upsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +42,7 @@ class PolicyProfile:
 
 
 def build_policy(dist: OfferDistribution, params: MarketParams,
-                 belief: ExtensionSpec, true_length=None,
-                 tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PolicyProfile:
+                 belief: ExtensionSpec, true_length=None) -> PolicyProfile:
     """Solve the thresholds a worker holding ``belief`` would use.
 
     This is ``solve_schedules`` with its two arrays renamed:
@@ -56,8 +54,7 @@ def build_policy(dist: OfferDistribution, params: MarketParams,
     if true_length is None:
         true_length = belief.length
     horizon = post_extension_state(params.n_periods, max(belief.length, true_length))
-    schedule = solve_schedules(dist, params, belief, tol=tol, max_iter=max_iter,
-                               horizon=horizon)
+    schedule = solve_schedules(dist, params, belief, horizon=horizon)
     return PolicyProfile(pre_thresholds=schedule.with_extension,
                          post_thresholds=schedule.basic)
 

@@ -17,9 +17,8 @@ from .evaluate import PolicyProfile, evaluate_policy, loss_pct, post_chains
 from .montecarlo import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
                          simulate_many)
 from .params import ExtensionSpec, MarketParams
-from .schedule import (DEFAULT_MAX_ITER, DEFAULT_TOL, build_basic_schedule,
-                       build_extension_schedule, check_solvable,
-                       post_extension_state, upsilon)
+from .schedule import (build_basic_schedule, build_extension_schedule,
+                       check_solvable, post_extension_state, upsilon)
 
 DELTA_GRID_DEFAULT = tuple(round(0.10 + 0.05 * k, 2) for k in range(17))
 LENGTH_GRID_DEFAULT = tuple(range(5, 46, 5))
@@ -103,8 +102,7 @@ class SweepRow:
 
 def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
                   seed=DEFAULT_SEED, spells=DEFAULT_SPELLS,
-                  max_periods=DEFAULT_MAX_PERIODS, n_workers=1, tol=DEFAULT_TOL,
-                  max_iter=DEFAULT_MAX_ITER) -> list[SweepRow]:
+                  max_periods=DEFAULT_MAX_PERIODS, n_workers=1) -> list[SweepRow]:
     """Evaluate a grid of misperceived beliefs against the truth.
 
     ``vary`` is ``"delta"`` or ``"len"``; the other belief parameter is
@@ -129,13 +127,12 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
         beliefs = [ExtensionSpec(delta=truth.delta, length=int(v)) for v in grid]
     max_length = max([truth.length] + [b.length for b in beliefs])
     horizon = post_extension_state(params.n_periods, max_length)
-    basic = build_basic_schedule(dist, params, horizon, tol=tol, max_iter=max_iter)
+    basic = build_basic_schedule(dist, params, horizon)
     # Belief-free, so one set serves the baseline and every belief.
     chains = post_chains(basic, params.beta, dist) if mode == "exact" else None
 
     def statistics(belief):
-        pre = build_extension_schedule(dist, params, belief, basic,
-                                       tol=tol, max_iter=max_iter)
+        pre = build_extension_schedule(dist, params, belief, basic)
         policy = PolicyProfile(pre_thresholds=pre, post_thresholds=basic)
         if mode == "exact":
             ev = evaluate_policy(policy, truth, params, dist, chains=chains)

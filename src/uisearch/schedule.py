@@ -8,7 +8,10 @@ each period carries a perceived chance ``delta`` of gaining ``length``
 extra periods, and the zero-entitlement wage is the root of the same
 kind of function with slope ``beta * (1 - delta)`` on ``upsilon``. Each
 ``g`` is convex and decreasing, so Newton's method from the bottom of
-the support climbs to its root without overshooting. Both schedules
+the support climbs to its root without overshooting, and it stops at
+the first step that does not rise: in exact arithmetic every step
+below the root rises, so such a step is rounding. The stop needs no tolerance, so it
+has no scale to get wrong on a narrow or a wide support. Both schedules
 then build upward by a one-step recursion on the option-value kernel.
 
 In exact arithmetic every wage stays below the top of the wage support
@@ -24,8 +27,11 @@ from .distributions import OfferDistribution
 from .errors import NonConvergenceError
 from .params import ExtensionSpec, MarketParams
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 100_000
+# Newton steps per fixed point before NonConvergenceError. The most
+# measured is 35, on random supports 1e-8 to 1e8 wide with beta up to
+# 1 - 2**-53 and flows up to an ulp below the top, so only a defect
+# reaches this cap.
+_MAX_STEPS = 100
 
 
 def upsilon(dist: OfferDistribution, x) -> float:
@@ -61,52 +67,58 @@ def post_extension_state(n, length):
     return max(n - 1, 0) + length
 
 
-def _fixed_point(dist, base, slope, tol, max_iter, label):
+def _fixed_point(dist, base, slope, label):
     """Root of ``g(x) = base + slope * upsilon(x) - x`` by Newton's method
     from the bottom of the support.
 
     ``g`` is convex with derivative ``slope * F(x) - 1 <= slope - 1 < 0``,
     so each step ``x + g(x) / (1 - slope * F(x))`` lands at or below the
-    root and the iterates rise to it. Stops when a step rises by less
-    than ``tol``; a step that does not rise at all is rounding noise, and
-    the iterate before it is kept.
+    root and the iterates rise to it. Stops at the first step that does
+    not rise and keeps the iterate before it: below the root every step
+    rises in exact arithmetic, so that step is rounding. The loop ends
+    because the iterates are floats that rise strictly and never pass
+    the top of the support; quadratic convergence makes that a handful
+    of steps on any support width, and ``_MAX_STEPS`` only catches a
+    defect.
     """
     x, top = dist.support_low, dist.support_high
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         nxt = x + (base + slope * upsilon(dist, x) - x) / (1.0 - slope * dist.cdf(x))
         if nxt > top:
             nxt = top
-        if nxt - x < tol:
-            return max(nxt, x)
+        if not nxt > x:
+            return x
         x = nxt
     raise NonConvergenceError(
-        f"{label} fixed point did not converge in {max_iter} iterations",
+        f"{label} fixed point did not converge in {_MAX_STEPS} Newton steps",
         residual=abs(base + slope * upsilon(dist, x) - x),
     )
 
 
-def solve_w0_basic(dist: OfferDistribution, params: MarketParams, flow,
-                   tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> float:
+def solve_w0_basic(dist: OfferDistribution, params: MarketParams, flow) -> float:
     """Reservation wage with zero entitlement and no chance of extension.
 
     Newton's method on ``x = flow * (1 - beta) + beta * upsilon(x)``
-    from the bottom of the support. ``flow`` is ``z`` for the
+    from the bottom of the support, until a step does not rise. On any
+    support width that step is rounding at the root, so no tolerance is
+    needed. ``flow`` is ``z`` for the
     expired-benefit state; passing ``z + c`` instead solves the
     indefinite-benefit fixed point used as a convergence diagnostic.
 
     Raises
     ------
     NonConvergenceError
-        If ``max_iter`` Newton steps do not bring a step below ``tol``.
-        A solve of the benchmark configurations takes 5 to 7 steps.
+        If the private step cap is reached before a step fails to rise.
+        A solve of the benchmark configurations takes 5 to 9 steps, and
+        no accepted configuration is known to reach the cap.
     """
     beta = params.beta
     check_solvable(dist, beta, flow)
-    return _fixed_point(dist, flow * (1.0 - beta), beta, tol, max_iter, "basic")
+    return _fixed_point(dist, flow * (1.0 - beta), beta, "basic")
 
 
-def build_basic_schedule(dist: OfferDistribution, params: MarketParams, horizon,
-                         tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> np.ndarray:
+def build_basic_schedule(dist: OfferDistribution, params: MarketParams,
+                         horizon) -> np.ndarray:
     """Post-extension reservation wages for entitlements 0..horizon.
 
     Entry ``n`` solves
@@ -114,7 +126,7 @@ def build_basic_schedule(dist: OfferDistribution, params: MarketParams, horizon,
     upward from the zero-entitlement fixed point.
     """
     wages = np.empty(horizon + 1)
-    wages[0] = solve_w0_basic(dist, params, params.z, tol=tol, max_iter=max_iter)
+    wages[0] = solve_w0_basic(dist, params, params.z)
     base = (params.z + params.c) * (1.0 - params.beta)
     top = dist.support_high
     for n in range(1, horizon + 1):
@@ -123,8 +135,7 @@ def build_basic_schedule(dist: OfferDistribution, params: MarketParams, horizon,
 
 
 def solve_w0_extension(dist: OfferDistribution, params: MarketParams,
-                       belief: ExtensionSpec, w_basic_at_length,
-                       tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> float:
+                       belief: ExtensionSpec, w_basic_at_length) -> float:
     """Zero-entitlement reservation wage when an extension is still possible.
 
     ``w_basic_at_length`` is the post-extension wage at entitlement equal
@@ -137,12 +148,11 @@ def solve_w0_extension(dist: OfferDistribution, params: MarketParams,
     beta, delta = params.beta, belief.delta
     check_solvable(dist, beta, params.z)
     base = params.z * (1.0 - beta) + beta * delta * upsilon(dist, w_basic_at_length)
-    return _fixed_point(dist, base, beta * (1.0 - delta), tol, max_iter, "extension")
+    return _fixed_point(dist, base, beta * (1.0 - delta), "extension")
 
 
 def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
-                             belief: ExtensionSpec, basic: np.ndarray,
-                             tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> np.ndarray:
+                             belief: ExtensionSpec, basic: np.ndarray) -> np.ndarray:
     """Pre-extension reservation wages for entitlements 0..n_periods.
 
     Entry ``n`` solves
@@ -158,8 +168,7 @@ def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
             f"basic schedule covers 0..{len(basic) - 1} but index {needed} is needed"
         )
     wages = np.empty(n_periods + 1)
-    wages[0] = solve_w0_extension(dist, params, belief, basic[length],
-                                  tol=tol, max_iter=max_iter)
+    wages[0] = solve_w0_extension(dist, params, belief, basic[length])
     beta, delta = params.beta, belief.delta
     base = (params.z + params.c) * (1.0 - beta)
     top = dist.support_high
@@ -188,7 +197,6 @@ class ReservationSchedule:
     with_extension: np.ndarray
     params: MarketParams
     belief: ExtensionSpec
-    tol: float
 
     def __post_init__(self):
         self.basic.flags.writeable = False
@@ -196,9 +204,7 @@ class ReservationSchedule:
 
 
 def solve_schedules(dist: OfferDistribution, params: MarketParams,
-                    belief: ExtensionSpec,
-                    tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                    horizon=None) -> ReservationSchedule:
+                    belief: ExtensionSpec, horizon=None) -> ReservationSchedule:
     """Solve both schedules for one parameterization and belief.
 
     ``horizon`` sets the top entitlement of the basic schedule. The
@@ -208,11 +214,10 @@ def solve_schedules(dist: OfferDistribution, params: MarketParams,
     """
     if horizon is None:
         horizon = post_extension_state(params.n_periods, belief.length)
-    basic = build_basic_schedule(dist, params, horizon, tol=tol, max_iter=max_iter)
-    with_ext = build_extension_schedule(dist, params, belief, basic,
-                                        tol=tol, max_iter=max_iter)
+    basic = build_basic_schedule(dist, params, horizon)
+    with_ext = build_extension_schedule(dist, params, belief, basic)
     return ReservationSchedule(basic=basic, with_extension=with_ext,
-                               params=params, belief=belief, tol=tol)
+                               params=params, belief=belief)
 
 
 def reservation_identity_residual(dist: OfferDistribution,

@@ -133,7 +133,7 @@ def test_criterion_4_search_identity():
         tampered[0] += 0.01
         bad = ReservationSchedule(basic=np.array(s.basic),
                                   with_extension=tampered,
-                                  params=s.params, belief=s.belief, tol=s.tol)
+                                  params=s.params, belief=s.belief)
         assert reservation_identity_residual(UNIFORM, bad) > 1e-4
 
 

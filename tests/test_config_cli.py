@@ -6,12 +6,14 @@ import signal
 import subprocess
 import sys
 from dataclasses import asdict
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import uisearch
-from uisearch import ConfigError, build_policy, cli, simulate_many, solve_schedules
+from uisearch import (ConfigError, build_policy, cli, simulate_many, solve_schedules,
+                      solve_w0_basic)
 from uisearch.cli import MAX_GRID_POINTS, _parse_grid, main
 from uisearch.config import parse_config
 from uisearch.evaluate import PolicyProfile
@@ -40,7 +42,6 @@ class TestParseConfig:
         assert cfg.params.n_periods == 10
         assert cfg.truth.delta == 0.5 and cfg.truth.length == 25
         assert cfg.belief.delta == 0.1
-        assert cfg.tol == 1e-12 and cfg.max_iter == 100_000
         assert cfg.max_periods == 2_000 and cfg.spells == 1_000_000
 
     def test_idempotent_under_empty_overrides(self, config_path):
@@ -372,10 +373,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert "beta" in err
 
-    def test_exit_code_nonconvergence(self, tmp_path, capsys):
-        path = tmp_path / "slow.json"
-        path.write_text(json.dumps({**BENCHMARK, "max_iter": 1}))
-        assert main(["solve", "--config", str(path)]) == 3
+    def test_exit_code_nonconvergence(self, config_path, capsys, monkeypatch):
+        monkeypatch.setattr(uisearch.schedule, "_MAX_STEPS", 1)
+        assert main(["solve", "--config", config_path]) == 3
+        assert capsys.readouterr().err.startswith("error: basic fixed point")
+
+    @pytest.mark.parametrize("key, value", [("tol", 1e-12), ("max_iter", 100_000)])
+    def test_solver_settings_are_unknown_keys(self, tmp_path, capsys, key, value):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**BENCHMARK, key: value}))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {key}: unknown configuration key\n"
+
+    def test_narrow_support_solves_to_the_decimal_root(self, tmp_path, capsys):
+        # A support 1e-6 wide: an absolute stopping tolerance of 1e-12
+        # left the zero-entitlement wage off by 8.8e-11 of the width and
+        # the CLI printed 1.02133454562e-06.
+        high = 1.024927568931378e-06
+        fields = {"beta": 0.999, "z": 1.0150429274280168e-06, "c": 1e-9, "N": 0,
+                  "delta_true": 0.0, "len_true": 1,
+                  "distribution": {"type": "uniform", "low": 0.0, "high": high}}
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(fields))
+        cfg = parse_config(str(path))
+        # Uniform offers on [0, h] make x = z (1 - b) + b (x**2 + h**2) / (2 h)
+        # a quadratic; its root below h, in 60 decimal digits.
+        with localcontext() as ctx:
+            ctx.prec = 60
+            h, b, z = Decimal(high), Decimal(fields["beta"]), Decimal(fields["z"])
+            exact = h * (1 - (1 - b * b - 2 * b * (1 - b) * z / h).sqrt()) / b
+            w0 = solve_w0_basic(cfg.distribution, cfg.params, cfg.params.z)
+            assert abs(Decimal(w0) - exact) <= Decimal(1e-12) * h
+        assert format(float(exact), ".12g") == "1.02133454571e-06"
+        assert main(["solve", "--config", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == "0,1.02133454571e-06,1.02133454571e-06"
 
     def test_exit_code_infeasible(self, capsys):
         assert main(["calibrate", "--duration", "1"]) == 4
@@ -523,8 +555,8 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("fields, blamed", [
         ({"delta_true": float("nan")}, "delta_true"),
         ({"delta_belief": float("nan")}, "delta_belief"),
-        ({"tol": float("nan")}, "tol"),
-        ({"tol": float("inf")}, "tol"),
+        ({"c": float("nan")}, "c"),
+        ({"c": float("inf")}, "c"),
         ({"beta": float("nan")}, "beta"),
         ({"distribution": {"type": "uniform", "low": float("-inf"), "high": 1.0}},
          "distribution"),
@@ -533,7 +565,7 @@ class TestNonFiniteInputs:
          "distribution"),
         ({"distribution": {"type": "uniform", "lo": 0.5, "high": 1.0}}, "distribution"),
         ({"z": 10 ** 400}, "z"),
-    ], ids=["delta_true_nan", "delta_belief_nan", "tol_nan", "tol_inf", "beta_nan",
+    ], ids=["delta_true_nan", "delta_belief_nan", "c_nan", "c_inf", "beta_nan",
             "low_minus_inf", "z_inf", "low_high_bool", "unknown_key_lo",
             "z_400_digits"])
     def test_config_number_names_field(self, tmp_path, capsys, monkeypatch,

@@ -8,13 +8,15 @@ import math
 import os
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from uisearch import (ConfigError, DivergenceError, ExtensionSpec,
                       MarketParams, NonConvergenceError, UniformOffers,
-                      build_policy, evaluate_policy, simulate_many,
-                      sweep_beliefs)
+                      build_policy, evaluate_policy,
+                      reservation_identity_residual, simulate_many,
+                      solve_schedules, sweep_beliefs)
 from uisearch.config import parse_config
 from uisearch.evaluate import PolicyProfile, loss_pct
 from uisearch.experiments import Calibration
@@ -180,3 +182,47 @@ def test_summary_bits_independent_of_worker_count(truth, belief, seed, n_spells)
 
     with mock.patch.object(os, "cpu_count", return_value=2):
         assert bits(1) == bits(2)
+
+
+@st.composite
+def scaled_models(draw):
+    """A solvable model on a uniform support 1e-6 to 1e6 wide whose bottom
+    lies within one width of zero, and a belief."""
+    width = 10.0 ** draw(st.floats(-6.0, 6.0))
+    low = width * draw(st.floats(-1.0, 1.0))
+    dist = UniformOffers(low, low + width)
+    # Up to 0.99: the search identity multiplies the rounding of each
+    # wage by beta / (1 - beta), so at 0.999 a schedule whose wages are
+    # off by an ulp leaves up to 9e-13 of the width.
+    # test_narrow_support_solves_to_the_decimal_root covers beta 0.999.
+    beta = draw(st.floats(0.01, 0.99))
+    z = low + width * draw(st.floats(0.01, 0.99))
+    c = (dist.support_high - z) * draw(st.floats(0.01, 0.99))
+    params = MarketParams(beta=beta, z=z, c=c, n_periods=draw(st.integers(0, 40)))
+    belief = ExtensionSpec(delta=draw(st.floats(0.0, 1.0)),
+                           length=draw(st.integers(1, 30)))
+    return dist, params, belief
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(scaled_models())
+@example((  # an absolute stopping tolerance of 1e-12 left 3.0e-12 of the width
+    UniformOffers(low=8.403597261646497e-08, high=1.6279817657591509e-06),
+    MarketParams(beta=0.99, z=7.513991872110823e-07, c=5.125870094585754e-07,
+                 n_periods=37),
+    ExtensionSpec(delta=0.0, length=24)))
+def test_schedules_rise_dominate_and_solve_on_any_scale(model):
+    dist, params, belief = model
+    schedule = solve_schedules(dist, params, belief)
+    width = dist.support_high - dist.support_low
+    # The exact increments and extension gaps shrink geometrically in n,
+    # so at a schedule's plateau they fall below the rounding of each
+    # step, an ulp at the support's scale.
+    ulp = np.spacing(max(abs(dist.support_low), abs(dist.support_high)))
+    # Entitlement never lowers the wage.
+    for wages in (schedule.basic, schedule.with_extension):
+        assert np.all(np.diff(wages) >= -ulp)
+    # The possibility of an extension raises the entire sequence.
+    assert np.all(schedule.with_extension
+                  >= schedule.basic[:params.n_periods + 1] - ulp)
+    assert reservation_identity_residual(dist, schedule) / width < 1e-12
