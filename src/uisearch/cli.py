@@ -19,7 +19,7 @@ from .config import parse_config
 from .distributions import UniformOffers
 from .errors import (ConfigError, DivergenceError, InfeasibleError,
                      NonConvergenceError)
-from .evaluate import build_policy, evaluate_policy, loss_pct
+from .evaluate import build_policy, evaluate_beliefs, loss_pct
 from .experiments import Calibration, calibrate_z, sweep_beliefs
 from .montecarlo import CounterStream, simulate_many, simulate_spell
 from .schedule import solve_schedules
@@ -65,12 +65,8 @@ def _cmd_solve(args):
 
 def _cmd_evaluate(args):
     cfg = parse_config(args.config)
-    policy = build_policy(cfg.distribution, cfg.params, cfg.belief,
-                          true_length=cfg.truth.length)
-    optimal = build_policy(cfg.distribution, cfg.params, cfg.truth,
-                           true_length=cfg.truth.length)
-    result = evaluate_policy(policy, cfg.truth, cfg.params, cfg.distribution)
-    baseline = evaluate_policy(optimal, cfg.truth, cfg.params, cfg.distribution)
+    result, baseline = evaluate_beliefs([cfg.belief, cfg.truth], cfg.truth,
+                                        cfg.params, cfg.distribution)
     payload = {
         "welfare": result.welfare,
         "duration": result.duration,

@@ -9,7 +9,7 @@ Monte Carlo. The timing convention matches the simulator: the spell
 starts at a flow node with full entitlement, and the first offer
 arrives the following period.
 
-Post-extension behaviour is belief-free, so a sweep over beliefs
+Post-extension behaviour is belief-free, so ``evaluate_beliefs``
 computes ``post_chains`` once and hands them to every evaluation.
 """
 
@@ -20,7 +20,8 @@ import numpy as np
 from .distributions import OfferDistribution
 from .errors import DivergenceError
 from .params import ExtensionSpec, MarketParams
-from .schedule import post_extension_state, solve_schedules, upsilon
+from .schedule import (build_basic_schedule, build_extension_schedule,
+                       post_extension_state, upsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,22 +42,26 @@ class PolicyProfile:
         self.post_thresholds.flags.writeable = False
 
 
+def build_policies(dist: OfferDistribution, params: MarketParams, beliefs,
+                   true_length) -> list[PolicyProfile]:
+    """The policy of each of ``beliefs``: its pre-extension schedule, and
+    one basic schedule they all share that reaches every state a true
+    extension of ``true_length`` or a believed one can lead to."""
+    lengths = [true_length, *(belief.length for belief in beliefs)]
+    basic = build_basic_schedule(
+        dist, params, post_extension_state(params.n_periods, max(lengths)))
+    return [PolicyProfile(build_extension_schedule(dist, params, belief, basic), basic)
+            for belief in beliefs]
+
+
 def build_policy(dist: OfferDistribution, params: MarketParams,
                  belief: ExtensionSpec, true_length=None) -> PolicyProfile:
-    """Solve the thresholds a worker holding ``belief`` would use.
-
-    This is ``solve_schedules`` with its two arrays renamed:
-    ``with_extension`` becomes ``pre_thresholds`` and ``basic``
-    ``post_thresholds``. ``true_length`` extends the post-extension
-    schedule far enough to index the states a true extension of that
-    length can reach; it defaults to the believed length.
-    """
+    """The thresholds a worker holding ``belief`` would use: the one-belief
+    case of ``build_policies``. ``true_length`` defaults to the believed
+    length."""
     if true_length is None:
         true_length = belief.length
-    horizon = post_extension_state(params.n_periods, max(belief.length, true_length))
-    schedule = solve_schedules(dist, params, belief, horizon=horizon)
-    return PolicyProfile(pre_thresholds=schedule.with_extension,
-                         post_thresholds=schedule.basic)
+    return build_policies(dist, params, [belief], true_length)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +117,11 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     entitlement 0, whose equation is self-referencing and is solved in
     closed form as one linear equation. ``chains``, when given, must be
     ``post_chains(policy.post_thresholds, params.beta, dist)``, computed
-    once by a caller that evaluates many beliefs against one basic
-    schedule; results are bit-identical without it, when the chains are
-    computed here. Raises ``DivergenceError`` when a state-0 acceptance
-    probability is zero, or when the expected accepted wage comes out
-    outside the support.
+    once by ``evaluate_beliefs`` for all the beliefs it compares;
+    results are bit-identical without it, when the chains are computed
+    here. Raises ``DivergenceError`` when a state-0 acceptance probability
+    is zero, or when the expected accepted wage comes out outside the
+    support.
     """
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
@@ -193,19 +198,25 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     )
 
 
+def evaluate_beliefs(beliefs, truth: ExtensionSpec, params: MarketParams,
+                     dist: OfferDistribution) -> list[PolicyEvaluation]:
+    """``evaluate_policy`` of each belief's policy under ``truth``, in
+    order; the policies share one basic schedule and so one set of
+    post-extension chains."""
+    policies = build_policies(dist, params, beliefs, truth.length)
+    chains = post_chains(policies[0].post_thresholds, params.beta, dist)
+    return [evaluate_policy(policy, truth, params, dist, chains=chains)
+            for policy in policies]
+
+
 def welfare_loss(belief: ExtensionSpec, truth: ExtensionSpec,
                  params: MarketParams, dist: OfferDistribution) -> float:
     """Percent welfare lost to holding ``belief`` instead of the truth.
 
-    Both policies are solved at the default tolerance and evaluated under
-    the same true process; the true-belief policy is optimal, so the loss
-    is nonnegative up to solver precision and zero when belief equals truth.
-    """
-    policy_b = build_policy(dist, params, belief, true_length=truth.length)
-    policy_t = build_policy(dist, params, truth, true_length=truth.length)
-    j_belief = evaluate_policy(policy_b, truth, params, dist).welfare
-    j_truth = evaluate_policy(policy_t, truth, params, dist).welfare
-    return loss_pct(j_truth, j_belief)
+    The true-belief policy is optimal under the true process, so the loss
+    is nonnegative up to rounding and zero when belief equals truth."""
+    held, optimal = evaluate_beliefs([belief, truth], truth, params, dist)
+    return loss_pct(optimal.welfare, held.welfare)
 
 
 def loss_pct(j_truth, j) -> float:

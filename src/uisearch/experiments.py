@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 from .distributions import OfferDistribution, UniformOffers
 from .errors import InfeasibleError
-from .evaluate import PolicyProfile, evaluate_policy, loss_pct, post_chains
+from .evaluate import build_policies, evaluate_beliefs, loss_pct
 from .montecarlo import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
                          simulate_many)
 from .params import ExtensionSpec, MarketParams
-from .schedule import (build_basic_schedule, build_extension_schedule,
-                       check_solvable, post_extension_state, upsilon)
+from .schedule import check_solvable, upsilon
 
 DELTA_GRID_DEFAULT = tuple(round(0.10 + 0.05 * k, 2) for k in range(17))
 LENGTH_GRID_DEFAULT = tuple(range(5, 46, 5))
@@ -125,28 +124,19 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
         beliefs = [ExtensionSpec(delta=float(v), length=truth.length) for v in grid]
     else:
         beliefs = [ExtensionSpec(delta=truth.delta, length=int(v)) for v in grid]
-    max_length = max([truth.length] + [b.length for b in beliefs])
-    horizon = post_extension_state(params.n_periods, max_length)
-    basic = build_basic_schedule(dist, params, horizon)
-    # Belief-free, so one set serves the baseline and every belief.
-    chains = post_chains(basic, params.beta, dist) if mode == "exact" else None
-
-    def statistics(belief):
-        pre = build_extension_schedule(dist, params, belief, basic)
-        policy = PolicyProfile(pre_thresholds=pre, post_thresholds=basic)
-        if mode == "exact":
-            ev = evaluate_policy(policy, truth, params, dist, chains=chains)
-            return ev.welfare, ev.duration, ev.accepted_wage, 0
-        summary = simulate_many(policy, truth, params, dist, spells, seed,
-                                max_periods=max_periods, n_workers=n_workers)
-        return (summary.welfare_mean, summary.duration_mean, summary.wage_mean,
-                summary.truncated_count)
-
-    base_welfare, base_duration, base_wage, base_truncated = statistics(truth)
+    if mode == "exact":
+        stats = [(ev.welfare, ev.duration, ev.accepted_wage, 0)
+                 for ev in evaluate_beliefs([truth, *beliefs], truth, params, dist)]
+    else:
+        runs = [simulate_many(p, truth, params, dist, spells, seed,
+                              max_periods=max_periods, n_workers=n_workers)
+                for p in build_policies(dist, params, [truth, *beliefs], truth.length)]
+        stats = [(r.welfare_mean, r.duration_mean, r.wage_mean, r.truncated_count)
+                 for r in runs]
+    (base_welfare, base_duration, base_wage, base_truncated), *stats = stats
 
     rows = []
-    for value, belief in zip(grid, beliefs):
-        welfare, dur, wage, truncated = statistics(belief)
+    for value, (welfare, dur, wage, truncated) in zip(grid, stats):
         true_value = truth.delta if vary == "delta" else truth.length
         rows.append(SweepRow(
             varied_param=vary,

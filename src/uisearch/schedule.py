@@ -233,9 +233,11 @@ def reservation_identity_residual(dist: OfferDistribution,
 
     where flow is ``z`` at n = 0 and ``z + c`` above, y is the
     post-extension wage the extension would lead to, and u is the wage
-    one entitlement down (x itself at n = 0). A solved schedule
-    satisfies this to solver precision; the residual is a cheap
-    independence check on the fixed-point algebra.
+    one entitlement down (x itself at n = 0). The residual is a cheap
+    independence check on the fixed-point algebra. The identity scales
+    each wage's rounding by ``beta / (1 - beta)``, so the tests' 1e-13
+    bound on [0, 1] holds because ``conftest.random_valid_params`` keeps
+    ``beta <= 0.99``.
     """
     params = schedule.params
     per_period = params.beta / (1.0 - params.beta)

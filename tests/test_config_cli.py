@@ -13,7 +13,7 @@ import pytest
 
 import uisearch
 from uisearch import (ConfigError, build_policy, cli, simulate_many, solve_schedules,
-                      solve_w0_basic)
+                      solve_w0_basic, welfare_loss)
 from uisearch.cli import MAX_GRID_POINTS, _parse_grid, main
 from uisearch.config import parse_config
 from uisearch.evaluate import PolicyProfile
@@ -153,6 +153,29 @@ class TestParseConfig:
         assert main(["solve", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: distribution: {message}\n"
 
+    @pytest.mark.parametrize("data, message", [
+        ({**BENCHMARK, "N": 2.5}, "N: expected an integer, got 2.5"),
+        ({**BENCHMARK, "N": True}, "N: expected an integer, got True"),
+        ({**BENCHMARK, "N": -1}, "N: value -1 must be at least 0"),
+        ({**BENCHMARK, "spells": 0}, "spells: value 0 must be at least 1"),
+        ({**BENCHMARK, "len_true": 0}, "len_true: value 0 must be at least 1"),
+        ({**BENCHMARK, "distribution": 5},
+         "distribution: expected an object with a 'type' key"),
+        ({**BENCHMARK, "distribution": {"low": 0}},
+         "distribution: expected an object with a 'type' key"),
+        ([], "config: top-level JSON value must be an object"),
+    ], ids=["N_fraction", "N_bool", "N_negative", "spells_zero", "len_true_zero",
+            "distribution_number", "distribution_untyped", "top_level_list"])
+    def test_shape_error_lines(self, tmp_path, capsys, monkeypatch, data, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr("uisearch.cli.solve_schedules", no_solve)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unsupported_distribution(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**BENCHMARK,
@@ -189,6 +212,9 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"welfare", "duration", "accepted_wage", "loss_pct"}
         assert payload["loss_pct"] > 0  # belief 0.1 misperceives truth 0.5
+        cfg = parse_config(config_path)
+        assert payload["loss_pct"] == welfare_loss(cfg.belief, cfg.truth, cfg.params,
+                                                   cfg.distribution)
 
     def test_simulate_json_and_trace(self, config_path, capsys):
         assert main(["simulate", "--config", config_path, "--spells", "2000",
@@ -464,6 +490,23 @@ class TestCli:
 
     def test_bad_grid_is_config_error(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--grid", "oops"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "0.9:0.1:0.05"], "empty or descending grid '0.9:0.1:0.05'"),
+        (["--grid", "0.1:0.9:0"], "empty or descending grid '0.1:0.9:0'"),
+        (["--grid", "0.5:1.5:0.5"], "belief probabilities must lie in [0, 1]"),
+        (["--vary", "len", "--grid", "0:10:5"], "belief lengths must be at least 1"),
+    ], ids=["descending", "zero_step", "probability_above_one", "length_zero"])
+    def test_grid_rejected_before_work(self, config_path, capsys, monkeypatch,
+                                       argv, message):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the grid was checked")
+
+        monkeypatch.setattr("uisearch.cli.sweep_beliefs", no_sweep)
+        assert main(["sweep", "--config", config_path, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: grid: {message}\n"
 
     @pytest.mark.parametrize("grid", ["1:3:0.5", "1.5:3:1"])
     def test_fractional_length_grid_rejected(self, config_path, capsys, grid):

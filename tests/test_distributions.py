@@ -1,3 +1,4 @@
+import json
 import math
 import numbers
 from collections import Counter
@@ -8,7 +9,8 @@ import pytest
 from uisearch import (ExtensionSpec, MarketParams, UniformOffers, build_policy,
                       calibrate_z, evaluate_policy,
                       reservation_identity_residual, solve_schedules,
-                      sweep_beliefs)
+                      sweep_beliefs, welfare_loss)
+from uisearch.cli import main
 from uisearch.experiments import Calibration
 from uisearch.schedule import build_basic_schedule, upsilon
 
@@ -144,6 +146,10 @@ class ScalarOnlyUniform(UniformOffers):
 TRAFFIC_PARAMS = MarketParams(beta=0.95, z=0.8, c=0.6, n_periods=10)
 TRAFFIC_BELIEF = ExtensionSpec(delta=0.1, length=25)
 TRAFFIC_TRUTH = ExtensionSpec(delta=0.5, length=30)
+TRAFFIC_CONFIG = {"beta": 0.95, "z": 0.8, "c": 0.6, "N": 10,
+                  "delta_true": 0.5, "len_true": 30,
+                  "delta_belief": 0.1, "len_belief": 25,
+                  "distribution": {"type": "uniform", "low": 0.2, "high": 1.7}}
 
 
 def _traffic_sweep(vary, grid):
@@ -183,9 +189,14 @@ class TestScalarTraffic:
         assert dist.calls["cdf"] > 0
         assert dist.calls["partial_expectation"] > 0
 
-    @pytest.mark.parametrize("vary, grid", [("delta", [0.1, 0.5, 0.9]),
-                                            ("len", [20, 30, 40])])
-    def test_sweep_runs_each_post_chain_entry_once(self, monkeypatch, vary, grid):
+    @pytest.mark.parametrize("entry, grid", [
+        ("delta", [0.1, 0.5, 0.9]), ("len", [20, 30, 40]),
+        pytest.param("welfare_loss", None, id="welfare_loss"),
+        pytest.param("evaluate", None, id="cli_evaluate")])
+    def test_sweep_runs_each_post_chain_entry_once(self, monkeypatch, tmp_path,
+                                                   entry, grid):
+        # Every belief comparison, a sweep, welfare_loss or the evaluate
+        # command, solves one basic schedule and runs its chain once.
         basics, chained = [], []
 
         def recording_basic(*args, **kwargs):
@@ -196,12 +207,21 @@ class TestScalarTraffic:
             chained.append(x)
             return upsilon(dist, x)
 
-        monkeypatch.setattr("uisearch.experiments.build_basic_schedule",
+        monkeypatch.setattr("uisearch.evaluate.build_basic_schedule",
                             recording_basic)
         monkeypatch.setattr("uisearch.evaluate.upsilon", recording_upsilon)
         dist = ScalarOnlyUniform(0.2, 1.7)
-        rows = _traffic_sweep(vary, grid)(dist)
-        assert len(rows) == len(grid) and len(basics) == 1
+        if entry == "welfare_loss":
+            welfare_loss(TRAFFIC_BELIEF, TRAFFIC_TRUTH, TRAFFIC_PARAMS, dist)
+        elif entry == "evaluate":
+            monkeypatch.setattr("uisearch.config.UniformOffers", ScalarOnlyUniform)
+            path = tmp_path / "traffic.json"
+            path.write_text(json.dumps(TRAFFIC_CONFIG))
+            assert main(["evaluate", "--config", str(path)]) == 0
+        else:
+            rows = _traffic_sweep(entry, grid)(dist)
+            assert len(rows) == len(grid)
+        assert len(basics) == 1
         # the baseline and every belief share the chain of one basic schedule
         assert chained == list(basics[0])
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import uisearch.schedule
 from uisearch import (ExtensionSpec, InfeasibleError, MarketParams, UniformOffers,
                       build_policy, calibrate_z, default_calibration,
-                      simulate_many, solve_w0_basic, sweep_beliefs)
+                      simulate_many, solve_w0_basic, sweep_beliefs, welfare_loss)
 from uisearch.config import parse_config
 from uisearch.experiments import DELTA_GRID_DEFAULT, LENGTH_GRID_DEFAULT
 from uisearch.montecarlo import DEFAULT_CHUNK
@@ -273,3 +273,8 @@ class TestSweepGolden:
         cal = default_calibration(dist=self.SUPPORTS[support])
         rows = sweep_beliefs(cal, vary=vary)
         assert _rows_digest(rows) == self.DIGESTS[support, vary]
+        # each row loses what welfare_loss of its belief does, bit for bit
+        for row in rows:
+            belief = (ExtensionSpec(row.belief_value, cal.truth.length) if vary == "delta"
+                      else ExtensionSpec(cal.truth.delta, int(row.belief_value)))
+            assert row.loss_pct == welfare_loss(belief, cal.truth, cal.params, cal.dist)

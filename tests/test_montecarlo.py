@@ -322,6 +322,17 @@ class TestSimulateMany:
             simulate_many(policy, benchmark_truth, benchmark_params, uniform,
                           (1 << 32) + 1, 1)
 
+    @pytest.mark.parametrize("bounds, message", [
+        ({"start": (1 << 32) - 2, "count": 4}, "32 bits"),
+        ({"start": 0, "count": 4, "max_periods": (1 << 30) + 1}, "draw counter"),
+    ], ids=["spell_index", "max_periods"])
+    def test_block_rejects_counters_beyond_their_words(self, uniform, benchmark_params,
+                                                       benchmark_truth, bounds, message):
+        policy = build_policy(uniform, benchmark_params, benchmark_truth)
+        with pytest.raises(ValueError, match=message):
+            simulate_block(policy, benchmark_truth, benchmark_params, uniform, 1,
+                           **bounds)
+
     @pytest.mark.parametrize("seed", [-1, montecarlo.MAX_SEED + 1, (1 << 64) + 1])
     def test_rejects_seed_beyond_one_word(self, uniform, benchmark_params,
                                           benchmark_truth, monkeypatch, seed):

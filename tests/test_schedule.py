@@ -71,6 +71,11 @@ class TestBasicFixedPoint:
         with pytest.raises(ValueError):
             solve_w0_basic(uniform, p, flow=0.4)
 
+    def test_flow_far_below_support_fails_interiority(self, uniform):
+        # (1 - beta) * flow + beta * mean = -5 + 0.475, below the bottom 0
+        with pytest.raises(ValueError, match="interiority"):
+            schedule_module.check_solvable(uniform, 0.95, -100.0)
+
 
 def test_default_sweeps_solve_each_fixed_point_in_at_most_twelve_steps(monkeypatch):
     # Newton steps, one upsilon call each: measured 5 to 8 per solve.
@@ -238,3 +243,14 @@ class TestValueAccessors:
             s.basic[0] = 0.0
         with pytest.raises(ValueError):
             s.with_extension[0] = 0.0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: MarketParams(0.95, 0.4, 0.4, n_periods=-1), "n_periods must be"),
+    (lambda: MarketParams(0.95, 0.4, 0.4, n_periods=2.5), "n_periods must be"),
+    (lambda: ExtensionSpec(delta=1.5, length=3), r"delta must lie in \[0, 1\]"),
+    (lambda: ExtensionSpec(delta=0.5, length=0), "length must be a positive integer"),
+], ids=["n_periods_negative", "n_periods_fraction", "delta_above_one", "length_zero"])
+def test_model_inputs_are_checked(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

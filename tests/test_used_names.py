@@ -218,15 +218,32 @@ def test_overridden_distribution_methods_keep_their_parameters():
 
 
 
-def global_statements(node, scope=None):
-    """(function, names) of each ``global`` statement under ``node``,
-    where function is the innermost enclosing one, None at module level."""
+def scoped_nodes(node, scope=None):
+    """(function, node) of each node under ``node``, where function is the
+    innermost enclosing one, None at module level."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Global):
-            yield scope, tuple(child.names)
+        yield scope, child
         inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
                  else scope)
-        yield from global_statements(child, inner)
+        yield from scoped_nodes(child, inner)
+
+
+def global_statements(node):
+    """(function, names) of each ``global`` statement under ``node``."""
+    return [(scope, tuple(child.names)) for scope, child in scoped_nodes(node)
+            if isinstance(child, ast.Global)]
+
+
+def calls_to(node, names):
+    """(function, callee) of each call under ``node`` to one of ``names``,
+    ``f(...)`` or ``module.f(...)``."""
+    found = []
+    for scope, child in scoped_nodes(node):
+        if isinstance(child, ast.Call):
+            callee = getattr(child.func, "attr", getattr(child.func, "id", None))
+            if callee in names:
+                found.append((scope, callee))
+    return found
 
 
 def test_only_the_worker_job_is_module_state():
@@ -244,3 +261,29 @@ def test_global_guard_finds_module_level_and_nested_statements():
                      "    global c\n")
     assert list(global_statements(tree)) == [(None, ("a",)), ("g", ("b",)),
                                              ("f", ("c",))]
+
+
+def test_policies_and_post_chains_have_one_builder():
+    # A belief comparison shares one basic schedule and one set of post
+    # chains only if every policy comes from build_policies and every
+    # chain from the evaluator; the sweeps and the CLI reach them through
+    # evaluate_beliefs, build_policies and build_policy.
+    found = {(path.stem, *call)
+             for path in sorted(ROOT.glob("src/uisearch/*.py"))
+             for call in calls_to(ast.parse(path.read_text()),
+                                  {"PolicyProfile", "post_chains"})}
+    assert found == {("evaluate", "build_policies", "PolicyProfile"),
+                     ("evaluate", "evaluate_policy", "post_chains"),
+                     ("evaluate", "evaluate_beliefs", "post_chains")}
+    parts = {"build_basic_schedule", "build_extension_schedule", "PolicyProfile",
+             "post_chains", "evaluate_policy"}
+    for name in ("experiments", "cli"):
+        tree = ast.parse((ROOT / "src" / "uisearch" / f"{name}.py").read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not imported & parts, name
+
+
+def test_call_guard_finds_plain_and_attribute_calls():
+    tree = ast.parse("f()\ndef g():\n    m.f(h())\n")
+    assert calls_to(tree, {"f", "h"}) == [(None, "f"), ("g", "f"), ("g", "h")]
