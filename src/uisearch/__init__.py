@@ -4,16 +4,22 @@ The package solves reservation-wage schedules for a sequential-search
 worker whose unemployment benefits expire and may be extended once,
 evaluates misperceived-belief policies exactly, and simulates spells
 reproducibly at scale.
+
+The exact path (solving, evaluation, sweeps and calibration) runs on
+Python floats and never imports numpy. The Monte Carlo names
+(``CounterStream``, ``simulate_many``, ``simulate_spell``) and the
+closed-form oracle (``uniform_closed_form``, ``expected_welfare_at_offer``)
+need numpy, so their modules load on first access to one of them.
 """
 
-from .closedform import expected_welfare_at_offer, uniform_closed_form
+import importlib
+
 from .distributions import UniformOffers
 from .errors import (ConfigError, DivergenceError, InfeasibleError,
                      NonConvergenceError)
 from .evaluate import build_policy, evaluate_policy, welfare_loss
 from .experiments import (SweepRow, calibrate_z, default_calibration,
                           sweep_beliefs)
-from .montecarlo import CounterStream, simulate_many, simulate_spell
 from .params import ExtensionSpec, MarketParams
 from .schedule import (ReservationSchedule, reservation_identity_residual,
                        solve_schedules, solve_w0_basic, solve_w0_extension)
@@ -46,3 +52,18 @@ __all__ = [
     "uniform_closed_form",
     "welfare_loss",
 ]
+
+# The module of each name loaded on demand (PEP 562).
+_ON_DEMAND = {"CounterStream": "montecarlo", "simulate_many": "montecarlo",
+              "simulate_spell": "montecarlo", "uniform_closed_form": "closedform",
+              "expected_welfare_at_offer": "closedform"}
+
+
+def __getattr__(name):
+    if name not in _ON_DEMAND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_ON_DEMAND[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_ON_DEMAND})

@@ -21,7 +21,6 @@ from .errors import (ConfigError, DivergenceError, InfeasibleError,
                      NonConvergenceError)
 from .evaluate import build_policy, evaluate_beliefs, loss_pct
 from .experiments import Calibration, calibrate_z, sweep_beliefs
-from .montecarlo import CounterStream, simulate_many, simulate_spell
 from .schedule import solve_schedules
 
 EXIT_OK = 0
@@ -56,9 +55,9 @@ def _cmd_solve(args):
     schedule = solve_schedules(cfg.distribution, cfg.params, cfg.belief)
     with _output(args.out) as out:
         out.write("n,w_basic,w_ext\n")
-        for n, w in enumerate(schedule.basic):
-            ext = (_fmt(schedule.with_extension[n])
-                   if n < len(schedule.with_extension) else "")
+        ext_wages = schedule._with_extension
+        for n, w in enumerate(schedule._basic):
+            ext = _fmt(ext_wages[n]) if n < len(ext_wages) else ""
             out.write(f"{n},{_fmt(w)},{ext}\n")
     return EXIT_OK
 
@@ -85,6 +84,7 @@ def _check_threads(threads):
 
 
 def _cmd_simulate(args):
+    from .montecarlo import CounterStream, simulate_many, simulate_spell
     _check_threads(args.threads)
     if args.trace < 0:
         raise ConfigError("trace", f"expected at least 0 spell records, got {args.trace}")

@@ -12,9 +12,8 @@ from pathlib import Path
 
 from .distributions import UniformOffers
 from .errors import ConfigError
-from .montecarlo import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
-                         MAX_PERIODS, MAX_SEED, MAX_SPELLS)
-from .params import ExtensionSpec, MarketParams
+from .params import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
+                     MAX_PERIODS, MAX_SEED, MAX_SPELLS, ExtensionSpec, MarketParams)
 
 _DEFAULTS = {
     "delta_belief": None,   # falls back to delta_true

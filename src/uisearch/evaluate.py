@@ -15,12 +15,10 @@ computes ``post_chains`` once and hands them to every evaluation.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import OfferDistribution
 from .errors import DivergenceError
 from .params import ExtensionSpec, MarketParams
-from .schedule import (build_basic_schedule, build_extension_schedule,
+from .schedule import (FloatArray, build_basic_schedule, build_extension_schedule,
                        post_extension_state, upsilon)
 
 
@@ -32,14 +30,13 @@ class PolicyProfile:
     (computed from the worker's belief); ``post_thresholds[n]`` applies
     once the extension question is settled. Post-extension behavior is
     belief-free, so ``post_thresholds`` is always the basic schedule.
+    The thresholds are stored as tuples of floats, ``_pre_thresholds``
+    and ``_post_thresholds``; the two attributes are read-only float64
+    arrays built from them on first access (see ``FloatArray``).
     """
 
-    pre_thresholds: np.ndarray
-    post_thresholds: np.ndarray
-
-    def __post_init__(self):
-        self.pre_thresholds.flags.writeable = False
-        self.post_thresholds.flags.writeable = False
+    pre_thresholds: FloatArray = FloatArray()
+    post_thresholds: FloatArray = FloatArray()
 
 
 def build_policies(dist: OfferDistribution, params: MarketParams, beliefs,
@@ -71,13 +68,15 @@ class PolicyEvaluation:
     ``welfare``, ``duration``, and ``accepted_wage`` are the ex-ante
     expectations at spell start (full entitlement); ``offer_values[n]``
     is the expected value at the pre-extension offer node with
-    entitlement ``n``.
+    entitlement ``n``. The offer values are stored as a tuple of floats,
+    ``_offer_values``; the attribute is a read-only float64 array built
+    from it on first access (see ``FloatArray``).
     """
 
     welfare: float
     duration: float
     accepted_wage: float
-    offer_values: np.ndarray
+    offer_values: FloatArray = FloatArray()
 
 
 def post_chains(post, beta, dist):
@@ -88,9 +87,9 @@ def post_chains(post, beta, dist):
     belief, so one set serves every policy that shares ``post``.
     """
     hi = dist.support_high
-    g_post = np.array([upsilon(dist, x) for x in post]) / (1.0 - beta)
-    d_post = np.empty(len(post))
-    a_post = np.empty(len(post))
+    g_post = [upsilon(dist, x) / (1.0 - beta) for x in post]
+    d_post = [0.0] * len(post)
+    a_post = [0.0] * len(post)
     accept0 = dist.sf(post[0])
     if accept0 > 0.0:
         d_post[0] = 1.0 / accept0
@@ -126,8 +125,8 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
     delta, length = truth.delta, truth.length
-    pre = policy.pre_thresholds
-    post = policy.post_thresholds
+    pre = policy._pre_thresholds
+    post = policy._post_thresholds
     hi = dist.support_high
 
     if len(pre) != n_periods + 1:
@@ -160,9 +159,9 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     # Pre-extension flow-node recursions. At entitlement 0 the state
     # persists until extension or acceptance, so the equation contains
     # its own unknown and is solved linearly.
-    values = np.empty(n_periods + 1)
-    durations = np.empty(n_periods + 1)
-    wages = np.empty(n_periods + 1)
+    values = [0.0] * (n_periods + 1)
+    durations = [0.0] * (n_periods + 1)
+    wages = [0.0] * (n_periods + 1)
 
     f0, tail0 = rejects[0], tails[0]
     values[0] = (z + beta * delta * g_post[length]
@@ -194,7 +193,8 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
         welfare=values[n_periods],
         duration=durations[n_periods],
         accepted_wage=accepted_wage,
-        offer_values=np.array(rejects) * values + np.array(tails) / (1.0 - beta),
+        offer_values=[reject * value + tail / (1.0 - beta)
+                      for reject, value, tail in zip(rejects, values, tails)],
     )
 
 
@@ -204,7 +204,7 @@ def evaluate_beliefs(beliefs, truth: ExtensionSpec, params: MarketParams,
     order; the policies share one basic schedule and so one set of
     post-extension chains."""
     policies = build_policies(dist, params, beliefs, truth.length)
-    chains = post_chains(policies[0].post_thresholds, params.beta, dist)
+    chains = post_chains(policies[0]._post_thresholds, params.beta, dist)
     return [evaluate_policy(policy, truth, params, dist, chains=chains)
             for policy in policies]
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from .distributions import OfferDistribution, UniformOffers
 from .errors import InfeasibleError
 from .evaluate import build_policies, evaluate_beliefs, loss_pct
-from .montecarlo import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
-                         simulate_many)
-from .params import ExtensionSpec, MarketParams
+from .params import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
+                     ExtensionSpec, MarketParams)
 from .schedule import check_solvable, upsilon
 
 DELTA_GRID_DEFAULT = tuple(round(0.10 + 0.05 * k, 2) for k in range(17))
@@ -128,6 +127,7 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
         stats = [(ev.welfare, ev.duration, ev.accepted_wage, 0)
                  for ev in evaluate_beliefs([truth, *beliefs], truth, params, dist)]
     else:
+        from .montecarlo import simulate_many
         runs = [simulate_many(p, truth, params, dist, spells, seed,
                               max_periods=max_periods, n_workers=n_workers)
                 for p in build_policies(dist, params, [truth, *beliefs], truth.length)]

@@ -32,14 +32,11 @@ import numpy as np
 
 from .distributions import OfferDistribution
 from .params import ExtensionSpec, MarketParams
+# The run limits live in params; callers and tests also read them here.
+from .params import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,  # noqa: F401
+                     MAX_PERIODS, MAX_SEED, MAX_SPELLS)
 
-DEFAULT_SEED = 0
-DEFAULT_SPELLS = 1_000_000
-DEFAULT_MAX_PERIODS = 2_000
 DEFAULT_CHUNK = 65_536
-MAX_SEED = (1 << 64) - 1  # the seed is mixed as one 64-bit word
-MAX_SPELLS = 1 << 32   # spell indices fill a counter's high 32 bits
-MAX_PERIODS = 1 << 30  # two draws a period fill its low 32
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

@@ -1,11 +1,20 @@
-"""Market parameters and extension beliefs.
+"""Market parameters, extension beliefs and the run limits.
 
 The same ``ExtensionSpec`` shape describes both the true extension
 process and a worker's (possibly wrong) belief about it; which role an
-instance plays is decided by where it is passed.
+instance plays is decided by where it is passed. The run limits are the
+simulation defaults and the largest seed, spell count and horizon the
+draw counter can index; ``parse_config`` checks them before any work.
 """
 
 from dataclasses import dataclass
+
+DEFAULT_SEED = 0
+DEFAULT_SPELLS = 1_000_000
+DEFAULT_MAX_PERIODS = 2_000
+MAX_SEED = (1 << 64) - 1  # the seed is mixed as one 64-bit word
+MAX_SPELLS = 1 << 32   # spell indices fill a counter's high 32 bits
+MAX_PERIODS = 1 << 30  # two draws a period fill its low 32
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ can carry a step past it, so each step is capped at the top.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import OfferDistribution
 from .errors import NonConvergenceError
 from .params import ExtensionSpec, MarketParams
@@ -118,14 +116,14 @@ def solve_w0_basic(dist: OfferDistribution, params: MarketParams, flow) -> float
 
 
 def build_basic_schedule(dist: OfferDistribution, params: MarketParams,
-                         horizon) -> np.ndarray:
+                         horizon) -> list[float]:
     """Post-extension reservation wages for entitlements 0..horizon.
 
     Entry ``n`` solves
     ``w[n] = (z + c) * (1 - beta) + beta * upsilon(w[n - 1])``
     upward from the zero-entitlement fixed point.
     """
-    wages = np.empty(horizon + 1)
+    wages = [0.0] * (horizon + 1)
     wages[0] = solve_w0_basic(dist, params, params.z)
     base = (params.z + params.c) * (1.0 - params.beta)
     top = dist.support_high
@@ -152,7 +150,7 @@ def solve_w0_extension(dist: OfferDistribution, params: MarketParams,
 
 
 def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
-                             belief: ExtensionSpec, basic: np.ndarray) -> np.ndarray:
+                             belief: ExtensionSpec, basic) -> list[float]:
     """Pre-extension reservation wages for entitlements 0..n_periods.
 
     Entry ``n`` solves
@@ -167,7 +165,7 @@ def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
         raise ValueError(
             f"basic schedule covers 0..{len(basic) - 1} but index {needed} is needed"
         )
-    wages = np.empty(n_periods + 1)
+    wages = [0.0] * (n_periods + 1)
     wages[0] = solve_w0_extension(dist, params, belief, basic[length])
     beta, delta = params.beta, belief.delta
     base = (params.z + params.c) * (1.0 - beta)
@@ -181,6 +179,36 @@ def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
     return wages
 
 
+class FloatArray:
+    """A dataclass field kept as a tuple of floats and read as an array.
+
+    Assigning any sequence of floats stores it as a tuple under the
+    field's name with a leading underscore, which the package's own code
+    reads. Reading the field returns a read-only float64 array of the
+    same values, built with a local ``import numpy`` on the first read
+    and cached, so later reads return the same object and code that
+    never reads it never loads numpy.
+    """
+
+    def __set_name__(self, owner, name):
+        self.floats, self.array = f"_{name}", f"_{name}_array"
+
+    def __set__(self, obj, values):
+        obj.__dict__[self.floats] = tuple(map(float, values))
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # how dataclass looks up a default: there is none
+            raise AttributeError(self.floats)
+        array = obj.__dict__.get(self.array)
+        if array is None:
+            import numpy as np
+            array = np.array(obj.__dict__[self.floats], dtype=np.float64)
+            array.flags.writeable = False
+            # Threads that race on the first read all return the array stored first.
+            array = obj.__dict__.setdefault(self.array, array)
+        return array
+
+
 @dataclass(frozen=True, eq=False)
 class ReservationSchedule:
     """Solved reservation wages for one parameterization.
@@ -189,18 +217,16 @@ class ReservationSchedule:
     extension question is settled; ``with_extension[n]`` is the wage
     while an extension is still possible. A belief with ``delta = 0``
     is the problem without an extension: ``with_extension`` then equals
-    ``basic[:n_periods + 1]``. Arrays are read-only, so instances are
-    safe to share across threads.
+    ``basic[:n_periods + 1]``. The wages are stored as tuples of floats,
+    ``_basic`` and ``_with_extension``; the two attributes are read-only
+    float64 arrays built from them on first access (see ``FloatArray``),
+    so instances are safe to share across threads.
     """
 
-    basic: np.ndarray
-    with_extension: np.ndarray
+    basic: FloatArray = FloatArray()
+    with_extension: FloatArray = FloatArray()
     params: MarketParams
     belief: ExtensionSpec
-
-    def __post_init__(self):
-        self.basic.flags.writeable = False
-        self.with_extension.flags.writeable = False
 
 
 def solve_schedules(dist: OfferDistribution, params: MarketParams,
@@ -242,7 +268,7 @@ def reservation_identity_residual(dist: OfferDistribution,
     params = schedule.params
     per_period = params.beta / (1.0 - params.beta)
     delta, length = schedule.belief.delta, schedule.belief.length
-    wages, post = schedule.with_extension, schedule.basic
+    wages, post = schedule._with_extension, schedule._basic
 
     worst = 0.0
     for n in range(len(wages)):

@@ -661,3 +661,50 @@ def test_cli_import_leaves_worker_pool_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+# Runs ``main`` on its arguments in a fresh interpreter and prints the exit
+# code, whether numpy was loaded, and the sha256 of stdout.
+_COMMAND_CHILD = """
+import contextlib, hashlib, io, sys
+import uisearch
+from uisearch.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(code, 'numpy' in sys.modules, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+_DIGESTS = TestStdoutDigests.DIGESTS
+
+
+@pytest.mark.parametrize("argv, loads_numpy, digest", [
+    (["solve"], False, _DIGESTS["solve", "unit"]),
+    (["evaluate"], False, _DIGESTS["evaluate", "unit"]),
+    (["sweep", "--mode", "exact"], False, _DIGESTS["sweep_delta", "unit"]),
+    (["calibrate", "--duration", "10"], False, TestStdoutDigests.CALIBRATE_DIGEST),
+    (TestStdoutDigests.COMMANDS["simulate"], True, _DIGESTS["simulate", "unit"]),
+    (["sweep", "--mode", "mc", "--spells", "2000", "--grid", "0.1:0.9:0.4"], True,
+     "d4bb23f8c1e5f258658d95b278d9e9cec4a5aa2963d4b8d26ffa8c3834ddd7fe"),
+], ids=["solve", "evaluate", "sweep_exact", "calibrate", "simulate", "sweep_mc"])
+def test_only_simulation_loads_numpy(config_path, argv, loads_numpy, digest):
+    """The exact commands run on Python floats and never import numpy;
+    the Monte Carlo module, which needs it, loads only to simulate."""
+    src = os.path.dirname(os.path.dirname(uisearch.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if argv[0] != "calibrate":
+        argv = [argv[0], "--config", config_path, *argv[1:]]
+    result = subprocess.run([sys.executable, "-c", _COMMAND_CHILD, *argv], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["0", str(loads_numpy), digest]
+
+
+def test_package_names_resolve_on_demand():
+    # The Monte Carlo and closed-form names load their modules on first
+    # access (PEP 562); every exported name resolves and is listed.
+    for name in uisearch.__all__:
+        assert getattr(uisearch, name).__name__ == name
+    assert set(uisearch.__all__) <= set(dir(uisearch))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        uisearch.no_such_name

@@ -523,6 +523,16 @@ class TestGolden:
                                    dist, workspace=workspace, **kwargs)
             assert self._digests(block) == expected, name
 
+    def test_policy_rebuilt_from_arrays_keeps_digests(self):
+        # A policy built from ndarray copies of the thresholds stores the
+        # same floats, so the kernel draws the same decisions.
+        (params, dist, truth, belief), kwargs, expected = self.BLOCKS["benchmark"]
+        built = _policy(dist, params, truth, belief)
+        rebuilt = PolicyProfile(pre_thresholds=np.array(built.pre_thresholds),
+                                post_thresholds=np.array(built.post_thresholds))
+        block = simulate_block(rebuilt, truth, params, dist, **kwargs)
+        assert self._digests(block) == expected
+
     @staticmethod
     def _digests(block):
         return {key: hashlib.sha256(a.dtype.str.encode() + a.tobytes()).hexdigest()

@@ -16,7 +16,7 @@ from uisearch import (ConfigError, DivergenceError, ExtensionSpec,
                       MarketParams, NonConvergenceError, UniformOffers,
                       build_policy, evaluate_policy,
                       reservation_identity_residual, simulate_many,
-                      solve_schedules, sweep_beliefs)
+                      solve_schedules, sweep_beliefs, welfare_loss)
 from uisearch.config import parse_config
 from uisearch.evaluate import PolicyProfile, loss_pct
 from uisearch.experiments import Calibration
@@ -158,6 +158,47 @@ def test_accepted_configs_diverge_only_by_rounding(fields):
                     or "outside the offer support" in str(exc))
         else:
             assert dist.support_low <= result.accepted_wage <= dist.support_high
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(accepted_configs())
+def test_loss_is_zero_at_the_truth_and_never_below_rounding(fields):
+    # The truth's policy is optimal under the truth, so holding any other
+    # belief loses welfare. loss_pct subtracts two welfares, so rounding
+    # can leave it just below zero, but never below -2e-8 percent.
+    try:
+        cfg = parse_config(overrides=fields)
+    except ConfigError:
+        reject()
+    args = (cfg.truth, cfg.params, cfg.distribution)
+    try:
+        assert welfare_loss(cfg.truth, *args) == 0.0
+        assert welfare_loss(cfg.belief, *args) >= -2e-8
+    except (DivergenceError, NonConvergenceError):
+        return  # the CLI exits 5 or 3
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(accepted_configs())
+def test_extension_schedule_reduces_at_delta_zero_and_one(fields):
+    # Bit for bit: at delta 0 the recursion adds beta * 0.0 * upsilon(...)
+    # and multiplies by 1.0 - 0.0, so it is the problem without an
+    # extension; at delta 1 the self-referencing term has weight 0.0, so
+    # from entitlement 1 on each wage is the basic one `length` above.
+    try:
+        cfg = parse_config(overrides=fields)
+    except ConfigError:
+        reject()
+    dist, params, length = cfg.distribution, cfg.params, cfg.belief.length
+    n = params.n_periods
+    try:
+        zero = solve_schedules(dist, params, ExtensionSpec(0.0, length))
+        one = solve_schedules(dist, params, ExtensionSpec(1.0, length),
+                              horizon=n + length)
+    except NonConvergenceError:
+        return  # the CLI exits 3
+    assert zero.with_extension.tobytes() == zero.basic[:n + 1].tobytes()
+    assert one.with_extension[1:].tobytes() == one.basic[length + 1:n + length + 1].tobytes()
 
 
 @st.composite

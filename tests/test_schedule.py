@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from uisearch import (ExtensionSpec, MarketParams, NonConvergenceError,
-                      ReservationSchedule, default_calibration,
-                      reservation_identity_residual, solve_schedules, solve_w0_basic,
-                      solve_w0_extension, sweep_beliefs)
+                      ReservationSchedule, build_policy, default_calibration,
+                      evaluate_policy, reservation_identity_residual, solve_schedules,
+                      solve_w0_basic, solve_w0_extension, sweep_beliefs)
 from uisearch import schedule as schedule_module
 from uisearch.schedule import (build_basic_schedule, build_extension_schedule,
                                upsilon)
@@ -112,7 +112,7 @@ class TestBasicSchedule:
         # flat to solver precision: the recursion contracts the rounding
         # left in the fixed point, where the last Newton step did not rise
         p = MarketParams(beta=0.95, z=0.42, c=0.0, n_periods=5)
-        wages = build_basic_schedule(uniform, p, horizon=5)
+        wages = np.array(build_basic_schedule(uniform, p, horizon=5))
         assert np.max(np.abs(wages - wages[0])) < 1e-10
 
     def test_first_step_identity(self, uniform):
@@ -123,7 +123,7 @@ class TestBasicSchedule:
             assert wages[1] - wages[0] == pytest.approx(p.c * (1 - p.beta), abs=1e-10)
 
     def test_indefinite_benefit_diagnostic(self, uniform, fig3_params):
-        wages = build_basic_schedule(uniform, fig3_params, horizon=40)
+        wages = np.array(build_basic_schedule(uniform, fig3_params, horizon=40))
         w_inf = solve_w0_basic(uniform, fig3_params,
                                flow=fig3_params.z + fig3_params.c)
         assert np.all(wages < w_inf)
@@ -243,6 +243,28 @@ class TestValueAccessors:
             s.basic[0] = 0.0
         with pytest.raises(ValueError):
             s.with_extension[0] = 0.0
+
+    @pytest.mark.parametrize("owner, name", [
+        ("schedule", "basic"), ("schedule", "with_extension"),
+        ("policy", "pre_thresholds"), ("policy", "post_thresholds"),
+        ("evaluation", "offer_values")])
+    def test_array_attributes_are_cached_read_only_copies_of_the_floats(
+            self, uniform, benchmark_params, benchmark_truth, owner, name):
+        # Each result stores a tuple of floats and builds its array on
+        # the first read; the same read-only array serves every later one.
+        belief = ExtensionSpec(0.1, 25)
+        policy = build_policy(uniform, benchmark_params, belief,
+                              true_length=benchmark_truth.length)
+        obj = {"schedule": solve_schedules(uniform, benchmark_params, belief),
+               "policy": policy,
+               "evaluation": evaluate_policy(policy, benchmark_truth, benchmark_params,
+                                             uniform)}[owner]
+        stored = getattr(obj, f"_{name}")
+        assert type(stored) is tuple and all(type(v) is float for v in stored)
+        array = getattr(obj, name)
+        assert array.dtype == np.float64 and not array.flags.writeable
+        assert getattr(obj, name) is array
+        assert [v.hex() for v in array.tolist()] == [v.hex() for v in stored]
 
 
 @pytest.mark.parametrize("make, message", [

@@ -287,3 +287,30 @@ def test_policies_and_post_chains_have_one_builder():
 def test_call_guard_finds_plain_and_attribute_calls():
     tree = ast.parse("f()\ndef g():\n    m.f(h())\n")
     assert calls_to(tree, {"f", "h"}) == [(None, "f"), ("g", "f"), ("g", "h")]
+
+
+def module_level_imports(node):
+    """Top-level names of the modules imported outside any function."""
+    found = set()
+    for scope, child in scoped_nodes(node):
+        if scope is None and isinstance(child, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in child.names)
+        elif scope is None and isinstance(child, ast.ImportFrom) and not child.level:
+            found.add(child.module.split(".")[0])
+    return found
+
+
+def test_only_simulation_and_the_oracle_import_numpy_at_module_level():
+    # The exact path (solve, evaluate, sweep --mode exact, calibrate) runs
+    # on Python floats; a module-level numpy import anywhere on it would
+    # load numpy for every command.
+    found = {path.stem for path in sorted(ROOT.glob("src/uisearch/*.py"))
+             if "numpy" in module_level_imports(ast.parse(path.read_text()))}
+    assert found == {"closedform", "montecarlo"}
+
+
+def test_import_guard_skips_function_bodies():
+    tree = ast.parse("import numpy as np\nfrom numpy.linalg import norm\n"
+                     "from . import sibling\nclass C:\n    import os\n"
+                     "def f():\n    import json\n")
+    assert module_level_imports(tree) == {"numpy", "os"}
