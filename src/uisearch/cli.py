@@ -21,6 +21,7 @@ from .errors import (ConfigError, DivergenceError, InfeasibleError,
                      NonConvergenceError)
 from .evaluate import build_policy, evaluate_beliefs, loss_pct
 from .experiments import Calibration, calibrate_z, sweep_beliefs
+from .params import MAX_ENTITLEMENT
 from .schedule import solve_schedules
 
 EXIT_OK = 0
@@ -161,6 +162,8 @@ def _cmd_sweep(args):
             raise ConfigError("grid", "belief probabilities must lie in [0, 1]")
         if args.vary == "len" and any(v < 1 for v in grid):
             raise ConfigError("grid", "belief lengths must be at least 1")
+        if args.vary == "len" and any(v > MAX_ENTITLEMENT for v in grid):
+            raise ConfigError("grid", "belief lengths may not exceed 2**16 periods")
     rows = sweep_beliefs(cal, vary=args.vary, grid=grid, mode=args.mode,
                          seed=cfg.seed, spells=cfg.spells,
                          max_periods=cfg.max_periods, n_workers=args.threads)

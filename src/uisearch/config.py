@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .distributions import UniformOffers
 from .errors import ConfigError
-from .params import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
+from .params import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS, MAX_ENTITLEMENT,
                      MAX_PERIODS, MAX_SEED, MAX_SPELLS, ExtensionSpec, MarketParams)
 
 _DEFAULTS = {
@@ -127,15 +127,16 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     beta = _require_number(data, "beta", lo=0.0, hi=1.0, lo_open=True, hi_open=True)
     z = _require_number(data, "z", lo=0.0, lo_open=True)
     c = _require_number(data, "c", lo=0.0, lo_open=True)
-    n_periods = _require_int(data, "N", lo=0)
+    longest = {"hi": MAX_ENTITLEMENT, "limit": "2**16 periods, the longest entitlement"}
+    n_periods = _require_int(data, "N", lo=0, **longest)
     delta_true = _require_number(data, "delta_true", lo=0.0, hi=1.0)
-    len_true = _require_int(data, "len_true", lo=1)
+    len_true = _require_int(data, "len_true", lo=1, **longest)
     if data["delta_belief"] is None:
         data["delta_belief"] = delta_true
     if data["len_belief"] is None:
         data["len_belief"] = len_true
     delta_belief = _require_number(data, "delta_belief", lo=0.0, hi=1.0)
-    len_belief = _require_int(data, "len_belief", lo=1)
+    len_belief = _require_int(data, "len_belief", lo=1, **longest)
     max_periods = _require_int(data, "max_periods", lo=1, hi=MAX_PERIODS,
                                limit="the 2**30 periods the draw counter allows")
     seed = _require_int(data, "seed", lo=0, hi=MAX_SEED,

@@ -10,7 +10,8 @@ starts at a flow node with full entitlement, and the first offer
 arrives the following period.
 
 Post-extension behaviour is belief-free, so ``evaluate_beliefs``
-computes ``post_chains`` once and hands them to every evaluation.
+computes ``post_chains`` once and hands them to every evaluation; the
+policies carry their schedules' prices, so no threshold is priced twice.
 """
 
 from dataclasses import dataclass
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from .distributions import OfferDistribution
 from .errors import DivergenceError
 from .params import ExtensionSpec, MarketParams
-from .schedule import (FloatArray, build_basic_schedule, build_extension_schedule,
-                       post_extension_state, upsilon)
+from .schedule import (FloatArray, _price, _prices, build_basic_schedule,
+                       build_extension_schedule, post_extension_state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +48,11 @@ def build_policies(dist: OfferDistribution, params: MarketParams, beliefs,
     lengths = [true_length, *(belief.length for belief in beliefs)]
     basic = build_basic_schedule(
         dist, params, post_extension_state(params.n_periods, max(lengths)))
-    return [PolicyProfile(build_extension_schedule(dist, params, belief, basic), basic)
-            for belief in beliefs]
+    pres = [build_extension_schedule(dist, params, belief, basic) for belief in beliefs]
+    policies = [PolicyProfile(pre, basic) for pre in pres]
+    for policy, pre in zip(policies, pres):  # the wages as built, with their prices
+        object.__setattr__(policy, "_priced", (pre, basic))
+    return policies
 
 
 def build_policy(dist: OfferDistribution, params: MarketParams,
@@ -86,23 +90,19 @@ def post_chains(post, beta, dist):
     They depend on ``post``, ``beta`` and ``dist`` alone, not on the
     belief, so one set serves every policy that shares ``post``.
     """
-    hi = dist.support_high
-    g_post = [upsilon(dist, x) / (1.0 - beta) for x in post]
-    d_post = [0.0] * len(post)
-    a_post = [0.0] * len(post)
+    prices = _prices(dist, post) or [_price(dist, x) for x in post]
+    g_post = [(x * reject + tail) / (1.0 - beta)
+              for x, (reject, tail) in zip(post, prices)]
+    d_post, a_post = [0.0] * len(post), [0.0] * len(post)
     accept0 = dist.sf(post[0])
+    # At delta = 0 accept0 may be 0; the zeros then keep delta-weighted terms finite.
     if accept0 > 0.0:
         d_post[0] = 1.0 / accept0
-        a_post[0] = dist.partial_expectation(post[0], hi) / accept0
-    else:
-        # Only legal when delta = 0; the post side is then unreachable
-        # and the zeros keep delta-weighted terms finite.
-        d_post[0] = 0.0
-        a_post[0] = 0.0
+        a_post[0] = prices[0][1] / accept0
     for m in range(1, len(post)):
-        reject = dist.cdf(post[m])
+        reject, tail = prices[m]
         d_post[m] = 1.0 + reject * d_post[m - 1]
-        a_post[m] = dist.partial_expectation(post[m], hi) + reject * a_post[m - 1]
+        a_post[m] = tail + reject * a_post[m - 1]
     return g_post, d_post, a_post
 
 
@@ -118,16 +118,16 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     ``post_chains(policy.post_thresholds, params.beta, dist)``, computed
     once by ``evaluate_beliefs`` for all the beliefs it compares;
     results are bit-identical without it, when the chains are computed
-    here. Raises ``DivergenceError`` when a state-0 acceptance probability
-    is zero, or when the expected accepted wage comes out outside the
-    support.
+    here. A policy from ``build_policies`` brings its thresholds' prices;
+    any other is priced here. Raises ``DivergenceError`` when a state-0
+    acceptance probability is zero, or when the expected accepted wage
+    comes out outside the support.
     """
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
     delta, length = truth.delta, truth.length
     pre = policy._pre_thresholds
     post = policy._post_thresholds
-    hi = dist.support_high
 
     if len(pre) != n_periods + 1:
         raise ValueError("pre_thresholds must cover entitlements 0..n_periods")
@@ -137,13 +137,9 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
             f"post_thresholds cover 0..{len(post) - 1} but index {top_post} is needed"
         )
 
-    # Each pre-extension threshold's rejection probability and acceptance
-    # tail, computed once for the recursions and the offer-node values.
-    # State-0 acceptance comes from the survival function, which keeps
-    # its digits where 1 - cdf(x) cancels. The tails come after the
-    # divergence checks: a threshold above the support diverges, and its
-    # partial_expectation would raise first.
-    rejects = [dist.cdf(x) for x in pre]
+    # State-0 acceptance comes from the survival function, which keeps its
+    # digits where 1 - cdf(x) cancels. It is checked before any price, so a
+    # threshold above the support diverges instead of failing its price.
     accept0_post = dist.sf(post[0])
     accept0_pre_stuck = delta + (1.0 - delta) * dist.sf(pre[0])
     if delta > 0.0 and accept0_post <= 0.0:
@@ -151,19 +147,18 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     if accept0_pre_stuck <= 0.0:
         raise DivergenceError("pre-extension state 0 never accepts; duration diverges")
 
+    priced_pre, priced_post = getattr(policy, "_priced", (pre, post))
     if chains is None:
-        chains = post_chains(post, beta, dist)
+        chains = post_chains(priced_post, beta, dist)
     g_post, d_post, a_post = chains
-    tails = [dist.partial_expectation(x, hi) for x in pre]
+    prices = _prices(dist, priced_pre) or [_price(dist, x) for x in pre]
 
     # Pre-extension flow-node recursions. At entitlement 0 the state
     # persists until extension or acceptance, so the equation contains
     # its own unknown and is solved linearly.
-    values = [0.0] * (n_periods + 1)
-    durations = [0.0] * (n_periods + 1)
-    wages = [0.0] * (n_periods + 1)
+    values, durations, wages = ([0.0] * (n_periods + 1) for _ in range(3))
 
-    f0, tail0 = rejects[0], tails[0]
+    f0, tail0 = prices[0]
     values[0] = (z + beta * delta * g_post[length]
                  + beta * (1.0 - delta) * tail0 / (1.0 - beta)) / (
                      1.0 - beta * (1.0 - delta) * f0)
@@ -173,7 +168,7 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     for n in range(1, n_periods + 1):
         k = n - 1
         m = post_extension_state(n, length)
-        reject, tail = rejects[k], tails[k]
+        reject, tail = prices[k]
         g_pre = reject * values[k] + tail / (1.0 - beta)
         values[n] = z + c + beta * (delta * g_post[m] + (1.0 - delta) * g_pre)
         durations[n] = delta * d_post[m] + (1.0 - delta) * (1.0 + reject * durations[k])
@@ -183,18 +178,18 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     # thresholds a few ulps below its top, the tails hi**2 - x**2 cancel,
     # and their rounding carries the quotients out.
     accepted_wage = wages[n_periods]
-    if not dist.support_low <= accepted_wage <= hi:
+    if not dist.support_low <= accepted_wage <= dist.support_high:
         raise DivergenceError(
             f"expected accepted wage {float(accepted_wage)!r} lies outside the offer "
-            f"support [{dist.support_low!r}, {hi!r}]: acceptance probabilities too "
-            "small to resolve in floating point")
+            f"support [{dist.support_low!r}, {dist.support_high!r}]: acceptance "
+            "probabilities too small to resolve in floating point")
 
     return PolicyEvaluation(
         welfare=values[n_periods],
         duration=durations[n_periods],
         accepted_wage=accepted_wage,
         offer_values=[reject * value + tail / (1.0 - beta)
-                      for reject, value, tail in zip(rejects, values, tails)],
+                      for (reject, tail), value in zip(prices, values)],
     )
 
 
@@ -204,7 +199,7 @@ def evaluate_beliefs(beliefs, truth: ExtensionSpec, params: MarketParams,
     order; the policies share one basic schedule and so one set of
     post-extension chains."""
     policies = build_policies(dist, params, beliefs, truth.length)
-    chains = post_chains(policies[0]._post_thresholds, params.beta, dist)
+    chains = post_chains(policies[0]._priced[1], params.beta, dist)
     return [evaluate_policy(policy, truth, params, dist, chains=chains)
             for policy in policies]
 

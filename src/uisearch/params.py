@@ -3,8 +3,8 @@
 The same ``ExtensionSpec`` shape describes both the true extension
 process and a worker's (possibly wrong) belief about it; which role an
 instance plays is decided by where it is passed. The run limits are the
-simulation defaults and the largest seed, spell count and horizon the
-draw counter can index; ``parse_config`` checks them before any work.
+simulation defaults and the largest seed, spell count, horizon and
+entitlement; ``parse_config`` checks them before any work.
 """
 
 from dataclasses import dataclass
@@ -15,6 +15,7 @@ DEFAULT_MAX_PERIODS = 2_000
 MAX_SEED = (1 << 64) - 1  # the seed is mixed as one 64-bit word
 MAX_SPELLS = 1 << 32   # spell indices fill a counter's high 32 bits
 MAX_PERIODS = 1 << 30  # two draws a period fill its low 32
+MAX_ENTITLEMENT = 1 << 16  # N and extension lengths: a schedule entry per period
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ the support climbs to its root without overshooting, and it stops at
 the first step that does not rise: in exact arithmetic every step
 below the root rises, so such a step is rounding. The stop needs no tolerance, so it
 has no scale to get wrong on a narrow or a wide support. Both schedules
-then build upward by a one-step recursion on the option-value kernel.
+then build upward by a one-step recursion on the option-value kernel,
+pricing each wage once (``_price``); the lists they return carry the
+prices to the evaluator.
 
 In exact arithmetic every wage stays below the top of the wage support
 when ``z + c`` does. With ``z + c`` a few ulps below the top, rounding
@@ -32,6 +34,15 @@ from .params import ExtensionSpec, MarketParams
 _MAX_STEPS = 100
 
 
+def _price(dist, x):
+    """``(F(x), int_x^w_high w dF(w))``, the rejection probability and the
+    acceptance tail of threshold ``x``. ``x`` must lie inside the support."""
+    lo, hi = dist.support_low, dist.support_high
+    if x < lo or x > hi:
+        raise ValueError(f"upsilon argument {x} outside support [{lo}, {hi}]")
+    return dist.cdf(x), dist.partial_expectation(x, hi)
+
+
 def upsilon(dist: OfferDistribution, x) -> float:
     """Expected value of max(x, w) under the offer distribution.
 
@@ -40,10 +51,32 @@ def upsilon(dist: OfferDistribution, x) -> float:
     bounded above by the top of the wage support. ``x`` must lie inside
     the support.
     """
-    lo, hi = dist.support_low, dist.support_high
-    if x < lo or x > hi:
-        raise ValueError(f"upsilon argument {x} outside support [{lo}, {hi}]")
-    return x * dist.cdf(x) + dist.partial_expectation(x, hi)
+    reject, tail = _price(dist, x)
+    return x * reject + tail
+
+
+class _Priced(list):
+    """Wages up from ``w0`` by ``w[n] = min(terms[n - 1] + slope * upsilon(w[n - 1]),
+    top)``, each priced once: ``prices[n]`` is the ``_price`` of entry ``n``
+    under ``dist``, and ``built`` holds the wages as priced."""
+
+    __slots__ = ("dist", "built", "prices")
+
+    def __init__(self, dist, w0, slope, terms):
+        wages, prices = [w0], [_price(dist, w0)]
+        for term in terms:
+            reject, tail = prices[-1]
+            wages.append(min(term + slope * (wages[-1] * reject + tail), dist.support_high))
+            prices.append(_price(dist, wages[-1]))
+        super().__init__(wages)
+        self.dist, self.built, self.prices = dist, wages, prices
+
+
+def _prices(dist, wages):
+    """The prices a builder attached to ``wages``, if they were made under
+    ``dist`` for the values ``wages`` still holds; None otherwise."""
+    fresh = getattr(wages, "dist", None) is dist and wages.built == wages
+    return wages.prices if fresh else None
 
 
 def check_solvable(dist, beta, flow):
@@ -123,13 +156,9 @@ def build_basic_schedule(dist: OfferDistribution, params: MarketParams,
     ``w[n] = (z + c) * (1 - beta) + beta * upsilon(w[n - 1])``
     upward from the zero-entitlement fixed point.
     """
-    wages = [0.0] * (horizon + 1)
-    wages[0] = solve_w0_basic(dist, params, params.z)
     base = (params.z + params.c) * (1.0 - params.beta)
-    top = dist.support_high
-    for n in range(1, horizon + 1):
-        wages[n] = min(base + params.beta * upsilon(dist, wages[n - 1]), top)
-    return wages
+    return _Priced(dist, solve_w0_basic(dist, params, params.z), params.beta,
+                   [base] * horizon)
 
 
 def solve_w0_extension(dist: OfferDistribution, params: MarketParams,
@@ -165,18 +194,14 @@ def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
         raise ValueError(
             f"basic schedule covers 0..{len(basic) - 1} but index {needed} is needed"
         )
-    wages = [0.0] * (n_periods + 1)
-    wages[0] = solve_w0_extension(dist, params, belief, basic[length])
+    w0 = solve_w0_extension(dist, params, belief, basic[length])
     beta, delta = params.beta, belief.delta
     base = (params.z + params.c) * (1.0 - beta)
-    top = dist.support_high
-    for n in range(1, n_periods + 1):
-        post = basic[post_extension_state(n, length)]
-        wages[n] = min(base
-                       + beta * delta * upsilon(dist, post)
-                       + beta * (1.0 - delta) * upsilon(dist, wages[n - 1]),
-                       top)
-    return wages
+    known = _prices(dist, basic)  # or each entry is priced here
+    posts = [(basic[m], known[m] if known else _price(dist, basic[m]))
+             for m in range(length, n_periods + length)]  # post_extension_state(n, length)
+    terms = [base + beta * delta * (x * reject + tail) for x, (reject, tail) in posts]
+    return _Priced(dist, w0, beta * (1.0 - delta), terms)
 
 
 class FloatArray:

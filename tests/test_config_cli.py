@@ -320,6 +320,33 @@ class TestCli:
                      "--max-periods", "2000000000"]) == 2
         assert capsys.readouterr().err.startswith("error: max_periods")
 
+    @pytest.mark.parametrize("field, read", [
+        ("N", lambda cfg: cfg.params.n_periods),
+        ("len_true", lambda cfg: cfg.truth.length),
+        ("len_belief", lambda cfg: cfg.belief.length)], ids=["N", "len_true", "len_belief"])
+    def test_entitlement_beyond_longest_rejected_before_work(self, tmp_path, capsys,
+                                                            monkeypatch, field, read):
+        # A schedule holds one wage per period of entitlement, so 10**12
+        # periods ran out of memory building the first one.
+        def no_schedule(*args, **kwargs):
+            raise AssertionError(f"solved before {field} was checked")
+
+        for module in ("schedule", "evaluate"):
+            monkeypatch.setattr(f"uisearch.{module}.build_basic_schedule", no_schedule)
+        assert read(parse_config(overrides={**BENCHMARK, field: 1 << 16})) == 1 << 16
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(overrides={**BENCHMARK, field: (1 << 16) + 1})
+        assert excinfo.value.field == field
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({**BENCHMARK, field: 10**12}))
+        for command in (["solve"], ["evaluate"], ["simulate", "--spells", "10"],
+                        ["sweep", "--vary", "len"]):
+            assert main([*command, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: {field}: value 1000000000000 exceeds "
+                                    "2**16 periods, the longest entitlement\n")
+
     def test_sweep_truncation_warns_on_stderr_only(self, tmp_path, capsys):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({**BENCHMARK, "max_periods": 1}))
@@ -496,7 +523,10 @@ class TestCli:
         (["--grid", "0.1:0.9:0"], "empty or descending grid '0.1:0.9:0'"),
         (["--grid", "0.5:1.5:0.5"], "belief probabilities must lie in [0, 1]"),
         (["--vary", "len", "--grid", "0:10:5"], "belief lengths must be at least 1"),
-    ], ids=["descending", "zero_step", "probability_above_one", "length_zero"])
+        (["--vary", "len", "--grid", "1000000000000:1000000000000:1"],
+         "belief lengths may not exceed 2**16 periods"),
+    ], ids=["descending", "zero_step", "probability_above_one", "length_zero",
+            "length_beyond_longest"])
     def test_grid_rejected_before_work(self, config_path, capsys, monkeypatch,
                                        argv, message):
         def no_sweep(*args, **kwargs):

@@ -12,7 +12,8 @@ from uisearch import (ExtensionSpec, MarketParams, UniformOffers, build_policy,
                       sweep_beliefs, welfare_loss)
 from uisearch.cli import main
 from uisearch.experiments import Calibration
-from uisearch.schedule import build_basic_schedule, upsilon
+from uisearch.schedule import (build_basic_schedule, build_extension_schedule,
+                               solve_w0_basic, solve_w0_extension)
 
 
 def quadrature_partial_expectation(dist, a, b, n=200_001):
@@ -119,16 +120,19 @@ class TestSampling:
 
 class ScalarOnlyUniform(UniformOffers):
     """Uniform offers that count ``cdf``, ``sf`` and ``partial_expectation``
-    calls and reject any argument that is not one real number."""
+    calls, keep each call's method and first argument in ``thresholds``,
+    and reject any argument that is not one real number."""
 
     def __init__(self, low=0.0, high=1.0):
         super().__init__(low=low, high=high)
         object.__setattr__(self, "calls", Counter())
+        object.__setattr__(self, "thresholds", [])
 
     def _count(self, name, *args):
         if not all(isinstance(a, numbers.Real) for a in args):
             raise TypeError(f"{name} called with {args!r}")
         self.calls[name] += 1
+        self.thresholds.append((name, args[0]))
 
     def cdf(self, x):
         self._count("cdf", x)
@@ -196,20 +200,34 @@ class TestScalarTraffic:
     def test_sweep_runs_each_post_chain_entry_once(self, monkeypatch, tmp_path,
                                                    entry, grid):
         # Every belief comparison, a sweep, welfare_loss or the evaluate
-        # command, solves one basic schedule and runs its chain once.
-        basics, chained = [], []
+        # command, solves one basic schedule. Outside the zero-entitlement
+        # solvers, whose Newton steps price their own iterates, the
+        # distribution prices each basic entry and each belief's
+        # pre-extension thresholds exactly once: the post chains and the
+        # evaluations reuse the prices the builders made.
+        built = []
 
-        def recording_basic(*args, **kwargs):
-            basics.append(build_basic_schedule(*args, **kwargs))
-            return basics[-1]
+        def recording(builder):
+            def build(dist, *args):
+                built.append((builder, dist, builder(dist, *args)))
+                return built[-1][2]
+            return build
 
-        def recording_upsilon(dist, x):
-            chained.append(x)
-            return upsilon(dist, x)
+        def forgetting(solver):
+            def solve(dist, *args):
+                start = len(dist.thresholds)
+                try:
+                    return solver(dist, *args)
+                finally:
+                    del dist.thresholds[start:]
+            return solve
 
-        monkeypatch.setattr("uisearch.evaluate.build_basic_schedule",
-                            recording_basic)
-        monkeypatch.setattr("uisearch.evaluate.upsilon", recording_upsilon)
+        for builder in (build_basic_schedule, build_extension_schedule):
+            monkeypatch.setattr(f"uisearch.evaluate.{builder.__name__}",
+                                recording(builder))
+        for solver in (solve_w0_basic, solve_w0_extension):
+            monkeypatch.setattr(f"uisearch.schedule.{solver.__name__}",
+                                forgetting(solver))
         dist = ScalarOnlyUniform(0.2, 1.7)
         if entry == "welfare_loss":
             welfare_loss(TRAFFIC_BELIEF, TRAFFIC_TRUTH, TRAFFIC_PARAMS, dist)
@@ -218,12 +236,17 @@ class TestScalarTraffic:
             path = tmp_path / "traffic.json"
             path.write_text(json.dumps(TRAFFIC_CONFIG))
             assert main(["evaluate", "--config", str(path)]) == 0
+            dist = built[0][1]
         else:
             rows = _traffic_sweep(entry, grid)(dist)
             assert len(rows) == len(grid)
-        assert len(basics) == 1
-        # the baseline and every belief share the chain of one basic schedule
-        assert chained == list(basics[0])
+        assert [builder for builder, _, _ in built].count(build_basic_schedule) == 1
+        assert all(used is dist for _, used, _ in built)
+        # the baseline and every belief share the prices of one basic schedule
+        thresholds = Counter(x for _, _, wages in built for x in wages)
+        for method in ("cdf", "partial_expectation"):
+            assert Counter(x for name, x in dist.thresholds if name == method) \
+                == thresholds, method
 
 
 def test_support_must_be_ordered():

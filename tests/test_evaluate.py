@@ -3,7 +3,6 @@ import hashlib
 import numpy as np
 import pytest
 
-import uisearch.evaluate
 from uisearch import (DivergenceError, ExtensionSpec, MarketParams,
                       UniformOffers, build_policy, evaluate_policy,
                       expected_welfare_at_offer, simulate_many,
@@ -168,15 +167,17 @@ def _bits(ev):
 
 
 @pytest.fixture
-def post_chain_calls(monkeypatch):
-    """Thresholds the evaluator runs its post-extension chain on, in order."""
+def priced(monkeypatch):
+    """Thresholds the uniform distribution prices, in order: the first
+    argument of each ``partial_expectation`` call."""
     seen = []
+    tail = UniformOffers.partial_expectation
 
-    def counting(dist, x):
-        seen.append(float(x))
-        return upsilon(dist, x)
+    def counting(dist, a, b):
+        seen.append(float(a))
+        return tail(dist, a, b)
 
-    monkeypatch.setattr(uisearch.evaluate, "upsilon", counting)
+    monkeypatch.setattr(UniformOffers, "partial_expectation", counting)
     return seen
 
 
@@ -200,29 +201,52 @@ class TestPostChainReuse:
         return policy, benchmark_truth, benchmark_params, uniform
 
     def test_alternating_post_arrays_keep_recorded_values(
-            self, uniform, benchmark_params, benchmark_truth, post_chain_calls):
-        policies = {belief: build_policy(uniform, benchmark_params, belief,
-                                         true_length=benchmark_truth.length)
-                    for belief in self.BITS}
+            self, uniform, benchmark_params, benchmark_truth, priced):
+        built = {belief: build_policy(uniform, benchmark_params, belief,
+                                      true_length=benchmark_truth.length)
+                 for belief in self.BITS}
+        # the same thresholds, without the prices build_policy carries
+        bare = {belief: PolicyProfile(pre_thresholds=policy.pre_thresholds,
+                                      post_thresholds=policy.post_thresholds)
+                for belief, policy in built.items()}
+        before = len(priced)
         for _ in range(3):
-            for belief, policy in policies.items():
-                ev = evaluate_policy(policy, benchmark_truth, benchmark_params, uniform)
-                assert _bits(ev) == self.BITS[belief]
-        # without chains every call runs its own
-        assert len(post_chain_calls) == 3 * (35 + 50)
+            for belief in self.BITS:
+                for policy in (built[belief], bare[belief]):
+                    ev = evaluate_policy(policy, benchmark_truth, benchmark_params,
+                                         uniform)
+                    assert _bits(ev) == self.BITS[belief]
+        # without chains every bare call prices its own chain and its 11
+        # pre-extension thresholds, and a built policy brings its prices
+        assert len(priced) - before == 3 * ((35 + 11) + (50 + 11))
 
     def test_passed_chains_keep_recorded_values(
-            self, uniform, benchmark_params, benchmark_truth, post_chain_calls):
+            self, uniform, benchmark_params, benchmark_truth, priced):
         for belief, bits in self.BITS.items():
             policy = build_policy(uniform, benchmark_params, belief,
                                   true_length=benchmark_truth.length)
+            before = len(priced)
             chains = post_chains(policy.post_thresholds, benchmark_params.beta, uniform)
-            before = len(post_chain_calls)
+            assert priced[before:] == list(policy.post_thresholds)
+            before = len(priced)
             ev = evaluate_policy(policy, benchmark_truth, benchmark_params, uniform,
                                  chains=chains)
             assert _bits(ev) == bits
-            assert len(post_chain_calls) == before
-        assert len(post_chain_calls) == 35 + 50
+            assert len(priced) == before
+
+    def test_prices_from_another_distribution_are_not_used(
+            self, uniform, benchmark_params, benchmark_truth, priced):
+        # A policy's thresholds carry their prices under the distribution
+        # that built them; under another one, every threshold is priced.
+        policy = build_policy(uniform, benchmark_params, ExtensionSpec(0.1, 25),
+                              true_length=benchmark_truth.length)
+        bare = PolicyProfile(pre_thresholds=policy.pre_thresholds,
+                             post_thresholds=policy.post_thresholds)
+        wider = UniformOffers(0.0, 1.5)
+        before = len(priced)
+        assert (_bits(evaluate_policy(policy, benchmark_truth, benchmark_params, wider))
+                == _bits(evaluate_policy(bare, benchmark_truth, benchmark_params, wider)))
+        assert len(priced) - before == 2 * (35 + 11)
 
     def test_out_of_support_post_threshold_raises(self, setting):
         policy, truth, params, uniform = setting

@@ -174,6 +174,15 @@ class TestExtensionSchedule:
             build_extension_schedule(uniform, fig3_params,
                                      ExtensionSpec(delta=0.5, length=13), basic)
 
+    def test_a_changed_basic_schedule_is_priced_again(self, uniform, fig3_params):
+        # The builders' lists carry the prices of the wages they were
+        # built with; once an entry changes, those prices are not used.
+        belief = ExtensionSpec(delta=0.5, length=3)
+        basic = build_basic_schedule(uniform, fig3_params, horizon=12)
+        basic[12] = 0.5 * (basic[11] + basic[12])
+        assert (build_extension_schedule(uniform, fig3_params, belief, basic)
+                == build_extension_schedule(uniform, fig3_params, belief, list(basic)))
+
     def test_zero_entitlement_is_legal(self, uniform):
         p = MarketParams(beta=0.95, z=0.42, c=0.42, n_periods=0)
         schedule = solve_schedules(uniform, p, ExtensionSpec(delta=0.5, length=13))

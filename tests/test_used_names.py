@@ -314,3 +314,32 @@ def test_import_guard_skips_function_bodies():
                      "from . import sibling\nclass C:\n    import os\n"
                      "def f():\n    import json\n")
     assert module_level_imports(tree) == {"numpy", "os"}
+
+
+def attribute_uses(node, names):
+    """(function, attribute) of each use of an attribute in ``names`` under
+    ``node``, called or not, so that a bound method held in a name counts."""
+    return [(scope, child.attr) for scope, child in scoped_nodes(node)
+            if isinstance(child, ast.Attribute) and child.attr in names]
+
+
+def test_thresholds_are_priced_in_one_place():
+    # The recursions and the evaluator take a threshold's rejection
+    # probability and tail from schedule._price, which holds the support
+    # check, so that a belief comparison prices each threshold once.
+    # Newton's slope in _fixed_point is the one other reader of the CDF.
+    found = []
+    for name in ("schedule", "evaluate"):
+        tree = ast.parse((ROOT / "src" / "uisearch" / f"{name}.py").read_text())
+        found += [(name, *use) for use in attribute_uses(
+            tree, {"cdf", "partial_expectation"})]
+    assert sorted(found) == [("schedule", "_fixed_point", "cdf"),
+                             ("schedule", "_price", "cdf"),
+                             ("schedule", "_price", "partial_expectation")]
+
+
+def test_attribute_guard_finds_calls_and_bare_references():
+    tree = ast.parse("f = d.cdf\ndef g():\n    d.cdf(x)\n    h(d.partial_expectation)\n"
+                     "    d.sf(x)\n")
+    assert attribute_uses(tree, {"cdf", "partial_expectation"}) == [
+        (None, "cdf"), ("g", "cdf"), ("g", "partial_expectation")]
