@@ -11,7 +11,8 @@ arrives the following period.
 
 Post-extension behaviour is belief-free, so ``evaluate_beliefs``
 computes ``post_chains`` once and hands them to every evaluation; the
-policies carry their schedules' prices, so no threshold is priced twice.
+policies hold the tuples the schedule builders return, with their
+prices, and share one basic tuple, so no threshold is priced twice.
 """
 
 from dataclasses import dataclass
@@ -48,11 +49,8 @@ def build_policies(dist: OfferDistribution, params: MarketParams, beliefs,
     lengths = [true_length, *(belief.length for belief in beliefs)]
     basic = build_basic_schedule(
         dist, params, post_extension_state(params.n_periods, max(lengths)))
-    pres = [build_extension_schedule(dist, params, belief, basic) for belief in beliefs]
-    policies = [PolicyProfile(pre, basic) for pre in pres]
-    for policy, pre in zip(policies, pres):  # the wages as built, with their prices
-        object.__setattr__(policy, "_priced", (pre, basic))
-    return policies
+    return [PolicyProfile(build_extension_schedule(dist, params, belief, basic), basic)
+            for belief in beliefs]
 
 
 def build_policy(dist: OfferDistribution, params: MarketParams,
@@ -118,10 +116,11 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     ``post_chains(policy.post_thresholds, params.beta, dist)``, computed
     once by ``evaluate_beliefs`` for all the beliefs it compares;
     results are bit-identical without it, when the chains are computed
-    here. A policy from ``build_policies`` brings its thresholds' prices;
-    any other is priced here. Raises ``DivergenceError`` when a state-0
-    acceptance probability is zero, or when the expected accepted wage
-    comes out outside the support.
+    here. Thresholds that are a builder's tuples, as in every policy from
+    ``build_policies``, bring their prices under the distribution that
+    built them; any others are priced here. Raises ``DivergenceError``
+    when a state-0 acceptance probability is zero, or when the expected
+    accepted wage comes out outside the support.
     """
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
@@ -147,11 +146,10 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     if accept0_pre_stuck <= 0.0:
         raise DivergenceError("pre-extension state 0 never accepts; duration diverges")
 
-    priced_pre, priced_post = getattr(policy, "_priced", (pre, post))
     if chains is None:
-        chains = post_chains(priced_post, beta, dist)
+        chains = post_chains(post, beta, dist)
     g_post, d_post, a_post = chains
-    prices = _prices(dist, priced_pre) or [_price(dist, x) for x in pre]
+    prices = _prices(dist, pre) or [_price(dist, x) for x in pre]
 
     # Pre-extension flow-node recursions. At entitlement 0 the state
     # persists until extension or acceptance, so the equation contains
@@ -199,7 +197,7 @@ def evaluate_beliefs(beliefs, truth: ExtensionSpec, params: MarketParams,
     order; the policies share one basic schedule and so one set of
     post-extension chains."""
     policies = build_policies(dist, params, beliefs, truth.length)
-    chains = post_chains(policies[0]._priced[1], params.beta, dist)
+    chains = post_chains(policies[0]._post_thresholds, params.beta, dist)
     return [evaluate_policy(policy, truth, params, dist, chains=chains)
             for policy in policies]
 

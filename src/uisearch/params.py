@@ -44,7 +44,7 @@ class MarketParams:
     n_periods: int
 
     def __post_init__(self):
-        if int(self.n_periods) != self.n_periods or self.n_periods < 0:
+        if self.n_periods % 1 != 0 or self.n_periods < 0:  # inf % 1 and nan % 1 are nan
             raise ValueError("n_periods must be a nonnegative integer")
         object.__setattr__(self, "n_periods", int(self.n_periods))
 
@@ -69,6 +69,6 @@ class ExtensionSpec:
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        if int(self.length) != self.length or self.length < 1:
+        if self.length % 1 != 0 or self.length < 1:
             raise ValueError("length must be a positive integer")
         object.__setattr__(self, "length", int(self.length))

@@ -13,8 +13,8 @@ the first step that does not rise: in exact arithmetic every step
 below the root rises, so such a step is rounding. The stop needs no tolerance, so it
 has no scale to get wrong on a narrow or a wide support. Both schedules
 then build upward by a one-step recursion on the option-value kernel,
-pricing each wage once (``_price``); the lists they return carry the
-prices to the evaluator.
+pricing each wage once (``_price``); the tuples they return carry the
+prices to the evaluator, and results store them as they are.
 
 In exact arithmetic every wage stays below the top of the wage support
 when ``z + c`` does. With ``z + c`` a few ulps below the top, rounding
@@ -55,28 +55,28 @@ def upsilon(dist: OfferDistribution, x) -> float:
     return x * reject + tail
 
 
-class _Priced(list):
+class _Priced(tuple):
+    """Wages a builder climbed, as floats, each with its ``_price`` under
+    ``dist`` in ``prices``. A tuple, so no wage changes after it is priced."""
+
+
+def _climb(dist, w0, slope, terms):
     """Wages up from ``w0`` by ``w[n] = min(terms[n - 1] + slope * upsilon(w[n - 1]),
-    top)``, each priced once: ``prices[n]`` is the ``_price`` of entry ``n``
-    under ``dist``, and ``built`` holds the wages as priced."""
-
-    __slots__ = ("dist", "built", "prices")
-
-    def __init__(self, dist, w0, slope, terms):
-        wages, prices = [w0], [_price(dist, w0)]
-        for term in terms:
-            reject, tail = prices[-1]
-            wages.append(min(term + slope * (wages[-1] * reject + tail), dist.support_high))
-            prices.append(_price(dist, wages[-1]))
-        super().__init__(wages)
-        self.dist, self.built, self.prices = dist, wages, prices
+    top)``, each priced once."""
+    wages, prices = [w0], [_price(dist, w0)]
+    for term in terms:
+        reject, tail = prices[-1]
+        wages.append(min(term + slope * (wages[-1] * reject + tail), dist.support_high))
+        prices.append(_price(dist, wages[-1]))
+    climbed = _Priced(map(float, wages))
+    climbed.dist, climbed.prices = dist, prices
+    return climbed
 
 
 def _prices(dist, wages):
-    """The prices a builder attached to ``wages``, if they were made under
-    ``dist`` for the values ``wages`` still holds; None otherwise."""
-    fresh = getattr(wages, "dist", None) is dist and wages.built == wages
-    return wages.prices if fresh else None
+    """The prices a builder attached to ``wages`` if they were made under
+    ``dist``; None otherwise."""
+    return wages.prices if getattr(wages, "dist", None) is dist else None
 
 
 def check_solvable(dist, beta, flow):
@@ -149,7 +149,7 @@ def solve_w0_basic(dist: OfferDistribution, params: MarketParams, flow) -> float
 
 
 def build_basic_schedule(dist: OfferDistribution, params: MarketParams,
-                         horizon) -> list[float]:
+                         horizon) -> tuple[float, ...]:
     """Post-extension reservation wages for entitlements 0..horizon.
 
     Entry ``n`` solves
@@ -157,8 +157,8 @@ def build_basic_schedule(dist: OfferDistribution, params: MarketParams,
     upward from the zero-entitlement fixed point.
     """
     base = (params.z + params.c) * (1.0 - params.beta)
-    return _Priced(dist, solve_w0_basic(dist, params, params.z), params.beta,
-                   [base] * horizon)
+    return _climb(dist, solve_w0_basic(dist, params, params.z), params.beta,
+                  [base] * horizon)
 
 
 def solve_w0_extension(dist: OfferDistribution, params: MarketParams,
@@ -179,7 +179,7 @@ def solve_w0_extension(dist: OfferDistribution, params: MarketParams,
 
 
 def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
-                             belief: ExtensionSpec, basic) -> list[float]:
+                             belief: ExtensionSpec, basic) -> tuple[float, ...]:
     """Pre-extension reservation wages for entitlements 0..n_periods.
 
     Entry ``n`` solves
@@ -201,7 +201,7 @@ def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
     posts = [(basic[m], known[m] if known else _price(dist, basic[m]))
              for m in range(length, n_periods + length)]  # post_extension_state(n, length)
     terms = [base + beta * delta * (x * reject + tail) for x, (reject, tail) in posts]
-    return _Priced(dist, w0, beta * (1.0 - delta), terms)
+    return _climb(dist, w0, beta * (1.0 - delta), terms)
 
 
 class FloatArray:
@@ -209,17 +209,19 @@ class FloatArray:
 
     Assigning any sequence of floats stores it as a tuple under the
     field's name with a leading underscore, which the package's own code
-    reads. Reading the field returns a read-only float64 array of the
-    same values, built with a local ``import numpy`` on the first read
-    and cached, so later reads return the same object and code that
-    never reads it never loads numpy.
+    reads; a builder's tuple is stored as it is, so results share it.
+    Reading the field returns a read-only float64 array of the same
+    values, built with a local ``import numpy`` on the first read and
+    cached, so later reads return the same object and code that never
+    reads it never loads numpy.
     """
 
     def __set_name__(self, owner, name):
         self.floats, self.array = f"_{name}", f"_{name}_array"
 
-    def __set__(self, obj, values):
-        obj.__dict__[self.floats] = tuple(map(float, values))
+    def __set__(self, obj, values):  # a builder's tuple is kept, prices and all
+        obj.__dict__[self.floats] = (values if isinstance(values, _Priced)
+                                     else tuple(map(float, values)))
 
     def __get__(self, obj, owner=None):
         if obj is None:  # how dataclass looks up a default: there is none

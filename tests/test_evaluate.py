@@ -1,14 +1,17 @@
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 
 from uisearch import (DivergenceError, ExtensionSpec, MarketParams,
-                      UniformOffers, build_policy, evaluate_policy,
-                      expected_welfare_at_offer, simulate_many,
-                      solve_schedules, solve_w0_basic, welfare_loss)
-from uisearch.evaluate import PolicyProfile, post_chains
-from uisearch.schedule import upsilon
+                      UniformOffers, build_policy, default_calibration,
+                      evaluate_policy, expected_welfare_at_offer, simulate_many,
+                      solve_schedules, solve_w0_basic, sweep_beliefs, welfare_loss)
+from uisearch import schedule as schedule_module
+from uisearch.evaluate import PolicyProfile, build_policies, post_chains
+from uisearch.schedule import FloatArray, build_basic_schedule, upsilon
 
 from conftest import random_belief, random_valid_params
 
@@ -258,6 +261,63 @@ class TestPostChainReuse:
             with pytest.raises(ValueError,
                                match=r"upsilon argument 1.2 outside support \[0.0, 1.0\]"):
                 evaluate_policy(bad, truth, params, uniform)
+
+
+class TestSharedSchedules:
+    """Results store the builders' tuples as they are: the policies of one
+    comparison share one basic tuple, and nothing copies it."""
+
+    def test_policies_share_the_builders_basic_tuple(
+            self, monkeypatch, uniform, benchmark_params, benchmark_truth):
+        built = []
+
+        def recording(*args):
+            built.append(build_basic_schedule(*args))
+            return built[-1]
+
+        monkeypatch.setattr("uisearch.evaluate.build_basic_schedule", recording)
+        beliefs = [benchmark_truth, ExtensionSpec(0.1, 25), ExtensionSpec(0.9, 40)]
+        policies = build_policies(uniform, benchmark_params, beliefs,
+                                  benchmark_truth.length)
+        assert len(built) == 1 and type(built[0]) is schedule_module._Priced
+        assert all(policy._post_thresholds is built[0] for policy in policies)
+
+    def test_a_delta_sweep_copies_no_schedule(self, monkeypatch):
+        copied = []
+        store = FloatArray.__set__
+
+        def recording(field, obj, values):
+            store(field, obj, values)
+            if obj.__dict__[field.floats] is not values:
+                copied.append(field.floats)
+
+        monkeypatch.setattr(FloatArray, "__set__", recording)
+        rows = sweep_beliefs(default_calibration(), vary="delta")
+        # only each evaluation's offer values, built as a list, are copied
+        assert copied == ["_offer_values"] * (len(rows) + 1)
+
+    @pytest.mark.parametrize("copy_of", [lambda obj: pickle.loads(pickle.dumps(obj)),
+                                         copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copies_evaluate_to_the_same_bits(
+            self, uniform, benchmark_params, benchmark_truth, copy_of):
+        belief = ExtensionSpec(0.1, 25)
+        policy = build_policy(uniform, benchmark_params, belief,
+                              true_length=benchmark_truth.length)
+        schedule = solve_schedules(uniform, benchmark_params, belief,
+                                   horizon=len(policy.post_thresholds) - 1)
+
+        def bits(policy, schedule, dist):
+            from_schedule = PolicyProfile(schedule._with_extension, schedule._basic)
+            return [_bits(evaluate_policy(p, benchmark_truth, benchmark_params, dist))
+                    for p in (policy, from_schedule)]
+
+        expected = bits(policy, schedule, uniform)
+        # copied together with their distribution, the thresholds keep their prices
+        copies = copy_of((policy, schedule, uniform))
+        assert bits(*copies) == expected
+        assert bits(*copies[:2], uniform) == expected
+        assert copies[1].basic.tobytes() == schedule.basic.tobytes()
+        assert copies[1].with_extension.tobytes() == schedule.with_extension.tobytes()
 
 
 def markov_chain_oracle(policy, truth, params, low, high):

@@ -66,7 +66,7 @@ def unshared_rows(cal, vary, grid):
     basic = build_basic_schedule(dist, params, horizon)
 
     def statistics(belief):
-        post = basic.copy()
+        post = list(basic)
         pre = build_extension_schedule(dist, params, belief, post)
         ev = evaluate_policy(PolicyProfile(pre_thresholds=pre, post_thresholds=post),
                              truth, params, dist)

@@ -174,12 +174,18 @@ class TestExtensionSchedule:
             build_extension_schedule(uniform, fig3_params,
                                      ExtensionSpec(delta=0.5, length=13), basic)
 
-    def test_a_changed_basic_schedule_is_priced_again(self, uniform, fig3_params):
-        # The builders' lists carry the prices of the wages they were
-        # built with; once an entry changes, those prices are not used.
+    def test_a_builders_result_cannot_change(self, uniform, fig3_params):
+        # The builders' tuples carry the prices of their wages, so no
+        # entry can change after it is priced.
+        basic = build_basic_schedule(uniform, fig3_params, horizon=12)
+        pre = build_extension_schedule(uniform, fig3_params, ExtensionSpec(0.5, 3), basic)
+        for wages in (basic, pre):
+            with pytest.raises(TypeError):
+                wages[1] = 0.5
+
+    def test_an_unpriced_basic_schedule_gives_the_same_wages(self, uniform, fig3_params):
         belief = ExtensionSpec(delta=0.5, length=3)
         basic = build_basic_schedule(uniform, fig3_params, horizon=12)
-        basic[12] = 0.5 * (basic[11] + basic[12])
         assert (build_extension_schedule(uniform, fig3_params, belief, basic)
                 == build_extension_schedule(uniform, fig3_params, belief, list(basic)))
 
@@ -269,7 +275,8 @@ class TestValueAccessors:
                "evaluation": evaluate_policy(policy, benchmark_truth, benchmark_params,
                                              uniform)}[owner]
         stored = getattr(obj, f"_{name}")
-        assert type(stored) is tuple and all(type(v) is float for v in stored)
+        assert type(stored) in (tuple, schedule_module._Priced)
+        assert all(type(v) is float for v in stored)
         array = getattr(obj, name)
         assert array.dtype == np.float64 and not array.flags.writeable
         assert getattr(obj, name) is array
@@ -281,7 +288,13 @@ class TestValueAccessors:
     (lambda: MarketParams(0.95, 0.4, 0.4, n_periods=2.5), "n_periods must be"),
     (lambda: ExtensionSpec(delta=1.5, length=3), r"delta must lie in \[0, 1\]"),
     (lambda: ExtensionSpec(delta=0.5, length=0), "length must be a positive integer"),
-], ids=["n_periods_negative", "n_periods_fraction", "delta_above_one", "length_zero"])
+    (lambda: MarketParams(0.95, 0.4, 0.4, n_periods=float("inf")), "n_periods must be"),
+    (lambda: ExtensionSpec(delta=0.5, length=float("inf")),
+     "length must be a positive integer"),
+    (lambda: ExtensionSpec(delta=0.5, length=float("nan")),
+     "length must be a positive integer"),
+], ids=["n_periods_negative", "n_periods_fraction", "delta_above_one", "length_zero",
+        "n_periods_infinite", "length_infinite", "length_nan"])
 def test_model_inputs_are_checked(make, message):
     with pytest.raises(ValueError, match=message):
         make()

@@ -338,6 +338,15 @@ def test_thresholds_are_priced_in_one_place():
                              ("schedule", "_price", "partial_expectation")]
 
 
+def test_only_the_parameter_checks_write_to_frozen_objects():
+    # A result that gains a hidden attribute after it is built is a second
+    # channel beside its fields. The one use is MarketParams and
+    # ExtensionSpec storing a checked whole number as an int.
+    found = [(path.stem, *use) for path in sorted(ROOT.glob("src/uisearch/*.py"))
+             for use in attribute_uses(ast.parse(path.read_text()), {"__setattr__"})]
+    assert found == [("params", "__post_init__", "__setattr__")] * 2
+
+
 def test_attribute_guard_finds_calls_and_bare_references():
     tree = ast.parse("f = d.cdf\ndef g():\n    d.cdf(x)\n    h(d.partial_expectation)\n"
                      "    d.sf(x)\n")
