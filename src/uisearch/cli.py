@@ -47,7 +47,11 @@ def _output(path):
     if path is None:
         yield sys.stdout
     else:
-        with open(path, "w") as handle:
+        try:
+            handle = open(path, "w")
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise ConfigError("out", f"cannot write {path}: {exc.strerror or exc}") from None
+        with handle:
             yield handle
 
 

@@ -83,14 +83,16 @@ def _build_distribution(descriptor):
     low, high = _numbers([descriptor.get("low", 0.0), descriptor.get("high", 1.0)],
                          "distribution", "low and high must be numbers",
                          "low and high must be finite")
-    if not low < high:
-        raise ConfigError("distribution", "low must be strictly less than high")
+    try:
+        dist = UniformOffers(low=low, high=high)
+    except ValueError as exc:  # the bounds out of order, or too large to square
+        raise ConfigError("distribution", str(exc)) from None
     # Last, so that every descriptor refused before keeps its message.
     unknown = sorted(descriptor.keys() - {"type", "low", "high"})
     if unknown:
         raise ConfigError("distribution", f"unknown keys {unknown}: expected only "
                           "'type', 'low' and 'high'")
-    return UniformOffers(low=low, high=high)
+    return dist
 
 
 def parse_config(path=None, overrides=None) -> RunConfig:
@@ -146,10 +148,10 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     dist = _build_distribution(data["distribution"])
 
     # The model's two conditions that the range checks above leave open.
-    if not dist.support_low < (1.0 - beta) * z + beta * dist.mean:
+    if not dist.low < (1.0 - beta) * z + beta * dist.mean:
         raise ConfigError("z", "solver assumption violated: "
                           "w_low < (1 - beta) * z + beta * mean_wage")
-    if not z + c < dist.support_high:
+    if not z + c < dist.high:
         raise ConfigError("c", "solver assumption violated: z + c < w_high")
 
     return RunConfig(params=MarketParams(beta=beta, z=z, c=c, n_periods=n_periods),

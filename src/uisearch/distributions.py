@@ -1,71 +1,33 @@
 """Wage-offer distributions and the analytic operations the solver needs.
 
-Every distribution exposes the CDF, the survival function ``1 - F``,
-the partial expectation ``int_a^b w dF(w)``, and the quantile function
-used for inverse-CDF sampling. The solver and the evaluator call the
-first three on one float at a time; the simulator calls the quantile on
-whole arrays of variates. Instances are immutable after construction
-and safe to share across threads. The conditions a model puts on its
-distribution (an interior zero-entitlement wage, ``z + c`` below the
-top of the support) are checked by ``parse_config``; the fixed-point
-solvers check the ones their own iteration needs.
+The package calls seven members of a distribution and needs no base
+class: the support ends ``low`` and ``high``, the ``mean``, and the
+methods ``cdf``, ``sf`` (the survival function ``1 - F``),
+``partial_expectation`` (``int_a^b w dF(w)``) and ``quantile`` (the
+inverse CDF, for inverse-CDF sampling). The solver and the evaluator
+call ``cdf``, ``sf`` and ``partial_expectation`` on one float at a
+time; the simulator calls ``quantile`` on whole arrays of variates.
+``UniformOffers`` is the one distribution shipped, and its methods'
+docstrings state the contract any other must keep. Instances are
+immutable after construction and safe to share across threads. The
+conditions a model puts on its distribution (an interior
+zero-entitlement wage, ``z + c`` below the top of the support) are
+checked by ``parse_config``; the fixed-point solvers check the ones
+their own iteration needs.
 """
 
-from abc import ABC, abstractmethod
+import math
 from dataclasses import dataclass
 
 
-class OfferDistribution(ABC):
-    """Continuous wage-offer distribution on a bounded support."""
-
-    @property
-    @abstractmethod
-    def support_low(self) -> float:
-        """Lower end of the wage support."""
-
-    @property
-    @abstractmethod
-    def support_high(self) -> float:
-        """Upper end of the wage support."""
-
-    @property
-    @abstractmethod
-    def mean(self) -> float:
-        """Mean wage offer."""
-
-    @abstractmethod
-    def cdf(self, x) -> float:
-        """P(w <= x) for one float x. Clamps to 0 below the support and 1
-        above it."""
-
-    @abstractmethod
-    def sf(self, x) -> float:
-        """P(w > x) for one float x, computed without forming ``1 - cdf(x)``,
-        which cancels near the top of the support. Clamps to 1 below the
-        support and 0 above it."""
-
-    @abstractmethod
-    def partial_expectation(self, a, b) -> float:
-        """int_a^b w dF(w) for floats a <= b.
-
-        Additive over adjacent intervals; over the full support it
-        equals the mean. Raises ValueError when a > b.
-        """
-
-    @abstractmethod
-    def quantile(self, u):
-        """Inverse CDF at u in [0, 1]: a float or a numpy array of them.
-
-        Returns the same kind it is given, elementwise on arrays.
-        """
-
-
 @dataclass(frozen=True)
-class UniformOffers(OfferDistribution):
+class UniformOffers:
     """Uniform wage offers on [low, high]; the default is [0, 1].
 
     On [0, 1] the CDF is the identity, which makes every fixed point of
     the solver available in closed form (see ``uisearch.closedform``).
+    ``low`` and ``high`` must square to finite floats (magnitudes up to
+    about 1.34e154), since the partial expectation forms their squares.
     """
 
     low: float = 0.0
@@ -74,26 +36,32 @@ class UniformOffers(OfferDistribution):
     def __post_init__(self):
         if not self.low < self.high:
             raise ValueError("low must be strictly less than high")
-
-    @property
-    def support_low(self):
-        return self.low
-
-    @property
-    def support_high(self):
-        return self.high
+        if not (math.isfinite(self.low * self.low) and math.isfinite(self.high * self.high)):
+            raise ValueError("low and high must square to finite floats: "
+                             "magnitudes up to about 1.34e154")
 
     @property
     def mean(self):
+        """Mean wage offer."""
         return 0.5 * (self.low + self.high)
 
     def cdf(self, x):
+        """P(w <= x) for one float x. Clamps to 0 below the support and 1
+        above it."""
         return min(max((x - self.low) / (self.high - self.low), 0.0), 1.0)
 
     def sf(self, x):
+        """P(w > x) for one float x, computed without forming ``1 - cdf(x)``,
+        which cancels near the top of the support. Clamps to 1 below the
+        support and 0 above it."""
         return min(max((self.high - x) / (self.high - self.low), 0.0), 1.0)
 
     def partial_expectation(self, a, b):
+        """int_a^b w dF(w) for floats a <= b, clamped to the support.
+
+        Additive over adjacent intervals; over the full support it
+        equals the mean. Raises ValueError when a > b.
+        """
         if a > b:
             raise ValueError(f"invalid interval: a={a} > b={b}")
         lo = min(max(a, self.low), self.high)
@@ -102,4 +70,8 @@ class UniformOffers(OfferDistribution):
         return (hi * hi - lo * lo) / (2.0 * (self.high - self.low))
 
     def quantile(self, u):
+        """Inverse CDF at u in [0, 1]: a float or a numpy array of them.
+
+        Returns the same kind it is given, elementwise on arrays.
+        """
         return self.low + u * (self.high - self.low)

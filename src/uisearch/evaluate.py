@@ -17,7 +17,7 @@ prices, and share one basic tuple, so no threshold is priced twice.
 
 from dataclasses import dataclass
 
-from .distributions import OfferDistribution
+from .distributions import UniformOffers
 from .errors import DivergenceError
 from .params import ExtensionSpec, MarketParams
 from .schedule import (FloatArray, _price, _prices, build_basic_schedule,
@@ -41,7 +41,7 @@ class PolicyProfile:
     post_thresholds: FloatArray = FloatArray()
 
 
-def build_policies(dist: OfferDistribution, params: MarketParams, beliefs,
+def build_policies(dist: UniformOffers, params: MarketParams, beliefs,
                    true_length) -> list[PolicyProfile]:
     """The policy of each of ``beliefs``: its pre-extension schedule, and
     one basic schedule they all share that reaches every state a true
@@ -53,7 +53,7 @@ def build_policies(dist: OfferDistribution, params: MarketParams, beliefs,
             for belief in beliefs]
 
 
-def build_policy(dist: OfferDistribution, params: MarketParams,
+def build_policy(dist: UniformOffers, params: MarketParams,
                  belief: ExtensionSpec, true_length=None) -> PolicyProfile:
     """The thresholds a worker holding ``belief`` would use: the one-belief
     case of ``build_policies``. ``true_length`` defaults to the believed
@@ -105,7 +105,7 @@ def post_chains(post, beta, dist):
 
 
 def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
-                    params: MarketParams, dist: OfferDistribution, *,
+                    params: MarketParams, dist: UniformOffers, *,
                     chains=None) -> PolicyEvaluation:
     """Expected welfare, duration, and accepted wage under the true process.
 
@@ -176,10 +176,10 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     # thresholds a few ulps below its top, the tails hi**2 - x**2 cancel,
     # and their rounding carries the quotients out.
     accepted_wage = wages[n_periods]
-    if not dist.support_low <= accepted_wage <= dist.support_high:
+    if not dist.low <= accepted_wage <= dist.high:
         raise DivergenceError(
             f"expected accepted wage {float(accepted_wage)!r} lies outside the offer "
-            f"support [{dist.support_low!r}, {dist.support_high!r}]: acceptance "
+            f"support [{dist.low!r}, {dist.high!r}]: acceptance "
             "probabilities too small to resolve in floating point")
 
     return PolicyEvaluation(
@@ -192,7 +192,7 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
 
 
 def evaluate_beliefs(beliefs, truth: ExtensionSpec, params: MarketParams,
-                     dist: OfferDistribution) -> list[PolicyEvaluation]:
+                     dist: UniformOffers) -> list[PolicyEvaluation]:
     """``evaluate_policy`` of each belief's policy under ``truth``, in
     order; the policies share one basic schedule and so one set of
     post-extension chains."""
@@ -203,7 +203,7 @@ def evaluate_beliefs(beliefs, truth: ExtensionSpec, params: MarketParams,
 
 
 def welfare_loss(belief: ExtensionSpec, truth: ExtensionSpec,
-                 params: MarketParams, dist: OfferDistribution) -> float:
+                 params: MarketParams, dist: UniformOffers) -> float:
     """Percent welfare lost to holding ``belief`` instead of the truth.
 
     The true-belief policy is optimal under the true process, so the loss

@@ -11,7 +11,7 @@ demonstrate agreement.
 import math
 from dataclasses import dataclass
 
-from .distributions import OfferDistribution, UniformOffers
+from .distributions import UniformOffers
 from .errors import InfeasibleError
 from .evaluate import build_policies, evaluate_beliefs, loss_pct
 from .params import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,
@@ -29,7 +29,7 @@ class Calibration:
     ``target_duration`` is NaN when no duration was calibrated to."""
 
     params: MarketParams
-    dist: OfferDistribution
+    dist: UniformOffers
     truth: ExtensionSpec
     target_duration: float
 
@@ -38,7 +38,7 @@ class Calibration:
         return self.params.z + self.params.c
 
 
-def calibrate_z(target_duration, beta, dist: OfferDistribution) -> float:
+def calibrate_z(target_duration, beta, dist: UniformOffers) -> float:
     """Nonwork flow that yields a target expected unemployment duration.
 
     With no benefits and no extension the threshold ``w0`` is constant,
@@ -54,7 +54,7 @@ def calibrate_z(target_duration, beta, dist: OfferDistribution) -> float:
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1) to solve a fixed point")
     w0 = dist.quantile(1.0 - 1.0 / target_duration)
-    if not dist.support_low < w0 < dist.support_high:
+    if not dist.low < w0 < dist.high:
         raise InfeasibleError(f"target duration {target_duration} puts the "
                               f"threshold at the edge of the support, {w0}")
     flow = (w0 - beta * upsilon(dist, w0)) / (1.0 - beta)

@@ -30,11 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import OfferDistribution
-from .params import ExtensionSpec, MarketParams
-# The run limits live in params; callers and tests also read them here.
-from .params import (DEFAULT_MAX_PERIODS, DEFAULT_SEED, DEFAULT_SPELLS,  # noqa: F401
-                     MAX_PERIODS, MAX_SEED, MAX_SPELLS)
+from .distributions import UniformOffers
+from .params import (DEFAULT_MAX_PERIODS, MAX_PERIODS, MAX_SEED, MAX_SPELLS,
+                     ExtensionSpec, MarketParams)
 
 DEFAULT_CHUNK = 65_536
 
@@ -110,7 +108,7 @@ class CounterStream:
         """One extension trial: True with probability ``delta``."""
         return self._next() < delta
 
-    def next_offer(self, dist: OfferDistribution) -> float:
+    def next_offer(self, dist: UniformOffers) -> float:
         """One wage offer by inverse-CDF sampling."""
         return dist.quantile(self._next())
 
@@ -134,7 +132,7 @@ class SpellRecord:
 
 
 def simulate_spell(policy, truth: ExtensionSpec, params: MarketParams,
-                   dist: OfferDistribution, stream,
+                   dist: UniformOffers, stream,
                    max_periods=DEFAULT_MAX_PERIODS) -> SpellRecord:
     """Simulate one spell under (belief policy, true process).
 
@@ -206,7 +204,7 @@ class _Workspace:
 
 
 def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
-                   dist: OfferDistribution, master_seed: int,
+                   dist: UniformOffers, master_seed: int,
                    start: int, count: int,
                    max_periods=DEFAULT_MAX_PERIODS, *, workspace=None) -> dict:
     """Simulate spells ``start .. start + count - 1`` vectorized.
@@ -428,7 +426,7 @@ def _worker_block(start):
 
 
 def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
-                  dist: OfferDistribution, n_spells: int, master_seed: int,
+                  dist: UniformOffers, n_spells: int, master_seed: int,
                   max_periods=DEFAULT_MAX_PERIODS, n_workers=1) -> SimulationSummary:
     """Simulate ``n_spells`` spells and summarize them.
 

@@ -23,7 +23,7 @@ can carry a step past it, so each step is capped at the top.
 
 from dataclasses import dataclass
 
-from .distributions import OfferDistribution
+from .distributions import UniformOffers
 from .errors import NonConvergenceError
 from .params import ExtensionSpec, MarketParams
 
@@ -37,13 +37,13 @@ _MAX_STEPS = 100
 def _price(dist, x):
     """``(F(x), int_x^w_high w dF(w))``, the rejection probability and the
     acceptance tail of threshold ``x``. ``x`` must lie inside the support."""
-    lo, hi = dist.support_low, dist.support_high
+    lo, hi = dist.low, dist.high
     if x < lo or x > hi:
         raise ValueError(f"upsilon argument {x} outside support [{lo}, {hi}]")
     return dist.cdf(x), dist.partial_expectation(x, hi)
 
 
-def upsilon(dist: OfferDistribution, x) -> float:
+def upsilon(dist: UniformOffers, x) -> float:
     """Expected value of max(x, w) under the offer distribution.
 
     This is the option-value kernel of every recursion:
@@ -66,7 +66,7 @@ def _climb(dist, w0, slope, terms):
     wages, prices = [w0], [_price(dist, w0)]
     for term in terms:
         reject, tail = prices[-1]
-        wages.append(min(term + slope * (wages[-1] * reject + tail), dist.support_high))
+        wages.append(min(term + slope * (wages[-1] * reject + tail), dist.high))
         prices.append(_price(dist, wages[-1]))
     climbed = _Priced(map(float, wages))
     climbed.dist, climbed.prices = dist, prices
@@ -83,9 +83,9 @@ def check_solvable(dist, beta, flow):
     """Raise ValueError unless the zero-entitlement fixed point is interior."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1) to solve a fixed point")
-    if not flow < dist.support_high:
+    if not flow < dist.high:
         raise ValueError("flow income must lie below the top of the wage support")
-    if not dist.support_low < (1.0 - beta) * flow + beta * dist.mean:
+    if not dist.low < (1.0 - beta) * flow + beta * dist.mean:
         raise ValueError("offer distribution violates the interiority condition")
 
 
@@ -112,7 +112,7 @@ def _fixed_point(dist, base, slope, label):
     of steps on any support width, and ``_MAX_STEPS`` only catches a
     defect.
     """
-    x, top = dist.support_low, dist.support_high
+    x, top = dist.low, dist.high
     for _ in range(_MAX_STEPS):
         nxt = x + (base + slope * upsilon(dist, x) - x) / (1.0 - slope * dist.cdf(x))
         if nxt > top:
@@ -126,7 +126,7 @@ def _fixed_point(dist, base, slope, label):
     )
 
 
-def solve_w0_basic(dist: OfferDistribution, params: MarketParams, flow) -> float:
+def solve_w0_basic(dist: UniformOffers, params: MarketParams, flow) -> float:
     """Reservation wage with zero entitlement and no chance of extension.
 
     Newton's method on ``x = flow * (1 - beta) + beta * upsilon(x)``
@@ -148,7 +148,7 @@ def solve_w0_basic(dist: OfferDistribution, params: MarketParams, flow) -> float
     return _fixed_point(dist, flow * (1.0 - beta), beta, "basic")
 
 
-def build_basic_schedule(dist: OfferDistribution, params: MarketParams,
+def build_basic_schedule(dist: UniformOffers, params: MarketParams,
                          horizon) -> tuple[float, ...]:
     """Post-extension reservation wages for entitlements 0..horizon.
 
@@ -161,7 +161,7 @@ def build_basic_schedule(dist: OfferDistribution, params: MarketParams,
                   [base] * horizon)
 
 
-def solve_w0_extension(dist: OfferDistribution, params: MarketParams,
+def solve_w0_extension(dist: UniformOffers, params: MarketParams,
                        belief: ExtensionSpec, w_basic_at_length) -> float:
     """Zero-entitlement reservation wage when an extension is still possible.
 
@@ -178,7 +178,7 @@ def solve_w0_extension(dist: OfferDistribution, params: MarketParams,
     return _fixed_point(dist, base, beta * (1.0 - delta), "extension")
 
 
-def build_extension_schedule(dist: OfferDistribution, params: MarketParams,
+def build_extension_schedule(dist: UniformOffers, params: MarketParams,
                              belief: ExtensionSpec, basic) -> tuple[float, ...]:
     """Pre-extension reservation wages for entitlements 0..n_periods.
 
@@ -256,7 +256,7 @@ class ReservationSchedule:
     belief: ExtensionSpec
 
 
-def solve_schedules(dist: OfferDistribution, params: MarketParams,
+def solve_schedules(dist: UniformOffers, params: MarketParams,
                     belief: ExtensionSpec, horizon=None) -> ReservationSchedule:
     """Solve both schedules for one parameterization and belief.
 
@@ -273,7 +273,7 @@ def solve_schedules(dist: OfferDistribution, params: MarketParams,
                                params=params, belief=belief)
 
 
-def reservation_identity_residual(dist: OfferDistribution,
+def reservation_identity_residual(dist: UniformOffers,
                                   schedule: ReservationSchedule) -> float:
     """Largest gap in the search cost/benefit identity across the schedule.
 

@@ -176,6 +176,27 @@ class TestParseConfig:
         assert main(["solve", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("bound", [1e308, 1.35e154])
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_support_whose_squares_overflow_rejected_before_work(
+            self, tmp_path, capsys, monkeypatch, command, bound):
+        # The ends square to inf, so the offer tail high**2 - low**2 would be
+        # inf - inf: unchecked, solve printed nan wages and simulate ended in
+        # a "not JSON compliant: inf" traceback.
+        def no_policy(*args, **kwargs):
+            raise AssertionError("built a policy before the config was checked")
+
+        monkeypatch.setattr("uisearch.cli.solve_schedules", no_policy)
+        monkeypatch.setattr("uisearch.cli.build_policy", no_policy)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**BENCHMARK, "distribution": {
+            "type": "uniform", "low": -bound, "high": bound}}))
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: distribution: low and high must square to "
+                                "finite floats: magnitudes up to about 1.34e154\n")
+
     def test_unsupported_distribution(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**BENCHMARK,
@@ -206,6 +227,22 @@ class TestCli:
         assert main(["solve", "--config", config_path, "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_text().startswith("n,w_basic,w_ext\n")
+
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["simulate", "--spells", "200"], ["calibrate", "--duration", "10"]],
+        ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/x.csv", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing_directory", "a_directory"])
+    def test_unwritable_out_is_config_error(self, config_path, tmp_path, capsys,
+                                            command, target, reason):
+        name, *rest = command
+        config = [] if name == "calibrate" else ["--config", config_path]
+        out = str(tmp_path / target)
+        assert main([name, *config, *rest, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out: cannot write {out}: {reason}\n"
 
     def test_evaluate_json(self, config_path, capsys):
         assert main(["evaluate", "--config", config_path]) == 0
@@ -253,7 +290,7 @@ class TestCli:
         path = tmp_path / "run.json"
         if completed == 0:
             def above_support(dist, params, belief, **kwargs):
-                top = dist.support_high + 0.1
+                top = dist.high + 0.1
                 return PolicyProfile(
                     pre_thresholds=np.full(params.n_periods + 1, top),
                     post_thresholds=np.full(params.n_periods + belief.length + 1, top))
@@ -470,7 +507,7 @@ class TestCli:
         path.write_text(json.dumps(FLOW_AN_ULP_BELOW_TOP))
         cfg = parse_config(str(path))
         schedule = solve_schedules(cfg.distribution, cfg.params, cfg.belief)
-        top = cfg.distribution.support_high
+        top = cfg.distribution.high
         assert max(schedule.basic.max(), schedule.with_extension.max()) <= top
         assert main(["solve", "--config", str(path)]) == 0
         assert capsys.readouterr().err == ""
@@ -564,6 +601,9 @@ class TestStdoutDigests:
         "unit": BENCHMARK,
         "wide": {**BENCHMARK,
                  "distribution": {"type": "uniform", "low": 0.2, "high": 1.7}},
+        # About the widest symmetric support whose squares stay finite.
+        "widest": {**BENCHMARK, "distribution": {"type": "uniform", "low": -1.3e154,
+                                                 "high": 1.3e154}},
     }
     COMMANDS = {
         "solve": ["solve"],
@@ -584,6 +624,11 @@ class TestStdoutDigests:
         ("sweep_delta", "wide"): "a63fec163f5ede9b8100961991b8052389754a52facafd5c48b864f66749c83e",
         ("sweep_len", "wide"): "3cd0cb78cc097fbc08e56a2531274461478a9731ea6153f22b9ca1dc387269b1",
         ("simulate", "wide"): "ff9b173a1d20123755237360ba5d995e6f7b883e527f2c25903f8f8b3ec8e758",
+        # Recorded before supports whose squares overflow were rejected.
+        ("solve", "widest"): "29425f97e9c21c357d9162333296f5333db5f504c12dbdcfe07e37fdd067fc7d",
+        ("evaluate", "widest"): "832280e022452eed187d0eae47ab1f9dcb5ec1b5296d78b8165b271ede4d654d",
+        ("sweep_delta", "widest"): "84c82a01f7fab83866106114e614cc9766718765ad44047b7b616ec984dd9282",
+        ("sweep_len", "widest"): "83d3cf60107b06ab697e8b3df99c26c2ba3f47512d5ecce2606548eed7f74471",
     }
     CALIBRATE_DIGEST = "5e7f6e8ebf5beeecb442acfe33f6cc43cbcbe6b634158e99208f38bfd4421ea4"
 

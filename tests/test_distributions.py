@@ -6,11 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from uisearch import (ExtensionSpec, MarketParams, UniformOffers, build_policy,
-                      calibrate_z, evaluate_policy,
-                      reservation_identity_residual, solve_schedules,
-                      sweep_beliefs, welfare_loss)
+from uisearch import (CounterStream, ExtensionSpec, MarketParams, UniformOffers,
+                      build_policy, calibrate_z, default_calibration, evaluate_policy,
+                      reservation_identity_residual, simulate_many, simulate_spell,
+                      solve_schedules, sweep_beliefs, welfare_loss)
 from uisearch.cli import main
+from uisearch.evaluate import evaluate_beliefs
 from uisearch.experiments import Calibration
 from uisearch.schedule import (build_basic_schedule, build_extension_schedule,
                                solve_w0_basic, solve_w0_extension)
@@ -252,3 +253,83 @@ class TestScalarTraffic:
 def test_support_must_be_ordered():
     with pytest.raises(ValueError):
         UniformOffers(low=1.0, high=1.0)
+
+
+@pytest.mark.parametrize("low, high", [(-1e308, 1e308), (-1.35e154, 1.35e154),
+                                       (0.0, 1.35e154), (-1.35e154, 0.0)])
+def test_support_must_square_to_finite_floats(low, high):
+    # partial_expectation forms high**2 - low**2, which would be inf - inf.
+    with pytest.raises(ValueError, match="square to finite floats"):
+        UniformOffers(low=low, high=high)
+
+
+def test_widest_accepted_support_keeps_finite_expectations():
+    d = UniformOffers(low=-1.3e154, high=1.3e154)
+    assert d.partial_expectation(d.low, d.high) == d.mean == 0.0
+    assert d.partial_expectation(0.0, d.high) == 3.25e153
+
+
+class DelegatingOffers:
+    """Not a ``UniformOffers``: only the seven members the package calls on
+    a distribution, each taken from one. ``__slots__`` admits no others."""
+
+    __slots__ = ("_inner", "low", "high", "mean")
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.low, self.high, self.mean = inner.low, inner.high, inner.mean
+
+    def cdf(self, x):
+        return self._inner.cdf(x)
+
+    def sf(self, x):
+        return self._inner.sf(x)
+
+    def partial_expectation(self, a, b):
+        return self._inner.partial_expectation(a, b)
+
+    def quantile(self, u):
+        return self._inner.quantile(u)
+
+
+def _solved(dist):
+    schedule = solve_schedules(dist, TRAFFIC_PARAMS, TRAFFIC_BELIEF)
+    return (schedule._basic, schedule._with_extension,
+            reservation_identity_residual(dist, schedule))
+
+
+def _simulated(dist):
+    policy = build_policy(dist, TRAFFIC_PARAMS, TRAFFIC_BELIEF,
+                          true_length=TRAFFIC_TRUTH.length)
+    spell = simulate_spell(policy, TRAFFIC_TRUTH, TRAFFIC_PARAMS, dist,
+                           CounterStream(7, 3))
+    return spell, simulate_many(policy, TRAFFIC_TRUTH, TRAFFIC_PARAMS, dist, 3000, 7)
+
+
+class TestInterfaceWithoutBaseClass:
+    """Any object with the seven members serves as the offer distribution:
+    each entry point gives the same bits through one as through the
+    ``UniformOffers`` it forwards to."""
+
+    INNER = UniformOffers(low=0.2, high=1.7)
+
+    def test_the_stand_in_has_only_the_seven_members(self):
+        stand_in = DelegatingOffers(self.INNER)
+        assert not isinstance(stand_in, UniformOffers)
+        assert {name for name in dir(stand_in) if not name.startswith("_")} == {
+            "low", "high", "mean", "cdf", "sf", "partial_expectation", "quantile"}
+
+    @pytest.mark.parametrize("run", [
+        _solved,
+        lambda d: evaluate_beliefs([TRAFFIC_BELIEF, TRAFFIC_TRUTH], TRAFFIC_TRUTH,
+                                   TRAFFIC_PARAMS, d),
+        lambda d: [sweep_beliefs(Calibration(TRAFFIC_PARAMS, d, TRAFFIC_TRUTH, math.nan),
+                                 vary=vary) for vary in ("delta", "len")],
+        lambda d: (calibrate_z(10.0, 0.95, d), default_calibration(dist=d).params),
+        _simulated,
+    ], ids=["solve_schedules", "evaluate_beliefs", "sweep_beliefs", "calibrate_z",
+            "simulate"])
+    def test_same_bits_as_the_uniform_it_forwards_to(self, run):
+        # repr prints each float's shortest round-trip form, so equal reprs
+        # are equal bits.
+        assert repr(run(DelegatingOffers(self.INNER))) == repr(run(self.INNER))

@@ -139,7 +139,7 @@ class TestCalibrateZ:
         assert abs((1.0 - dist.cdf(w0)) - 1.0 / target) <= slack
         # Any positive z is interior when the support's bottom is at most
         # beta times its mean; parse_config checks interiority at z alone.
-        if dist.support_low <= beta * dist.mean:
+        if dist.low <= beta * dist.mean:
             cfg = parse_config(overrides={
                 "beta": beta, "z": params.z, "c": params.c, "N": 0,
                 "delta_true": 0.0, "len_true": 1,

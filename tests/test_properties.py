@@ -148,8 +148,8 @@ def test_accepted_configs_diverge_only_by_rounding(fields):
     except NonConvergenceError:
         return  # the CLI exits 3 before any evaluation
     for policy in policies:
-        assert policy.post_thresholds.max() <= dist.support_high
-        assert policy.pre_thresholds.max() <= dist.support_high
+        assert policy.post_thresholds.max() <= dist.high
+        assert policy.pre_thresholds.max() <= dist.high
         try:
             result = evaluate_policy(policy, cfg.truth, cfg.params, dist)
         except DivergenceError as exc:
@@ -157,7 +157,7 @@ def test_accepted_configs_diverge_only_by_rounding(fields):
             assert (min(dist.sf(w) for w in state0) == 0.0
                     or "outside the offer support" in str(exc))
         else:
-            assert dist.support_low <= result.accepted_wage <= dist.support_high
+            assert dist.low <= result.accepted_wage <= dist.high
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -238,7 +238,7 @@ def scaled_models(draw):
     # test_narrow_support_solves_to_the_decimal_root covers beta 0.999.
     beta = draw(st.floats(0.01, 0.99))
     z = low + width * draw(st.floats(0.01, 0.99))
-    c = (dist.support_high - z) * draw(st.floats(0.01, 0.99))
+    c = (dist.high - z) * draw(st.floats(0.01, 0.99))
     params = MarketParams(beta=beta, z=z, c=c, n_periods=draw(st.integers(0, 40)))
     belief = ExtensionSpec(delta=draw(st.floats(0.0, 1.0)),
                            length=draw(st.integers(1, 30)))
@@ -255,11 +255,11 @@ def scaled_models(draw):
 def test_schedules_rise_dominate_and_solve_on_any_scale(model):
     dist, params, belief = model
     schedule = solve_schedules(dist, params, belief)
-    width = dist.support_high - dist.support_low
+    width = dist.high - dist.low
     # The exact increments and extension gaps shrink geometrically in n,
     # so at a schedule's plateau they fall below the rounding of each
     # step, an ulp at the support's scale.
-    ulp = np.spacing(max(abs(dist.support_low), abs(dist.support_high)))
+    ulp = np.spacing(max(abs(dist.low), abs(dist.high)))
     # Entitlement never lowers the wage.
     for wages in (schedule.basic, schedule.with_extension):
         assert np.all(np.diff(wages) >= -ulp)
