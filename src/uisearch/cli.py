@@ -10,8 +10,10 @@ or cannot be resolved in floating point.
 
 import argparse
 import contextlib
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -42,6 +44,22 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
+def _check_out(path):
+    """Refuse, before any work, an ``--out`` that is a directory or lies in
+    a missing one. The file itself is opened once the data is ready, so
+    that a failed run leaves none."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = os.strerror(errno.EISDIR)
+    elif not os.path.isdir(parent):
+        reason = os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    else:
+        return
+    raise ConfigError("out", f"cannot write {path}: {reason}")
+
+
 @contextlib.contextmanager
 def _output(path):
     if path is None:
@@ -57,6 +75,7 @@ def _output(path):
 
 def _cmd_solve(args):
     cfg = parse_config(args.config)
+    _check_out(args.out)
     schedule = solve_schedules(cfg.distribution, cfg.params, cfg.belief)
     with _output(args.out) as out:
         out.write("n,w_basic,w_ext\n")
@@ -69,6 +88,7 @@ def _cmd_solve(args):
 
 def _cmd_evaluate(args):
     cfg = parse_config(args.config)
+    _check_out(args.out)
     result, baseline = evaluate_beliefs([cfg.belief, cfg.truth], cfg.truth,
                                         cfg.params, cfg.distribution)
     payload = {
@@ -96,6 +116,7 @@ def _cmd_simulate(args):
     overrides = {"spells": args.spells, "seed": args.seed,
                  "max_periods": args.max_periods}
     cfg = parse_config(args.config, overrides=overrides)
+    _check_out(args.out)
     policy = build_policy(cfg.distribution, cfg.params, cfg.belief,
                           true_length=cfg.truth.length)
     summary = simulate_many(policy, cfg.truth, cfg.params, cfg.distribution,
@@ -168,6 +189,7 @@ def _cmd_sweep(args):
             raise ConfigError("grid", "belief lengths must be at least 1")
         if args.vary == "len" and any(v > MAX_ENTITLEMENT for v in grid):
             raise ConfigError("grid", "belief lengths may not exceed 2**16 periods")
+    _check_out(args.out)
     rows = sweep_beliefs(cal, vary=args.vary, grid=grid, mode=args.mode,
                          seed=cfg.seed, spells=cfg.spells,
                          max_periods=cfg.max_periods, n_workers=args.threads)
@@ -191,6 +213,7 @@ def _cmd_calibrate(args):
         raise ConfigError("beta", f"value {args.beta} outside (0, 1)")
     if not math.isfinite(args.duration):
         raise ConfigError("duration", f"expected a finite number, got {args.duration}")
+    _check_out(args.out)
     z_full = calibrate_z(args.duration, args.beta, UniformOffers())
     payload = {"z_full": z_full, "z": 0.5 * z_full, "c": 0.5 * z_full}
     with _output(args.out) as out:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .distributions import UniformOffers
 from .errors import DivergenceError
 from .params import ExtensionSpec, MarketParams
-from .schedule import (FloatArray, _price, _prices, build_basic_schedule,
+from .schedule import (FloatArray, _price_each, build_basic_schedule,
                        build_extension_schedule, post_extension_state)
 
 
@@ -88,7 +88,7 @@ def post_chains(post, beta, dist):
     They depend on ``post``, ``beta`` and ``dist`` alone, not on the
     belief, so one set serves every policy that shares ``post``.
     """
-    prices = _prices(dist, post) or [_price(dist, x) for x in post]
+    prices = _price_each(dist, post)
     g_post = [(x * reject + tail) / (1.0 - beta)
               for x, (reject, tail) in zip(post, prices)]
     d_post, a_post = [0.0] * len(post), [0.0] * len(post)
@@ -146,10 +146,8 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     if accept0_pre_stuck <= 0.0:
         raise DivergenceError("pre-extension state 0 never accepts; duration diverges")
 
-    if chains is None:
-        chains = post_chains(post, beta, dist)
-    g_post, d_post, a_post = chains
-    prices = _prices(dist, pre) or [_price(dist, x) for x in pre]
+    g_post, d_post, a_post = chains or post_chains(post, beta, dist)
+    prices = _price_each(dist, pre)
 
     # Pre-extension flow-node recursions. At entitlement 0 the state
     # persists until extension or acceptance, so the equation contains

@@ -364,8 +364,24 @@ class SimulationSummary:
         return self.extension_count / self.n_spells
 
 
-def _block_partials(block: dict, workspace: _Workspace) -> tuple:
-    """Counts and sums of one block's spells.
+def _square_scale(params: MarketParams, dist: UniformOffers) -> float:
+    """The power of two, at most 1, that brings every welfare and accepted
+    wage of a run below 2**480 in magnitude, so that the squares of
+    ``MAX_SPELLS`` of them sum to a finite float.
+
+    It is taken from their bound ``(|z| + |c| + max|w|) / (1 - beta)``,
+    not from the values, so every block of a run uses the same one, and
+    it is 1 unless that bound reaches about 1e144. The bound's exponent
+    is read off its two parts, within one, so no ``beta`` divides by zero.
+    """
+    flows = abs(params.z) + abs(params.c) + max(-dist.low, dist.high)
+    over = math.frexp(flows)[1] - math.frexp(1.0 - params.beta)[1] + 1 - 480
+    return math.ldexp(1.0, -max(over, 0))
+
+
+def _block_partials(block: dict, workspace: _Workspace, scale: float) -> tuple:
+    """Counts and sums of one block's spells: of each value, and of the
+    square of each value, welfare and wages multiplied by ``scale`` first.
 
     Squares, durations as floats and, when a spell is truncated, the
     completed spells' values go to the scratch arrays of ``workspace``.
@@ -378,25 +394,31 @@ def _block_partials(block: dict, workspace: _Workspace) -> tuple:
     done = np.flatnonzero(~truncated) if n_truncated else None
     x, sq = (a[:n_done].view(np.float64) for a in workspace.scratch)
     sums = []
-    for key in ("welfare", "duration", "accepted_wage"):
+    for key, by in (("welfare", scale), ("duration", 1.0), ("accepted_wage", scale)):
         values = block[key]
         if done is not None:
             values = np.take(values, done, out=sq.view(values.dtype), mode="wrap")
         if values.dtype != np.float64:
             np.copyto(x, values)
             values = x
-        sums += [float(np.sum(values)), float(np.sum(np.multiply(values, values, out=sq)))]
+        sums.append(float(np.sum(values)))
+        if by != 1.0:  # exact: a power of two
+            values = np.multiply(values, by, out=sq)
+        sums.append(float(np.sum(np.multiply(values, values, out=sq))))
     return (n_done, *sums, int(np.count_nonzero(block["extended"])), n_truncated)
 
 
-def _mean_stderr(total, total_sq, n):
+def _mean_stderr(total, total_sq, n, scale=1.0):
+    """Mean and standard error of ``n`` values from their sum and the sum
+    of their squares after multiplying each by ``scale``."""
     if n == 0:
         return math.nan, math.nan
     mean = total / n
     if n == 1:
         return mean, math.nan
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return mean, math.sqrt(var / n)
+    scaled = mean * scale
+    var = max(total_sq - n * scaled * scaled, 0.0) / (n - 1)
+    return mean, math.sqrt(var / n) / scale
 
 
 # What a forked pool worker serves: the job (policy, truth, params,
@@ -418,7 +440,7 @@ def _run_block(job, workspace, start):
     count = min(DEFAULT_CHUNK, n_spells - start)
     block = simulate_block(policy, truth, params, dist, master_seed, start, count,
                            max_periods=max_periods, workspace=workspace)
-    return _block_partials(block, workspace)
+    return _block_partials(block, workspace, _square_scale(params, dist))
 
 
 def _worker_block(start):
@@ -473,9 +495,10 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
 
     n_done = sum(p[0] for p in partials)
     sums = [math.fsum(p[k] for p in partials) for k in range(1, 7)]
-    welfare_mean, welfare_stderr = _mean_stderr(sums[0], sums[1], n_done)
+    scale = _square_scale(params, dist)
+    welfare_mean, welfare_stderr = _mean_stderr(sums[0], sums[1], n_done, scale)
     duration_mean, duration_stderr = _mean_stderr(sums[2], sums[3], n_done)
-    wage_mean, wage_stderr = _mean_stderr(sums[4], sums[5], n_done)
+    wage_mean, wage_stderr = _mean_stderr(sums[4], sums[5], n_done, scale)
     return SimulationSummary(
         n_spells=n_spells,
         welfare_mean=welfare_mean, welfare_stderr=welfare_stderr,

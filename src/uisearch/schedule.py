@@ -10,11 +10,14 @@ kind of function with slope ``beta * (1 - delta)`` on ``upsilon``. Each
 ``g`` is convex and decreasing, so Newton's method from the bottom of
 the support climbs to its root without overshooting, and it stops at
 the first step that does not rise: in exact arithmetic every step
-below the root rises, so such a step is rounding. The stop needs no tolerance, so it
-has no scale to get wrong on a narrow or a wide support. Both schedules
-then build upward by a one-step recursion on the option-value kernel,
-pricing each wage once (``_price``); the tuples they return carry the
-prices to the evaluator, and results store them as they are.
+below the root rises, so such a step is rounding. The stop needs no
+tolerance, so it has no scale to get wrong on a narrow or a wide
+support. Each step prices its iterate once. Both schedules then build
+upward by a one-step recursion on the option-value kernel, pricing each
+wage once; the tuples they return carry the prices to the evaluator,
+and results store them as they are. ``_price`` is the one place a
+threshold is priced, and ``_price_each`` the one way to the prices of a
+schedule.
 
 In exact arithmetic every wage stays below the top of the wage support
 when ``z + c`` does. With ``z + c`` a few ulps below the top, rounding
@@ -73,10 +76,12 @@ def _climb(dist, w0, slope, terms):
     return climbed
 
 
-def _prices(dist, wages):
-    """The prices a builder attached to ``wages`` if they were made under
-    ``dist``; None otherwise."""
-    return wages.prices if getattr(wages, "dist", None) is dist else None
+def _price_each(dist, wages):
+    """The ``_price`` of each of ``wages``: the prices a builder attached,
+    if it climbed them under ``dist``, and otherwise priced here."""
+    if getattr(wages, "dist", None) is dist:
+        return wages.prices
+    return [_price(dist, x) for x in wages]
 
 
 def check_solvable(dist, beta, flow):
@@ -104,7 +109,9 @@ def _fixed_point(dist, base, slope, label):
 
     ``g`` is convex with derivative ``slope * F(x) - 1 <= slope - 1 < 0``,
     so each step ``x + g(x) / (1 - slope * F(x))`` lands at or below the
-    root and the iterates rise to it. Stops at the first step that does
+    root and the iterates rise to it. Each step takes ``F(x)`` and
+    ``upsilon(x)`` from one ``_price`` of ``x``, with the float
+    operations ``upsilon`` performs. Stops at the first step that does
     not rise and keeps the iterate before it: below the root every step
     rises in exact arithmetic, so that step is rounding. The loop ends
     because the iterates are floats that rise strictly and never pass
@@ -114,9 +121,8 @@ def _fixed_point(dist, base, slope, label):
     """
     x, top = dist.low, dist.high
     for _ in range(_MAX_STEPS):
-        nxt = x + (base + slope * upsilon(dist, x) - x) / (1.0 - slope * dist.cdf(x))
-        if nxt > top:
-            nxt = top
+        reject, tail = _price(dist, x)
+        nxt = min(x + (base + slope * (x * reject + tail) - x) / (1.0 - slope * reject), top)
         if not nxt > x:
             return x
         x = nxt
@@ -197,10 +203,9 @@ def build_extension_schedule(dist: UniformOffers, params: MarketParams,
     w0 = solve_w0_extension(dist, params, belief, basic[length])
     beta, delta = params.beta, belief.delta
     base = (params.z + params.c) * (1.0 - beta)
-    known = _prices(dist, basic)  # or each entry is priced here
-    posts = [(basic[m], known[m] if known else _price(dist, basic[m]))
-             for m in range(length, n_periods + length)]  # post_extension_state(n, length)
-    terms = [base + beta * delta * (x * reject + tail) for x, (reject, tail) in posts]
+    posts = range(length, n_periods + length)  # post_extension_state(n, length)
+    terms = [base + beta * delta * (basic[m] * reject + tail)
+             for m, (reject, tail) in zip(posts, _price_each(dist, basic)[length:])]
     return _climb(dist, w0, beta * (1.0 - delta), terms)
 
 

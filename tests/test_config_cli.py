@@ -235,7 +235,13 @@ class TestCli:
         ("missing/x.csv", "No such file or directory"), (".", "Is a directory")],
         ids=["missing_directory", "a_directory"])
     def test_unwritable_out_is_config_error(self, config_path, tmp_path, capsys,
-                                            command, target, reason):
+                                            monkeypatch, command, target, reason):
+        from uisearch import montecarlo
+
+        def no_spells(*args, **kwargs):
+            raise AssertionError("spells ran before --out was checked")
+
+        monkeypatch.setattr(montecarlo, "simulate_many", no_spells)
         name, *rest = command
         config = [] if name == "calibrate" else ["--config", config_path]
         out = str(tmp_path / target)
@@ -243,6 +249,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: out: cannot write {out}: {reason}\n"
+
+    @pytest.mark.parametrize("command, work", [
+        (["solve"], "solve_schedules"), (["evaluate"], "evaluate_beliefs"),
+        (["simulate"], "build_policy"), (["sweep"], "sweep_beliefs"),
+        (["calibrate", "--duration", "10"], "calibrate_z")],
+        ids=["solve", "evaluate", "simulate", "sweep", "calibrate"])
+    def test_unwritable_out_refused_before_work(self, config_path, tmp_path, capsys,
+                                                monkeypatch, command, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(f"uisearch.cli.{work}", no_work)
+        name, *rest = command
+        config = [] if name == "calibrate" else ["--config", config_path]
+        out = str(tmp_path / "missing" / "x")
+        assert main([name, *config, *rest, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: out: cannot write {out}: No such file or directory\n")
+        assert not (tmp_path / "missing").exists()
+
+    def test_config_error_comes_before_out(self, tmp_path, capsys):
+        config, out = tmp_path / "absent.json", tmp_path / "missing" / "x.json"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: cannot read {config}")
+
+    def test_failed_run_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "z.json"
+        assert main(["calibrate", "--duration", "1", "--out", str(out)]) == 4
+        assert not out.exists()
 
     def test_evaluate_json(self, config_path, capsys):
         assert main(["evaluate", "--config", config_path]) == 0

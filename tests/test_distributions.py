@@ -249,6 +249,24 @@ class TestScalarTraffic:
             assert Counter(x for name, x in dist.thresholds if name == method) \
                 == thresholds, method
 
+    @pytest.mark.parametrize("entry", ["solve_schedules", "evaluate_beliefs", "sweep_pass"])
+    def test_every_cdf_read_comes_with_its_tail(self, entry):
+        # _price reads both for each threshold it prices, and nothing else
+        # reads either: Newton's slope is the rejection probability of the
+        # price its step already took. The benchmark's census of a default
+        # delta-plus-length sweep pass reads the two counts.
+        dist = ScalarOnlyUniform()
+        cal = default_calibration(truth=ExtensionSpec(delta=0.4, length=20), dist=dist)
+        dist.calls.clear()
+        if entry == "solve_schedules":
+            solve_schedules(dist, cal.params, TRAFFIC_BELIEF)
+        elif entry == "evaluate_beliefs":
+            evaluate_beliefs([TRAFFIC_BELIEF, cal.truth], cal.truth, cal.params, dist)
+        else:
+            sweep_beliefs(cal, vary="delta")
+            sweep_beliefs(cal, vary="len")
+        assert dist.calls["cdf"] == dist.calls["partial_expectation"] > 0
+
 
 def test_support_must_be_ordered():
     with pytest.raises(ValueError):

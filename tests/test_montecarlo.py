@@ -7,8 +7,10 @@ import os
 import pickle
 import sys
 import threading
+import warnings
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -290,6 +292,24 @@ class TestSimulateMany:
         summary = simulate_many(policy, truth, p, uniform, 100_000, 21)
         expected = 1 / (1 - solve_w0_basic(uniform, p, flow=p.z))
         assert abs(summary.duration_mean - expected) < 3 * summary.duration_stderr
+
+    def test_widest_support_keeps_finite_standard_errors(self):
+        # Squared welfare near 1e155 overflows a float, so the reduction
+        # scales welfare and wages by a power of two before squaring.
+        dist = UniformOffers(low=-1.3e154, high=1.3e154)
+        policy = _policy(dist, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = simulate_many(policy, BENCH_TRUTH, BENCH, dist, 100, 0)
+        block = simulate_block(policy, BENCH_TRUTH, BENCH, dist, 0, 0, 100)
+        assert not block["truncated"].any()
+        for key, stderr in (("welfare", summary.welfare_stderr),
+                            ("accepted_wage", summary.wage_stderr)):
+            values = [Fraction(v) for v in block[key].tolist()]
+            mean = sum(values) / len(values)
+            var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+            assert math.isfinite(stderr), key
+            assert math.isclose(stderr, math.sqrt(var / len(values)), rel_tol=1e-12), key
 
     def test_all_truncated_reports_counts(self, uniform):
         p = MarketParams(beta=0.95, z=0.42, c=0.42, n_periods=1)

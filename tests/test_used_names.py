@@ -18,6 +18,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -207,6 +208,48 @@ def test_span_size_arguments_keep_their_positions():
     assert list(inspect.signature(montecarlo._variates).parameters)[1] == "spells"
 
 
+def counted(monkeypatch, qualname):
+    """Calls of ``uisearch.<qualname>``, wrapped in every package module
+    that holds it, as bench/layers.py patches its timing targets."""
+    modname, attr = qualname.rsplit(".", 1)
+    original = getattr(importlib.import_module(f"uisearch.{modname}"), attr)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if _in_package(name) and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_a_sweep_pass_makes_the_census_divisors(monkeypatch):
+    # bench/run.py divides a sweep's census by its schedule.upsilon and
+    # evaluate.evaluate_policy spans. A sweep's one upsilon call per belief
+    # is the extension base in solve_w0_extension.
+    cal = uisearch.default_calibration()
+    upsilon = counted(monkeypatch, "schedule.upsilon")
+    evaluations = counted(monkeypatch, "evaluate.evaluate_policy")
+    rows = uisearch.sweep_beliefs(cal, vary="delta")
+    assert len(evaluations) == len(rows) + 1  # and the true belief's baseline
+    assert len(upsilon) == len(evaluations)
+
+
+def test_a_traced_simulate_makes_the_census_divisor(monkeypatch, tmp_path, capsys):
+    # bench/run.py divides the traced CLI's spell time by its
+    # montecarlo.simulate_spell spans.
+    from uisearch.cli import main
+    spells = counted(monkeypatch, "montecarlo.simulate_spell")
+    config = tmp_path / "run.json"
+    config.write_text('{"beta": 0.95, "z": 0.4, "c": 0.4, "N": 10, "delta_true": 0.5, '
+                      '"len_true": 25, "delta_belief": 0.1, "len_belief": 25}')
+    assert main(["simulate", "--config", str(config), "--spells", "50",
+                 "--trace", "1"]) == 0
+    assert len(spells) == 1
+
+
 def test_overridden_distribution_methods_keep_their_parameters():
     # bench/layers.py's TracedUniform overrides these three methods of
     # UniformOffers and forwards its arguments to them.
@@ -324,17 +367,14 @@ def attribute_uses(node, names):
 
 
 def test_thresholds_are_priced_in_one_place():
-    # The recursions and the evaluator take a threshold's rejection
-    # probability and tail from schedule._price, which holds the support
-    # check, so that a belief comparison prices each threshold once.
-    # Newton's slope in _fixed_point is the one other reader of the CDF.
-    found = []
-    for name in ("schedule", "evaluate"):
-        tree = ast.parse((ROOT / "src" / "uisearch" / f"{name}.py").read_text())
-        found += [(name, *use) for use in attribute_uses(
-            tree, {"cdf", "partial_expectation"})]
-    assert sorted(found) == [("schedule", "_fixed_point", "cdf"),
-                             ("schedule", "_price", "cdf"),
+    # Every module takes a threshold's rejection probability and tail from
+    # schedule._price, which holds the support check: Newton's steps, the
+    # recursions and the evaluator alike, so that each step prices its
+    # iterate once and a belief comparison prices each threshold once.
+    found = [(path.stem, *use) for path in sorted(ROOT.glob("src/uisearch/*.py"))
+             for use in attribute_uses(ast.parse(path.read_text()),
+                                       {"cdf", "partial_expectation"})]
+    assert sorted(found) == [("schedule", "_price", "cdf"),
                              ("schedule", "_price", "partial_expectation")]
 
 
