@@ -5,11 +5,13 @@ worker whose unemployment benefits expire and may be extended once,
 evaluates misperceived-belief policies exactly, and simulates spells
 reproducibly at scale.
 
-The exact path (solving, evaluation, sweeps and calibration) runs on
-Python floats and never imports numpy. The Monte Carlo names
-(``CounterStream``, ``simulate_many``, ``simulate_spell``) and the
-closed-form oracle (``uniform_closed_form``, ``expected_welfare_at_offer``)
-need numpy, so their modules load on first access to one of them.
+The exact path (solving, evaluation, sweeps and calibration) and the
+closed-form oracle run on Python floats and never import numpy. The
+Monte Carlo names (``CounterStream``, ``simulate_many``,
+``simulate_spell``) need numpy, so their module loads on first access to
+one of them. The oracle's names (``uniform_closed_form``,
+``expected_welfare_at_offer``) load their module on first access too,
+only so that CLI start-up does not compile it.
 """
 
 import importlib

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands: solve, evaluate, simulate, sweep, calibrate. Data goes to
-stdout (or --out); diagnostics go to stderr. Exit codes: 0 success,
+Subcommands: solve, evaluate, simulate, sweep, calibrate. Each returns
+the lines of its data, and ``main`` alone writes them, to stdout or
+--out; diagnostics go to stderr. Exit codes: 0 success,
 2 configuration or validation problem, 3 a fixed point that reached the
 solver's private Newton step cap (no accepted configuration is known to),
 4 infeasible calibration, 5 a policy whose expected duration diverges
@@ -9,7 +10,6 @@ or cannot be resolved in floating point.
 """
 
 import argparse
-import contextlib
 import errno
 import json
 import math
@@ -45,13 +45,15 @@ def _fmt(value) -> str:
 
 
 def _check_out(path):
-    """Refuse, before any work, an ``--out`` that is a directory or lies in
-    a missing one. The file itself is opened once the data is ready, so
+    """Refuse, before any work, an ``--out`` that is empty, a directory or
+    in a missing one. ``main`` opens the file once the data is ready, so
     that a failed run leaves none."""
     if path is None:
         return
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        reason = os.strerror(errno.ENOENT)
+    elif os.path.isdir(path):
         reason = os.strerror(errno.EISDIR)
     elif not os.path.isdir(parent):
         reason = os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
@@ -60,30 +62,16 @@ def _check_out(path):
     raise ConfigError("out", f"cannot write {path}: {reason}")
 
 
-@contextlib.contextmanager
-def _output(path):
-    if path is None:
-        yield sys.stdout
-    else:
-        try:
-            handle = open(path, "w")
-        except OSError as exc:  # a missing directory, a directory, no permission
-            raise ConfigError("out", f"cannot write {path}: {exc.strerror or exc}") from None
-        with handle:
-            yield handle
-
-
 def _cmd_solve(args):
     cfg = parse_config(args.config)
     _check_out(args.out)
     schedule = solve_schedules(cfg.distribution, cfg.params, cfg.belief)
-    with _output(args.out) as out:
-        out.write("n,w_basic,w_ext\n")
-        ext_wages = schedule._with_extension
-        for n, w in enumerate(schedule._basic):
-            ext = _fmt(ext_wages[n]) if n < len(ext_wages) else ""
-            out.write(f"{n},{_fmt(w)},{ext}\n")
-    return EXIT_OK
+    lines = ["n,w_basic,w_ext\n"]
+    ext_wages = schedule._with_extension
+    for n, w in enumerate(schedule._basic):
+        ext = _fmt(ext_wages[n]) if n < len(ext_wages) else ""
+        lines.append(f"{n},{_fmt(w)},{ext}\n")
+    return lines
 
 
 def _cmd_evaluate(args):
@@ -97,10 +85,7 @@ def _cmd_evaluate(args):
         "accepted_wage": result.accepted_wage,
         "loss_pct": loss_pct(baseline.welfare, result.welfare),
     }
-    with _output(args.out) as out:
-        json.dump(payload, out)
-        out.write("\n")
-    return EXIT_OK
+    return [json.dumps(payload) + "\n"]
 
 
 def _check_threads(threads):
@@ -126,10 +111,11 @@ def _cmd_simulate(args):
         print(f"warning: {summary.truncated_count} of {summary.n_spells} spells "
               f"truncated at max_periods={cfg.max_periods}; "
               "means cover completed spells only", file=sys.stderr)
-    with _output(args.out) as out:
+
+    def lines():  # lazy, so that main streams a long trace as it writes
         if args.trace:
-            out.write("spell,duration,accepted_wage,welfare,extended,"
-                      "extension_period,truncated\n")
+            yield ("spell,duration,accepted_wage,welfare,extended,"
+                   "extension_period,truncated\n")
             for i in range(min(args.trace, cfg.spells)):
                 stream = CounterStream(cfg.seed, i)
                 rec = simulate_spell(policy, cfg.truth, cfg.params,
@@ -137,15 +123,14 @@ def _cmd_simulate(args):
                                      max_periods=cfg.max_periods)
                 wage = "" if rec.accepted_wage is None else _fmt(rec.accepted_wage)
                 period = "" if rec.extension_period is None else rec.extension_period
-                out.write(f"{i},{rec.duration},{wage},{_fmt(rec.welfare)},"
-                          f"{str(rec.extended).lower()},{period},"
-                          f"{str(rec.truncated).lower()}\n")
+                yield (f"{i},{rec.duration},{wage},{_fmt(rec.welfare)},"
+                       f"{str(rec.extended).lower()},{period},"
+                       f"{str(rec.truncated).lower()}\n")
         # A mean over no completed spell, or a stderr over one, is
         # undefined: JSON null, since NaN is not JSON.
-        json.dump({key: None if isinstance(value, float) and math.isnan(value) else value
-                   for key, value in asdict(summary).items()}, out, allow_nan=False)
-        out.write("\n")
-    return EXIT_OK
+        yield json.dumps({key: None if isinstance(value, float) and math.isnan(value) else value
+                          for key, value in asdict(summary).items()}, allow_nan=False) + "\n"
+    return lines()
 
 
 def _parse_grid(spec, as_int):
@@ -161,15 +146,18 @@ def _parse_grid(spec, as_int):
     if as_int and not (lo.is_integer() and step.is_integer()):
         raise ConfigError("grid", f"LO and STEP of a length grid must be whole "
                           f"numbers, got {spec!r}")
-    if (hi + 1e-9 - lo) / step >= MAX_GRID_POINTS:
+    # HI is a point when LO + k * STEP misses it by rounding only: by a
+    # share of STEP, and by a few ulps of HI where that share is finer.
+    tolerance = max(step * 1e-9, 4 * math.ulp(hi))
+    if (hi + tolerance - lo) / step >= MAX_GRID_POINTS:
         raise ConfigError("grid", f"{spec!r} has more than {MAX_GRID_POINTS} points")
     values = []
     k = 0
     while True:
         v = lo + k * step
-        if v > hi + 1e-9:
+        if v > hi + tolerance:
             break
-        values.append(int(v) if as_int else round(v, 12))
+        values.append(int(v) if as_int else float(_fmt(v)))  # as _fmt prints it
         k += 1
     return values
 
@@ -198,14 +186,13 @@ def _cmd_sweep(args):
         print(f"warning: spells truncated at max_periods={cfg.max_periods} in "
               f"the runs behind {truncated_rows} of {len(rows)} rows; "
               "means cover completed spells only", file=sys.stderr)
-    with _output(args.out) as out:
-        out.write("varied_param,belief_value,misperception,loss_pct,"
-                  "duration_ratio,wage_gap_pct\n")
-        for row in rows:
-            out.write(f"{row.varied_param},{_fmt(row.belief_value)},"
-                      f"{_fmt(row.misperception)},{_fmt(row.loss_pct)},"
-                      f"{_fmt(row.duration_ratio)},{_fmt(row.wage_gap_pct)}\n")
-    return EXIT_OK
+    lines = ["varied_param,belief_value,misperception,loss_pct,"
+             "duration_ratio,wage_gap_pct\n"]
+    for row in rows:
+        lines.append(f"{row.varied_param},{_fmt(row.belief_value)},"
+                     f"{_fmt(row.misperception)},{_fmt(row.loss_pct)},"
+                     f"{_fmt(row.duration_ratio)},{_fmt(row.wage_gap_pct)}\n")
+    return lines
 
 
 def _cmd_calibrate(args):
@@ -216,10 +203,7 @@ def _cmd_calibrate(args):
     _check_out(args.out)
     z_full = calibrate_z(args.duration, args.beta, UniformOffers())
     payload = {"z_full": z_full, "z": 0.5 * z_full, "c": 0.5 * z_full}
-    with _output(args.out) as out:
-        json.dump(payload, out)
-        out.write("\n")
-    return EXIT_OK
+    return [json.dumps(payload) + "\n"]
 
 
 def _build_parser():
@@ -274,10 +258,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        lines = args.func(args)
+        if args.out is None:
+            sys.stdout.writelines(lines)
+        else:
+            try:
+                handle = open(args.out, "w")
+            except OSError as exc:  # no permission, or a race with _check_out
+                raise ConfigError("out", f"cannot write {args.out}: "
+                                  f"{exc.strerror or exc}") from None
+            with handle:
+                handle.writelines(lines)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]
+    return EXIT_OK
 
 
 if __name__ == "__main__":

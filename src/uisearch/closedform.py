@@ -8,8 +8,6 @@ oracle for the iterative solver.
 
 import math
 
-import numpy as np
-
 from .params import ExtensionSpec, MarketParams
 from .schedule import ReservationSchedule, post_extension_state
 
@@ -52,20 +50,18 @@ def uniform_closed_form(params: MarketParams,
     delta, length = belief.delta, belief.length
     horizon = post_extension_state(n_periods, length)
 
-    basic = np.empty(horizon + 1)
-    basic[0] = w0_basic_closed_form(beta, z)
+    basic = [w0_basic_closed_form(beta, z)]
     base = (z + c) * (1.0 - beta)
     for n in range(1, horizon + 1):
-        basic[n] = base + 0.5 * beta * (1.0 + basic[n - 1] ** 2)
+        basic.append(base + 0.5 * beta * (1.0 + basic[n - 1] ** 2))
 
-    with_ext = np.empty(n_periods + 1)
-    with_ext[0] = w0_extension_closed_form(beta, z, delta, basic[length])
+    with_ext = [w0_extension_closed_form(beta, z, delta, basic[length])]
     for n in range(1, n_periods + 1):
-        with_ext[n] = base + 0.5 * beta * (
+        with_ext.append(base + 0.5 * beta * (
             1.0
             + delta * basic[n - 1 + length] ** 2
             + (1.0 - delta) * with_ext[n - 1] ** 2
-        )
+        ))
 
     return ReservationSchedule(basic=basic, with_extension=with_ext,
                                params=params, belief=belief)

@@ -269,6 +269,34 @@ class TestCli:
             f"error: out: cannot write {out}: No such file or directory\n")
         assert not (tmp_path / "missing").exists()
 
+    def test_empty_out_refused_before_any_spell(self, config_path, capsys, monkeypatch):
+        from uisearch import montecarlo
+
+        def no_spells(*args, **kwargs):
+            raise AssertionError("spells ran before --out was checked")
+
+        monkeypatch.setattr(montecarlo, "simulate_many", no_spells)
+        assert main(["simulate", "--config", config_path, "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out: cannot write : No such file or directory\n"
+
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["evaluate"], ["simulate", "--spells", "500"],
+        ["simulate", "--spells", "500", "--trace", "5"], ["sweep", "--vary", "len"],
+        ["calibrate", "--duration", "10"]],
+        ids=["solve", "evaluate", "simulate", "simulate_trace", "sweep", "calibrate"])
+    def test_out_file_holds_the_stdout_bytes(self, config_path, tmp_path, capsys,
+                                             command):
+        name, *rest = command
+        config = [] if name == "calibrate" else ["--config", config_path]
+        assert main([name, *config, *rest]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "data.txt"
+        assert main([name, *config, *rest, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+
     def test_config_error_comes_before_out(self, tmp_path, capsys):
         config, out = tmp_path / "absent.json", tmp_path / "missing" / "x.json"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
@@ -624,6 +652,28 @@ class TestCli:
                      "--grid", "20:30.5:5"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert [line.split(",")[1] for line in lines[1:]] == ["20", "25", "30"]
+
+    @pytest.mark.parametrize("spec, count", [
+        ("0:1e-9:1e-10", 11), ("0:5e-12:1e-12", 6), ("0:4e-13:1e-13", 5),
+        ("0.5:0.5000001:1e-8", 11), ("0.1:0.10000002:1e-9", 21)])
+    def test_fine_grid_ends_at_hi(self, spec, count):
+        # The tolerance past HI scales with STEP, down to a few ulps of HI:
+        # an absolute 1e-9 ran fine grids past HI or over the point cap, and
+        # STEP * 1e-9 alone drops HI from the last two grids.
+        values = _parse_grid(spec, as_int=False)
+        assert len(set(values)) == len(values) == count
+        assert values[-1] == float(spec.split(":")[1])
+
+    @pytest.mark.parametrize("spec, as_int, count", [
+        ("0.1:0.9:0.8", False, 2), ("0.3:0.7:0.2", False, 3), ("0.1:0.9:0.4", False, 3),
+        ("0.1:0.9:0.05", False, 17), ("20:30:5", True, 3), ("20:30.5:5", True, 3),
+        ("1:10000:1", True, 10_000)])
+    def test_grids_in_use_parse_as_before(self, spec, as_int, count):
+        # The old rule: COUNT points LO + k * STEP, rounded to 12 decimals.
+        lo, _, step = map(float, spec.split(":"))
+        points = [lo + k * step for k in range(count)]
+        assert _parse_grid(spec, as_int) == [int(v) if as_int else round(v, 12)
+                                            for v in points]
 
 
 class TestStdoutDigests:

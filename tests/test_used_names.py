@@ -344,12 +344,12 @@ def module_level_imports(node):
 
 
 def test_only_simulation_and_the_oracle_import_numpy_at_module_level():
-    # The exact path (solve, evaluate, sweep --mode exact, calibrate) runs
-    # on Python floats; a module-level numpy import anywhere on it would
-    # load numpy for every command.
+    # The exact path (solve, evaluate, sweep --mode exact, calibrate) and
+    # the closed forms run on Python floats; a module-level numpy import
+    # anywhere on the exact path would load numpy for every command.
     found = {path.stem for path in sorted(ROOT.glob("src/uisearch/*.py"))
              if "numpy" in module_level_imports(ast.parse(path.read_text()))}
-    assert found == {"closedform", "montecarlo"}
+    assert found == {"montecarlo"}
 
 
 def test_import_guard_skips_function_bodies():
@@ -357,6 +357,20 @@ def test_import_guard_skips_function_bodies():
                      "from . import sibling\nclass C:\n    import os\n"
                      "def f():\n    import json\n")
     assert module_level_imports(tree) == {"numpy", "os"}
+
+
+def test_only_main_writes_the_cli_data():
+    # Each subcommand returns its lines and main writes them, to stdout or
+    # --out, so that every command opens its output the same way and only
+    # once its data is ready. A print without a file also writes stdout.
+    tree = ast.parse((ROOT / "src" / "uisearch" / "cli.py").read_text())
+    opens = [scope for scope, callee in calls_to(tree, {"open"})]
+    stdout = [scope for scope, child in scoped_nodes(tree)
+              if _attribute_chain(child) == ["sys", "stdout"]]
+    prints = [scope for scope, child in scoped_nodes(tree)
+              if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "print"
+              and "file" not in {keyword.arg for keyword in child.keywords}]
+    assert (opens, stdout, prints) == (["main"], ["main"], [])
 
 
 def attribute_uses(node, names):
