@@ -146,19 +146,19 @@ def _parse_grid(spec, as_int):
     if as_int and not (lo.is_integer() and step.is_integer()):
         raise ConfigError("grid", f"LO and STEP of a length grid must be whole "
                           f"numbers, got {spec!r}")
-    # HI is a point when LO + k * STEP misses it by rounding only: by a
-    # share of STEP, and by a few ulps of HI where that share is finer.
-    tolerance = max(step * 1e-9, 4 * math.ulp(hi))
-    if (hi + tolerance - lo) / step >= MAX_GRID_POINTS:
-        raise ConfigError("grid", f"{spec!r} has more than {MAX_GRID_POINTS} points")
+    # Points and HI are compared as the CSV prints them, to 12 significant
+    # digits, so a LO + k * STEP that misses HI by float rounding alone
+    # still ends the grid, and no point that prints above HI is kept.
+    # Lengths are whole numbers, compared exactly as ints: 12 digits would
+    # merge lengths past 10**12.
+    if as_int:
+        lo, step = int(lo), int(step)
+    printed = math.floor if as_int else lambda v: float(_fmt(v))
     values = []
-    k = 0
-    while True:
-        v = lo + k * step
-        if v > hi + tolerance:
-            break
-        values.append(int(v) if as_int else float(_fmt(v)))  # as _fmt prints it
-        k += 1
+    while (v := printed(lo + len(values) * step)) <= printed(hi):
+        if len(values) == MAX_GRID_POINTS:
+            raise ConfigError("grid", f"{spec!r} has more than {MAX_GRID_POINTS} points")
+        values.append(v)
     return values
 
 

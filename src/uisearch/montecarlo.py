@@ -60,6 +60,14 @@ def _seed_offset(master_seed: int) -> int:
     return _mix64(master_seed)
 
 
+def _check_max_periods(max_periods: int):
+    """A spell sees at least one offer, and its draws, at most two a
+    period, must fit the 32-bit draw counter."""
+    if not 1 <= max_periods <= MAX_PERIODS:
+        raise ValueError("max_periods must lie in [1, 2**30], "
+                         "the periods the draw counter allows")
+
+
 def _variate(seed_offset: int, spell: int, draw: int) -> float:
     """Uniform variate in [0, 1) for draw ``draw`` of spell ``spell``."""
     counter = (spell << 32) | draw
@@ -143,6 +151,7 @@ def simulate_spell(policy, truth: ExtensionSpec, params: MarketParams,
     offer and compare it against the threshold at the new state. The
     spell truncates after ``max_periods`` offers.
     """
+    _check_max_periods(max_periods)
     z, c, beta = params.z, params.c, params.beta
     n = params.n_periods
     extended = False
@@ -233,8 +242,7 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
     """
     if start + count > MAX_SPELLS:
         raise ValueError("spell indices must fit in 32 bits")
-    if max_periods > MAX_PERIODS:
-        raise ValueError("max_periods too large for the draw counter")
+    _check_max_periods(max_periods)
     ws = _Workspace(count) if workspace is None else workspace
     z, c, beta = params.z, params.c, params.beta
     delta, length = truth.delta, truth.length
@@ -474,6 +482,7 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     if n_spells > MAX_SPELLS:
         raise ValueError("spell indices must fit in 32 bits")
     _seed_offset(master_seed)  # rejects a bad seed before any worker starts
+    _check_max_periods(max_periods)
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
     job = (policy, truth, params, dist, master_seed, n_spells, max_periods)

@@ -10,6 +10,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import uisearch
 from uisearch import (ConfigError, build_policy, cli, simulate_many, solve_schedules,
@@ -657,12 +659,54 @@ class TestCli:
         ("0:1e-9:1e-10", 11), ("0:5e-12:1e-12", 6), ("0:4e-13:1e-13", 5),
         ("0.5:0.5000001:1e-8", 11), ("0.1:0.10000002:1e-9", 21)])
     def test_fine_grid_ends_at_hi(self, spec, count):
-        # The tolerance past HI scales with STEP, down to a few ulps of HI:
-        # an absolute 1e-9 ran fine grids past HI or over the point cap, and
-        # STEP * 1e-9 alone drops HI from the last two grids.
+        # Points and HI are compared as the CSV prints them, so LO + k * STEP
+        # that misses HI by rounding only still ends the grid at HI.
         values = _parse_grid(spec, as_int=False)
         assert len(set(values)) == len(values) == count
         assert values[-1] == float(spec.split(":")[1])
+
+    @pytest.mark.parametrize("spec, as_int, points", [
+        ("0:0.29999999999:0.1", False, [0.0, 0.1, 0.2]),
+        ("1:2.9999999999:1", True, [1, 2]),
+        ("0:0.9:0.30000000000000004", False, [0.0, 0.3, 0.6, 0.9])])
+    def test_grid_ends_at_hi_as_printed(self, spec, as_int, points):
+        # 3 * 0.30000000000000004 is 0.9000000000000001, printed 0.9
+        assert _parse_grid(spec, as_int) == points
+
+    def test_length_past_float_precision_is_beyond_longest(self, config_path, capsys,
+                                                           monkeypatch):
+        # As floats 10**16 + 1 rounds to 10**16, and to 12 digits so do its
+        # neighbours; as ints the grid is the one length 10**16.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the grid was checked")
+
+        monkeypatch.setattr("uisearch.cli.sweep_beliefs", no_sweep)
+        assert main(["sweep", "--config", config_path, "--vary", "len", "--grid",
+                     "10000000000000000:10000000000000000:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: grid: belief lengths may not exceed 2**16 periods\n"
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_grid_ends_where_points_print_above_hi(self, data):
+        def decimal(digits, places):
+            return Decimal(data.draw(digits)).scaleb(-data.draw(places))
+
+        lo = decimal(st.integers(0, 999), st.integers(0, 4))
+        step = decimal(st.integers(1, 999), st.integers(1, 13))
+        # HI on a grid point, or off it by a few units of a late digit
+        hi = (lo + data.draw(st.integers(0, 300)) * step
+              + decimal(st.integers(-50, 50), st.integers(10, 18)))
+        if hi < lo:
+            reject()
+        values = _parse_grid(f"{lo}:{hi}:{step}", as_int=False)
+        printed = [float(format(v, ".12g")) for v in (
+            float(lo) + k * float(step) for k in range(len(values) + 1))]
+        top = float(format(float(hi), ".12g"))
+        assert values == printed[:-1]
+        assert all(v <= top for v in values)
+        assert printed[-1] > top
 
     @pytest.mark.parametrize("spec, as_int, count", [
         ("0.1:0.9:0.8", False, 2), ("0.3:0.7:0.2", False, 3), ("0.1:0.9:0.4", False, 3),

@@ -353,6 +353,33 @@ class TestSimulateMany:
             simulate_block(policy, benchmark_truth, benchmark_params, uniform, 1,
                            **bounds)
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("max_periods", [0, -1, (1 << 30) + 1])
+    def test_rejects_max_periods_before_any_work(self, monkeypatch, two_cpus, pools,
+                                                 max_periods, n_workers):
+        # 0 or -1 used to truncate every spell; 2**30 + 1 was refused by
+        # the first block, once the workers had started
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before max_periods was checked")
+
+        monkeypatch.setattr("uisearch.montecarlo.simulate_block", no_work)
+        monkeypatch.setattr("uisearch.montecarlo._Workspace", no_work)
+        with pytest.raises(ValueError, match="max_periods"):
+            simulate_many(TestWorkerPool.POLICY, BENCH_TRUTH, BENCH, UNIT,
+                          DEFAULT_CHUNK + 1, 1, max_periods=max_periods,
+                          n_workers=n_workers)
+        assert pools == []
+
+    @pytest.mark.parametrize("max_periods", [0, -1, (1 << 30) + 1])
+    def test_block_and_spell_reject_max_periods(self, max_periods):
+        policy = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
+        with pytest.raises(ValueError, match="max_periods"):
+            simulate_block(policy, BENCH_TRUTH, BENCH, UNIT, 1, 0, 4,
+                           max_periods=max_periods)
+        with pytest.raises(ValueError, match="max_periods"):
+            simulate_spell(policy, BENCH_TRUTH, BENCH, UNIT, CounterStream(1, 0),
+                           max_periods=max_periods)
+
     @pytest.mark.parametrize("seed", [-1, montecarlo.MAX_SEED + 1, (1 << 64) + 1])
     def test_rejects_seed_beyond_one_word(self, uniform, benchmark_params,
                                           benchmark_truth, monkeypatch, seed):
