@@ -150,7 +150,8 @@ def _parse_grid(spec, as_int):
     # digits, so a LO + k * STEP that misses HI by float rounding alone
     # still ends the grid, and no point that prints above HI is kept.
     # Lengths are whole numbers, compared exactly as ints: 12 digits would
-    # merge lengths past 10**12.
+    # merge lengths past 10**12. A STEP too fine for 12 digits would print
+    # one belief on several rows, so it is refused.
     if as_int:
         lo, step = int(lo), int(step)
     printed = math.floor if as_int else lambda v: float(_fmt(v))
@@ -158,6 +159,9 @@ def _parse_grid(spec, as_int):
     while (v := printed(lo + len(values) * step)) <= printed(hi):
         if len(values) == MAX_GRID_POINTS:
             raise ConfigError("grid", f"{spec!r} has more than {MAX_GRID_POINTS} points")
+        if values and v == values[-1]:
+            raise ConfigError("grid", f"STEP of {spec!r} is finer than the 12 digits "
+                              f"printed: two points print as {_fmt(v)}")
         values.append(v)
     return values
 

@@ -16,10 +16,11 @@ produce identical records. A block's lanes carry only a spell index and
 sit in segments of one extension period each, the pending prefix first,
 so entitlement, welfare, thresholds and draw counters are per-segment
 values. ``simulate_many`` always cuts spells into blocks of
-``DEFAULT_CHUNK``, runs them inline or on forked worker processes, and
-combines per-block sums with an exact (order-insensitive) reduction, so
-a fixed ``(master_seed, n_spells)`` gives a bit-identical summary for
-any worker count. Each process running blocks reuses one workspace of
+``DEFAULT_CHUNK``, runs them inline or shares them between the calling
+process and children forked for the call, and combines per-block sums
+with an exact (order-insensitive) reduction, so a fixed
+``(master_seed, n_spells)`` gives a bit-identical summary for any
+worker count. Each process running blocks reuses one workspace of
 arrays for all of them, so a block allocates no array of its size
 beyond a few short-lived temporaries.
 """
@@ -187,9 +188,9 @@ class _Workspace:
     copies between, the two ``_variates`` scratch arrays (which
     ``_block_partials`` reuses), the spells in the order they ended, the
     four per-spell outputs, which ``simulate_block`` returns views of,
-    and a mask for the trial and acceptance outcomes. Each
-    ``simulate_many`` call and each of its worker processes makes its
-    own, so concurrent calls share no array.
+    and a mask for the trial and acceptance outcomes. Each process that
+    runs blocks of a ``simulate_many`` call, the calling one or a child
+    forked for it, makes its own, so concurrent calls share no array.
     """
 
     def __init__(self, size):
@@ -429,32 +430,6 @@ def _mean_stderr(total, total_sq, n, scale=1.0):
     return mean, math.sqrt(var / n) / scale
 
 
-# What a forked pool worker serves: the job (policy, truth, params,
-# dist, master_seed, n_spells, max_periods) and the worker's own
-# workspace. ``_set_job`` sets it once in each worker process, the job
-# handed over by fork without pickling; it stays None in the calling
-# process, whose inline path passes the job and a workspace explicitly.
-_JOB = None
-
-
-def _set_job(job):
-    global _JOB
-    _JOB = job, _Workspace(min(DEFAULT_CHUNK, job[5]))
-
-
-def _run_block(job, workspace, start):
-    """Partial sums of the block of ``job`` that starts at spell ``start``."""
-    policy, truth, params, dist, master_seed, n_spells, max_periods = job
-    count = min(DEFAULT_CHUNK, n_spells - start)
-    block = simulate_block(policy, truth, params, dist, master_seed, start, count,
-                           max_periods=max_periods, workspace=workspace)
-    return _block_partials(block, workspace, _square_scale(params, dist))
-
-
-def _worker_block(start):
-    return _run_block(*_JOB, start)
-
-
 def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
                   dist: UniformOffers, n_spells: int, master_seed: int,
                   max_periods=DEFAULT_MAX_PERIODS, n_workers=1) -> SimulationSummary:
@@ -466,15 +441,17 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     summation, so the summary is bit-identical for a given
     ``(master_seed, n_spells)`` regardless of ``n_workers``.
 
-    Blocks run on ``min(n_workers, blocks, os.cpu_count())`` worker
-    processes, forked for this call and shut down before it returns:
-    processes rather than threads, because the kernel's many small
-    numpy calls hand the GIL back and forth. Workers inherit the job
-    through fork, so neither ``policy`` nor ``dist`` has to be
-    picklable. With one worker, or where the platform has no ``fork``
-    start method, the blocks run inline; with one worker
-    ``multiprocessing`` is not even imported. The calling process, or
-    each worker, runs its blocks in one ``_Workspace`` of
+    Blocks run on ``w = min(n_workers, blocks, os.cpu_count())``
+    processes: the calling process runs every ``w``-th block from the
+    first, and each of ``w - 1`` children forked for this call
+    (``_forks.fork_map``) runs every ``w``-th block from its own, then
+    exits and is reaped before the call returns. Processes rather than
+    threads, because the kernel's many small numpy calls hand the GIL
+    back and forth. Children inherit the job through fork, so neither
+    ``policy`` nor ``dist`` has to be picklable; only their partial
+    sums come back, pickled. With one worker, or where ``os`` has no
+    ``fork``, every block runs inline and nothing is forked. Each
+    process runs its blocks in one ``_Workspace`` of
     ``min(DEFAULT_CHUNK, n_spells)`` spells made for this call.
     """
     if n_spells < 1:
@@ -485,26 +462,32 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     _check_max_periods(max_periods)
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
-    job = (policy, truth, params, dist, master_seed, n_spells, max_periods)
+    scale = _square_scale(params, dist)
+
+    def run(starts):
+        """Partial sums of the blocks at ``starts``, in one workspace."""
+        workspace = _Workspace(min(DEFAULT_CHUNK, n_spells))
+        partials = []
+        for start in starts:
+            block = simulate_block(policy, truth, params, dist, master_seed, start,
+                                   min(DEFAULT_CHUNK, n_spells - start),
+                                   max_periods=max_periods, workspace=workspace)
+            partials.append(_block_partials(block, workspace, scale))
+        return partials
+
     starts = range(0, n_spells, DEFAULT_CHUNK)
     workers = min(n_workers, len(starts), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
+    if not hasattr(os, "fork"):
+        workers = 1
     if workers == 1:
-        workspace = _Workspace(min(DEFAULT_CHUNK, n_spells))
-        partials = [_run_block(job, workspace, s) for s in starts]
+        partials = run(starts)
     else:
-        from concurrent.futures.process import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_set_job, initargs=(job,)) as pool:
-            partials = list(pool.map(_worker_block, starts))
+        from ._forks import fork_map
+        shares = fork_map(run, [starts[i::workers] for i in range(workers)])
+        partials = [p for share in shares for p in share]
 
     n_done = sum(p[0] for p in partials)
     sums = [math.fsum(p[k] for p in partials) for k in range(1, 7)]
-    scale = _square_scale(params, dist)
     welfare_mean, welfare_stderr = _mean_stderr(sums[0], sums[1], n_done, scale)
     duration_mean, duration_stderr = _mean_stderr(sums[2], sums[3], n_done)
     wage_mean, wage_stderr = _mean_stderr(sums[4], sums[5], n_done, scale)

@@ -640,6 +640,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: grid: {message}\n"
 
+    @pytest.mark.parametrize("grid", ["0.1:0.1000000000001:1e-14",
+                                      "0.5:0.5000000001:1e-13"])
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_grid_finer_than_printed_digits_rejected(self, config_path, capsys,
+                                                     monkeypatch, grid, mode):
+        # These printed 50 identical rows, and 1 005 rows of which 101
+        # were distinct.
+        def no_work(*args, **kwargs):
+            raise AssertionError("built a belief before the grid was checked")
+
+        monkeypatch.setattr("uisearch.cli.sweep_beliefs", no_work)
+        monkeypatch.setattr("uisearch.experiments.build_policies", no_work)
+        assert main(["sweep", "--config", config_path, "--mode", mode,
+                     "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: grid: STEP of {grid!r} is finer")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("grid", ["1:3:0.5", "1.5:3:1"])
     def test_fractional_length_grid_rejected(self, config_path, capsys, grid):
         # rounding would turn 1:3:0.5 into the lengths 1, 2, 2, 2, 3
@@ -700,13 +719,19 @@ class TestCli:
               + decimal(st.integers(-50, 50), st.integers(10, 18)))
         if hi < lo:
             reject()
-        values = _parse_grid(f"{lo}:{hi}:{step}", as_int=False)
-        printed = [float(format(v, ".12g")) for v in (
-            float(lo) + k * float(step) for k in range(len(values) + 1))]
         top = float(format(float(hi), ".12g"))
-        assert values == printed[:-1]
-        assert all(v <= top for v in values)
+        printed = []
+        while len(printed) <= MAX_GRID_POINTS and (not printed or printed[-1] <= top):
+            printed.append(float(format(float(lo) + len(printed) * float(step), ".12g")))
+        kept = printed[:-1]
+        assert all(v <= top for v in kept)
         assert printed[-1] > top
+        if any(a == b for a, b in zip(kept, kept[1:])):
+            # a STEP finer than the printed digits is refused
+            with pytest.raises(ConfigError, match="finer than the 12 digits"):
+                _parse_grid(f"{lo}:{hi}:{step}", as_int=False)
+        else:
+            assert _parse_grid(f"{lo}:{hi}:{step}", as_int=False) == kept
 
     @pytest.mark.parametrize("spec, as_int, count", [
         ("0.1:0.9:0.8", False, 2), ("0.3:0.7:0.2", False, 3), ("0.1:0.9:0.4", False, 3),
@@ -855,13 +880,14 @@ class TestNonFiniteInputs:
 
 
 def test_cli_import_leaves_worker_pool_unloaded():
-    """CLI start-up does not pay for ``multiprocessing`` or ``concurrent.futures``;
-    ``simulate_many`` imports them only when it starts a worker pool."""
+    """CLI start-up loads neither the fork fan-out, which ``simulate_many``
+    imports only when it forks, nor ``multiprocessing`` or
+    ``concurrent.futures``, which nothing imports."""
     src = os.path.dirname(os.path.dirname(uisearch.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, uisearch.cli; print(sorted(m for m in sys.modules if m in "
-            "('multiprocessing', 'concurrent.futures')))")
+            "('multiprocessing', 'concurrent.futures', 'uisearch._forks')))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n"

@@ -1,12 +1,12 @@
-import concurrent.futures.process
 import hashlib
 import itertools
 import math
-import multiprocessing
 import os
 import pickle
+import signal
 import sys
 import threading
+import time
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -355,7 +355,7 @@ class TestSimulateMany:
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("max_periods", [0, -1, (1 << 30) + 1])
-    def test_rejects_max_periods_before_any_work(self, monkeypatch, two_cpus, pools,
+    def test_rejects_max_periods_before_any_work(self, monkeypatch, two_cpus, forks,
                                                  max_periods, n_workers):
         # 0 or -1 used to truncate every spell; 2**30 + 1 was refused by
         # the first block, once the workers had started
@@ -368,7 +368,7 @@ class TestSimulateMany:
             simulate_many(TestWorkerPool.POLICY, BENCH_TRUTH, BENCH, UNIT,
                           DEFAULT_CHUNK + 1, 1, max_periods=max_periods,
                           n_workers=n_workers)
-        assert pools == []
+        assert forks == []
 
     @pytest.mark.parametrize("max_periods", [0, -1, (1 << 30) + 1])
     def test_block_and_spell_reject_max_periods(self, max_periods):
@@ -631,34 +631,73 @@ class LockedUniform(UniformOffers):
         object.__setattr__(self, "lock", threading.Lock())
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the worker pool needs the fork start method")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="worker processes need os.fork")
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs as far as ``simulate_many`` can tell, so the pool runs on any host."""
+    """Two CPUs as far as ``simulate_many`` can tell, so it forks on any host."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The ``max_workers`` of every process pool started, which still runs."""
-    started = []
-    real = concurrent.futures.process.ProcessPoolExecutor
+def forks(monkeypatch):
+    """The pid of each child ``os.fork`` made, which still forks."""
+    children = []
+    real = os.fork
 
-    class RecordingPool(real):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def counting():
+        pid = real()
+        if pid:
+            children.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
-    return started
+    monkeypatch.setattr(os, "fork", counting)
+    return children
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs 30 s, instead of hanging on a lost child."""
+    def expire(signum, frame):
+        raise TimeoutError("simulate_many still waiting after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in_children(monkeypatch, failure):
+    """Make every block past the first call ``failure(start)`` instead;
+    a forked child inherits the patch."""
+    real = simulate_block
+
+    def block(*args, **kwargs):
+        if args[5] >= DEFAULT_CHUNK:
+            failure(args[5])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "simulate_block", block)
+
+
+class LockedError(Exception):
+    """An exception holding a lock, so it cannot be pickled."""
+
+    def __init__(self):
+        super().__init__("locked")
+        self.lock = threading.Lock()
 
 
 class TestWorkerPool:
-    """``simulate_many`` on forked worker processes.
+    """``simulate_many`` on the calling process and forked children.
 
     The three-block job is ``TestGolden``'s, so ``TestGolden.SUMMARY``
     is its 1-worker summary.
@@ -666,35 +705,30 @@ class TestWorkerPool:
 
     POLICY = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
 
+    @needs_fork
     @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 3)])
-    def test_worker_count_capped_by_cpus_and_blocks(self, monkeypatch, cpus, expected):
-        asked = []
-
-        class NoPool:
-            def __init__(self, max_workers, **kwargs):
-                asked.append(max_workers)
-                raise InterruptedError("no process is started")
-
+    def test_worker_count_capped_by_cpus_and_blocks(self, monkeypatch, forks,
+                                                    cpus, expected):
+        # The calling process is one of the workers.
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
-        with pytest.raises(InterruptedError):
-            simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT,
-                          2 * DEFAULT_CHUNK + 1, 3, n_workers=10 ** 6)
-        assert asked == [expected]
+        summary = simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 140_000, 2024,
+                                n_workers=10 ** 6)
+        assert len(forks) == expected - 1
+        assert summary_bits(summary) == TestGolden.SUMMARY
+        assert_no_children()
 
     @needs_fork
-    def test_unpicklable_distribution(self, two_cpus, pools):
+    def test_unpicklable_distribution(self, two_cpus, forks):
         dist = LockedUniform()
         with pytest.raises(TypeError):
             pickle.dumps(dist)
         summary = simulate_many(self.POLICY, BENCH_TRUTH, BENCH, dist, 140_000, 2024,
                                 n_workers=2)
-        assert pools == [2]
+        assert len(forks) == 1
         assert summary_bits(summary) == TestGolden.SUMMARY
 
     @needs_fork
-    def test_worker_error_keeps_its_type(self, two_cpus, pools):
+    def test_worker_error_keeps_its_type(self, two_cpus, forks, deadline):
         short = PolicyProfile(pre_thresholds=self.POLICY.pre_thresholds,
                               post_thresholds=self.POLICY.post_thresholds[:3])
         raised = []
@@ -703,13 +737,89 @@ class TestWorkerPool:
                 simulate_many(short, BENCH_TRUTH, BENCH, UNIT, DEFAULT_CHUNK + 1, 6,
                               n_workers=n_workers)
             raised.append(type(info.value))
-        assert pools == [2]
+        assert len(forks) == 1
         assert raised[0] is raised[1] is IndexError
+        assert_no_children()
 
-    def test_inline_without_fork(self, monkeypatch, two_cpus, pools):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn", "forkserver"])
+    @needs_fork
+    def test_error_in_a_child_alone_keeps_its_type(self, monkeypatch, two_cpus, forks,
+                                                   deadline):
+        def fail(start):
+            raise IndexError(f"block {start} in process {os.getpid()}")
+
+        fail_in_children(monkeypatch, fail)
+        with pytest.raises(IndexError, match=f"block {DEFAULT_CHUNK} in process") as info:
+            simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, DEFAULT_CHUNK + 1, 6,
+                          n_workers=2)
+        assert str(os.getpid()) not in str(info.value)
+        assert len(forks) == 1
+        assert_no_children()
+
+    @needs_fork
+    def test_unpicklable_error_comes_back_as_its_repr(self, monkeypatch, two_cpus,
+                                                      deadline):
+        def fail(start):
+            raise LockedError()
+
+        fail_in_children(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match=r"LockedError\('locked'\)"):
+            simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, DEFAULT_CHUNK + 1, 6,
+                          n_workers=2)
+        assert_no_children()
+
+    @needs_fork
+    @pytest.mark.parametrize("death, status", [
+        (lambda: os._exit(3), "wait status 768, exit code 3"),
+        (lambda: os._exit(0), "wait status 0, exit code 0"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "wait status 9, exit code -9"),
+    ], ids=["exit_3", "exit_0_without_result", "sigkill"])
+    def test_child_ending_without_a_result(self, monkeypatch, two_cpus, deadline,
+                                           death, status):
+        fail_in_children(monkeypatch, lambda start: death())
+        with pytest.raises(RuntimeError, match=f"without a result \\({status}\\)"):
+            simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, DEFAULT_CHUNK + 1, 6,
+                          n_workers=2)
+        assert_no_children()
+
+    @needs_fork
+    def test_callers_error_kills_and_reaps_every_child(self, monkeypatch, forks,
+                                                       deadline):
+        # Four workers: the caller's first block raises while each child
+        # would sleep for a minute; the call must not wait for them.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        real = simulate_block
+
+        def block(*args, **kwargs):
+            if args[5] == 0:
+                raise KeyError("the caller's own block")
+            time.sleep(60)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "simulate_block", block)
+        started = time.monotonic()
+        with pytest.raises(KeyError, match="the caller's own block"):
+            simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 4 * DEFAULT_CHUNK, 6,
+                          n_workers=4)
+        assert time.monotonic() - started < 20
+        assert len(forks) == 3
+        for pid in forks:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert_no_children()
+
+    @needs_fork
+    def test_inline_without_fork(self, monkeypatch, two_cpus):
+        # Every block runs in this process: none is lost to a child.
+        starts = []
+        real = simulate_block
+
+        def block(*args, **kwargs):
+            starts.append(args[5])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "simulate_block", block)
+        monkeypatch.delattr(os, "fork")
         summary = simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 140_000, 2024,
                                 n_workers=2)
-        assert pools == []
+        assert starts == [0, DEFAULT_CHUNK, 2 * DEFAULT_CHUNK]
         assert summary_bits(summary) == TestGolden.SUMMARY

@@ -289,14 +289,13 @@ def calls_to(node, names):
     return found
 
 
-def test_only_the_worker_job_is_module_state():
-    # Module state set at run time hides an input from callers. The one
-    # exception hands a forked worker its job, which a pool initializer
-    # can only leave in a global.
+def test_the_package_has_no_global_statement():
+    # Module state set at run time hides an input from callers. Forked
+    # children inherit their work as a closure, so none is needed.
     found = [(path.stem, *statement)
              for path in sorted(ROOT.glob("src/uisearch/*.py"))
              for statement in global_statements(ast.parse(path.read_text()))]
-    assert found == [("montecarlo", "_set_job", ("_JOB",))]
+    assert found == []
 
 
 def test_global_guard_finds_module_level_and_nested_statements():
