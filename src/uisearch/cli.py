@@ -3,13 +3,15 @@
 Subcommands: solve, evaluate, simulate, sweep, calibrate. Each returns
 the lines of its data, and ``main`` alone writes them, to stdout or
 --out; diagnostics go to stderr. Exit codes: 0 success,
-2 configuration or validation problem, 3 a fixed point that reached the
-solver's private Newton step cap (no accepted configuration is known to),
-4 infeasible calibration, 5 a policy whose expected duration diverges
-or cannot be resolved in floating point.
+2 configuration or validation problem, or a failed write of the data
+(no permission, a full disk, a closed pipe), 3 a fixed point that
+reached the solver's private Newton step cap (no accepted configuration
+is known to), 4 infeasible calibration, 5 a policy whose expected
+duration diverges or cannot be resolved in floating point.
 """
 
 import argparse
+import contextlib
 import errno
 import json
 import math
@@ -17,13 +19,13 @@ import os
 import sys
 from dataclasses import asdict
 
-from .config import parse_config
+from .config import (parse_config, require_int, require_length, require_number,
+                     require_probability)
 from .distributions import UniformOffers
 from .errors import (ConfigError, DivergenceError, InfeasibleError,
                      NonConvergenceError)
 from .evaluate import build_policy, evaluate_beliefs, loss_pct
 from .experiments import Calibration, calibrate_z, sweep_beliefs
-from .params import MAX_ENTITLEMENT
 from .schedule import solve_schedules
 
 EXIT_OK = 0
@@ -88,16 +90,10 @@ def _cmd_evaluate(args):
     return [json.dumps(payload) + "\n"]
 
 
-def _check_threads(threads):
-    if threads < 1:
-        raise ConfigError("threads", f"expected at least 1 worker process, got {threads}")
-
-
 def _cmd_simulate(args):
     from .montecarlo import CounterStream, simulate_many, simulate_spell
-    _check_threads(args.threads)
-    if args.trace < 0:
-        raise ConfigError("trace", f"expected at least 0 spell records, got {args.trace}")
+    require_int(vars(args), "threads", lo=1)
+    require_int(vars(args), "trace", lo=0)
     overrides = {"spells": args.spells, "seed": args.seed,
                  "max_periods": args.max_periods}
     cfg = parse_config(args.config, overrides=overrides)
@@ -167,20 +163,17 @@ def _parse_grid(spec, as_int):
 
 
 def _cmd_sweep(args):
-    _check_threads(args.threads)
+    require_int(vars(args), "threads", lo=1)
     overrides = {"spells": args.spells, "seed": args.seed}
     cfg = parse_config(args.config, overrides=overrides)
     cal = Calibration(params=cfg.params, dist=cfg.distribution, truth=cfg.truth,
                       target_duration=float("nan"))
     grid = None
-    if args.grid:
+    if args.grid is not None:
         grid = _parse_grid(args.grid, as_int=(args.vary == "len"))
-        if args.vary == "delta" and any(not 0.0 <= v <= 1.0 for v in grid):
-            raise ConfigError("grid", "belief probabilities must lie in [0, 1]")
-        if args.vary == "len" and any(v < 1 for v in grid):
-            raise ConfigError("grid", "belief lengths must be at least 1")
-        if args.vary == "len" and any(v > MAX_ENTITLEMENT for v in grid):
-            raise ConfigError("grid", "belief lengths may not exceed 2**16 periods")
+        check = require_length if args.vary == "len" else require_probability
+        for point in grid:
+            check({"grid": point}, "grid")
     _check_out(args.out)
     rows = sweep_beliefs(cal, vary=args.vary, grid=grid, mode=args.mode,
                          seed=cfg.seed, spells=cfg.spells,
@@ -200,10 +193,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_calibrate(args):
-    if not 0.0 < args.beta < 1.0:
-        raise ConfigError("beta", f"value {args.beta} outside (0, 1)")
-    if not math.isfinite(args.duration):
-        raise ConfigError("duration", f"expected a finite number, got {args.duration}")
+    require_number(vars(args), "beta", lo=0.0, hi=1.0, lo_open=True, hi_open=True)
+    require_number(vars(args), "duration")
     _check_out(args.out)
     z_full = calibrate_z(args.duration, args.beta, UniformOffers())
     payload = {"z_full": z_full, "z": 0.5 * z_full, "c": 0.5 * z_full}
@@ -216,41 +207,39 @@ def _build_parser():
         description="Job search with expiring, possibly extended UI benefits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=None, help="write data to a file")
+    # Flags shared by several subcommands, each declared once: --out, then
+    # --config with it, then the Monte Carlo flags with both.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write data to a file")
+    config = argparse.ArgumentParser(add_help=False, parents=[out])
+    config.add_argument("--config", required=True, help="JSON config file")
+    monte_carlo = argparse.ArgumentParser(add_help=False, parents=[config])
+    monte_carlo.add_argument("--spells", type=int, default=None)
+    monte_carlo.add_argument("--seed", type=int, default=None)
+    monte_carlo.add_argument("--threads", type=int, default=1)
 
-    p = sub.add_parser("solve", help="emit both reservation-wage schedules as CSV")
-    add_common(p)
+    p = sub.add_parser("solve", parents=[config],
+                       help="emit both reservation-wage schedules as CSV")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("evaluate", help="exact policy evaluation as JSON")
-    add_common(p)
+    p = sub.add_parser("evaluate", parents=[config], help="exact policy evaluation as JSON")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("simulate", help="Monte Carlo spell simulation as JSON")
-    add_common(p)
-    p.add_argument("--spells", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("simulate", parents=[monte_carlo],
+                       help="Monte Carlo spell simulation as JSON")
     p.add_argument("--max-periods", type=int, default=None)
     p.add_argument("--trace", type=int, default=0, metavar="K",
                    help="also dump the first K spell records as CSV")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="belief-misperception sweep as CSV")
-    add_common(p)
+    p = sub.add_parser("sweep", parents=[monte_carlo], help="belief-misperception sweep as CSV")
     p.add_argument("--vary", choices=("delta", "len"), default="delta")
     p.add_argument("--grid", default=None, metavar="LO:HI:STEP")
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--spells", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("calibrate", help="solve the nonwork flow for a duration target")
-    add_common(p, needs_config=False)
+    p = sub.add_parser("calibrate", parents=[out],
+                       help="solve the nonwork flow for a duration target")
     p.add_argument("--duration", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.95)
     p.set_defaults(func=_cmd_calibrate)
@@ -263,16 +252,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         lines = args.func(args)
-        if args.out is None:
-            sys.stdout.writelines(lines)
-        else:
-            try:
-                handle = open(args.out, "w")
-            except OSError as exc:  # no permission, or a race with _check_out
-                raise ConfigError("out", f"cannot write {args.out}: "
-                                  f"{exc.strerror or exc}") from None
-            with handle:
+        # One guarded write: no permission, a race with _check_out, a full
+        # disk or a closed pipe, on open, write or flush, is one error line.
+        try:
+            with (contextlib.nullcontext(sys.stdout) if args.out is None
+                  else open(args.out, "w")) as handle:
                 handle.writelines(lines)
+                handle.flush()
+        except OSError as exc:
+            raise ConfigError("out", f"cannot write {args.out or 'stdout'}: "
+                              f"{exc.strerror or exc}") from None
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]

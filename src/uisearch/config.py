@@ -53,7 +53,9 @@ def _numbers(values, field, not_number, not_finite):
     return values
 
 
-def _require_number(data, field, lo=None, hi=None, lo_open=False, hi_open=False):
+def require_number(data, field, lo=None, hi=None, lo_open=False, hi_open=False):
+    """``data[field]`` as a finite float within the bounds, each closed
+    unless marked open, or a ConfigError naming ``field``."""
     value, = _numbers([data[field]], field, "expected a number, got {!r}",
                       "expected a finite number, got {}")
     if lo is not None and (value <= lo if lo_open else value < lo):
@@ -63,7 +65,9 @@ def _require_number(data, field, lo=None, hi=None, lo_open=False, hi_open=False)
     return value
 
 
-def _require_int(data, field, lo, hi=None, limit=None):
+def require_int(data, field, lo, hi=None, limit=None):
+    """``data[field]`` as an int of at least ``lo`` and at most ``hi``,
+    which ``limit`` names, or a ConfigError naming ``field``."""
     value = data[field]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(field, f"expected an integer, got {value!r}")
@@ -72,6 +76,17 @@ def _require_int(data, field, lo, hi=None, limit=None):
     if hi is not None and value > hi:
         raise ConfigError(field, f"value {value} exceeds {limit}")
     return value
+
+
+def require_probability(data, field):
+    """An extension probability, in [0, 1]."""
+    return require_number(data, field, lo=0.0, hi=1.0)
+
+
+def require_length(data, field, lo=1):
+    """An entitlement length in periods, from ``lo`` to the longest."""
+    return require_int(data, field, lo=lo, hi=MAX_ENTITLEMENT,
+                       limit="2**16 periods, the longest entitlement")
 
 
 def _build_distribution(descriptor):
@@ -104,13 +119,14 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     """
     data = dict(_DEFAULTS)
     if path is not None:
+        # json decodes UTF-8, UTF-16 and UTF-32 bytes, a BOM included. A
+        # ValueError is also bytes valid in none of them, or an integer over
+        # int's digit limit; a RecursionError, values nested too deep.
         try:
-            text = Path(path).read_text()
+            loaded = json.loads(Path(path).read_bytes())
         except OSError as exc:
             raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-        try:
-            loaded = json.loads(text)
-        except ValueError as exc:  # also an integer over int's digit limit
+        except (ValueError, RecursionError) as exc:
             raise ConfigError("config", f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top-level JSON value must be an object")
@@ -126,25 +142,24 @@ def parse_config(path=None, overrides=None) -> RunConfig:
         if key not in data or data[key] is None:
             raise ConfigError(key, "required field is missing")
 
-    beta = _require_number(data, "beta", lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-    z = _require_number(data, "z", lo=0.0, lo_open=True)
-    c = _require_number(data, "c", lo=0.0, lo_open=True)
-    longest = {"hi": MAX_ENTITLEMENT, "limit": "2**16 periods, the longest entitlement"}
-    n_periods = _require_int(data, "N", lo=0, **longest)
-    delta_true = _require_number(data, "delta_true", lo=0.0, hi=1.0)
-    len_true = _require_int(data, "len_true", lo=1, **longest)
+    beta = require_number(data, "beta", lo=0.0, hi=1.0, lo_open=True, hi_open=True)
+    z = require_number(data, "z", lo=0.0, lo_open=True)
+    c = require_number(data, "c", lo=0.0, lo_open=True)
+    n_periods = require_length(data, "N", lo=0)
+    delta_true = require_probability(data, "delta_true")
+    len_true = require_length(data, "len_true")
     if data["delta_belief"] is None:
         data["delta_belief"] = delta_true
     if data["len_belief"] is None:
         data["len_belief"] = len_true
-    delta_belief = _require_number(data, "delta_belief", lo=0.0, hi=1.0)
-    len_belief = _require_int(data, "len_belief", lo=1, **longest)
-    max_periods = _require_int(data, "max_periods", lo=1, hi=MAX_PERIODS,
-                               limit="the 2**30 periods the draw counter allows")
-    seed = _require_int(data, "seed", lo=0, hi=MAX_SEED,
-                        limit="2**64 - 1, the largest seed")
-    spells = _require_int(data, "spells", lo=1, hi=MAX_SPELLS,
-                          limit="the 2**32 spell indices")
+    delta_belief = require_probability(data, "delta_belief")
+    len_belief = require_length(data, "len_belief")
+    max_periods = require_int(data, "max_periods", lo=1, hi=MAX_PERIODS,
+                              limit="the 2**30 periods the draw counter allows")
+    seed = require_int(data, "seed", lo=0, hi=MAX_SEED,
+                       limit="2**64 - 1, the largest seed")
+    spells = require_int(data, "spells", lo=1, hi=MAX_SPELLS,
+                         limit="the 2**32 spell indices")
     dist = _build_distribution(data["distribution"])
 
     # The model's two conditions that the range checks above leave open.

@@ -208,6 +208,16 @@ class TestParseConfig:
         assert excinfo.value.field == "distribution"
 
 
+# The CLI in a fresh interpreter, for what only a process shows: its exit
+# status, and what it writes to a stdout that fails.
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(uisearch.__file__)), os.environ.get("PYTHONPATH")]))}
+
+
+def _cli_command(*argv):
+    return [sys.executable, "-m", "uisearch.cli", *argv]
+
+
 class TestCli:
     def test_solve_round_trip(self, config_path, capsys):
         assert main(["solve", "--config", config_path]) == 0
@@ -308,6 +318,63 @@ class TestCli:
         out = tmp_path / "z.json"
         assert main(["calibrate", "--duration", "1", "--out", str(out)]) == 4
         assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"{\xff}", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["no_utf_encoding", "nested_100000_deep"])
+    def test_undecodable_config_is_malformed_json(self, tmp_path, capsys, monkeypatch,
+                                                  content):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr("uisearch.cli.solve_schedules", no_solve)
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["solve", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config: malformed JSON in {path}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+    def test_config_in_any_utf_encoding_reads_alike(self, config_path, tmp_path, capsys,
+                                                   encoding):
+        # utf-8-sig writes a BOM; json.loads detects each encoding from the bytes.
+        encoded = tmp_path / "encoded.json"
+        encoded.write_bytes(json.dumps(BENCHMARK).encode(encoding))
+        assert main(["solve", "--config", config_path]) == 0
+        plain = capsys.readouterr().out
+        assert main(["solve", "--config", str(encoded)]) == 0
+        assert capsys.readouterr() == (plain, "")
+
+    def test_closed_stdout_pipe_is_one_error_line(self, config_path, tmp_path):
+        # The trace outgrows the pipe's buffer, so the write fails with EPIPE
+        # once the reader has gone.
+        err = tmp_path / "stderr.txt"
+        with open(err, "w") as err_file:
+            proc = subprocess.Popen(
+                _cli_command("simulate", "--config", config_path, "--spells", "20000",
+                             "--trace", "20000"),
+                env=_CHILD_ENV, stdout=subprocess.PIPE, stderr=err_file)
+            try:
+                assert proc.stdout.readline().startswith(b"spell,duration,")
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == 2
+            finally:
+                proc.kill()
+                proc.wait()
+        assert err.read_text() == "error: out: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    def test_full_disk_is_one_error_line(self, config_path, to_stdout):
+        target = "stdout" if to_stdout else "/dev/full"
+        out = [] if to_stdout else ["--out", target]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(_cli_command("solve", "--config", config_path, *out),
+                                    env=_CHILD_ENV, stdout=full, stderr=subprocess.PIPE,
+                                    text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (
+            2, f"error: out: cannot write {target}: No space left on device\n")
 
     def test_evaluate_json(self, config_path, capsys):
         assert main(["evaluate", "--config", config_path]) == 0
@@ -487,8 +554,7 @@ class TestCli:
         assert main([*command, "--config", config_path, "--threads", threads]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: threads: expected at least 1 worker "
-                                f"process, got {threads}\n")
+        assert captured.err == f"error: threads: value {threads} must be at least 1\n"
 
     def test_negative_trace_rejected(self, config_path, capsys, monkeypatch):
         def no_config(*args, **kwargs):
@@ -498,7 +564,7 @@ class TestCli:
         assert main(["simulate", "--config", config_path, "--trace", "-3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: trace: expected at least 0 spell records, got -3\n"
+        assert captured.err == "error: trace: value -3 must be at least 0\n"
 
     def test_sweep_csv_schema(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--vary", "delta",
@@ -620,13 +686,35 @@ class TestCli:
     def test_bad_grid_is_config_error(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--grid", "oops"]) == 2
 
+    def test_empty_grid_rejected_before_work(self, config_path, capsys, monkeypatch):
+        # An empty --grid is a malformed grid, not the default one.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the grid was checked")
+
+        monkeypatch.setattr("uisearch.cli.sweep_beliefs", no_sweep)
+        assert main(["sweep", "--config", config_path, "--grid", ""]) == 2
+        assert capsys.readouterr() == ("", "error: grid: expected LO:HI:STEP, got ''\n")
+
+    @pytest.mark.parametrize("beta, message", [
+        ("1.5", "value 1.5 above the admissible range"),
+        ("0", "value 0.0 below the admissible range"),
+        ("nan", "expected a finite number, got nan")], ids=["above", "zero", "nan"])
+    def test_calibrate_beta_refusal_names_the_value(self, capsys, monkeypatch, beta,
+                                                    message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("calibrated before beta was checked")
+
+        monkeypatch.setattr("uisearch.cli.calibrate_z", no_solve)
+        assert main(["calibrate", "--duration", "10", "--beta", beta]) == 2
+        assert capsys.readouterr() == ("", f"error: beta: {message}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["--grid", "0.9:0.1:0.05"], "empty or descending grid '0.9:0.1:0.05'"),
         (["--grid", "0.1:0.9:0"], "empty or descending grid '0.1:0.9:0'"),
-        (["--grid", "0.5:1.5:0.5"], "belief probabilities must lie in [0, 1]"),
-        (["--vary", "len", "--grid", "0:10:5"], "belief lengths must be at least 1"),
+        (["--grid", "0.5:1.5:0.5"], "value 1.5 above the admissible range"),
+        (["--vary", "len", "--grid", "0:10:5"], "value 0 must be at least 1"),
         (["--vary", "len", "--grid", "1000000000000:1000000000000:1"],
-         "belief lengths may not exceed 2**16 periods"),
+         "value 1000000000000 exceeds 2**16 periods, the longest entitlement"),
     ], ids=["descending", "zero_step", "probability_above_one", "length_zero",
             "length_beyond_longest"])
     def test_grid_rejected_before_work(self, config_path, capsys, monkeypatch,
@@ -704,7 +792,8 @@ class TestCli:
                      "10000000000000000:10000000000000000:1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: grid: belief lengths may not exceed 2**16 periods\n"
+        assert captured.err == ("error: grid: value 10000000000000000 exceeds 2**16 "
+                                "periods, the longest entitlement\n")
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(data=st.data())

@@ -372,6 +372,25 @@ def test_only_main_writes_the_cli_data():
     assert (opens, stdout, prints) == (["main"], ["main"], [])
 
 
+def test_range_rules_live_in_config():
+    # The flags and grid points go through config's require_* checks, so
+    # one rule reads one way whether it comes from a file or a flag. The
+    # CLI builds a ConfigError only for what config cannot check: the
+    # output path, the grid's syntax and a failed write.
+    tree = ast.parse((ROOT / "src" / "uisearch" / "cli.py").read_text())
+    assert {scope for scope, _ in calls_to(tree, {"ConfigError"})} == {
+        "_check_out", "_parse_grid", "main"}
+
+
+def test_call_guard_counts_built_errors_not_references():
+    # cli.py names ConfigError in its exit-code table and its except
+    # clause; only a call builds one.
+    tree = ast.parse("CODES = {ConfigError: 2}\ndef f():\n    try:\n        g()\n"
+                     "    except ConfigError:\n        pass\n"
+                     "def h():\n    def k():\n        raise errors.ConfigError('x', 'y')\n")
+    assert calls_to(tree, {"ConfigError"}) == [("k", "ConfigError")]
+
+
 def attribute_uses(node, names):
     """(function, attribute) of each use of an attribute in ``names`` under
     ``node``, called or not, so that a bound method held in a name counts."""
