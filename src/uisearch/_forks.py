@@ -8,8 +8,9 @@ it raised, comes back, pickled, through a pipe of its own. Children only
 write, and the caller reads only once its own share is done, so a result
 larger than the pipe buffer merely waits. No child outlives the call.
 
-Only ``montecarlo.simulate_many`` imports this module, and only when it
-runs on more than one process.
+Only ``montecarlo`` imports this module, and ``simulate_many`` runs
+every simulation through it, on one share or several; one share runs in
+the calling process and forks nothing.
 """
 
 import os

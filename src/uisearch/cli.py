@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict
 
 from .config import (parse_config, require_int, require_length, require_number,
-                     require_probability)
+                     require_probability, shown)
 from .distributions import UniformOffers
 from .errors import (ConfigError, DivergenceError, InfeasibleError,
                      NonConvergenceError)
@@ -47,21 +47,23 @@ def _fmt(value) -> str:
 
 
 def _check_out(path):
-    """Refuse, before any work, an ``--out`` that is empty, a directory or
-    in a missing one. ``main`` opens the file once the data is ready, so
-    that a failed run leaves none."""
+    """Refuse, before any work, an ``--out`` that is empty, holds a NUL, is
+    a directory or is in a missing one. ``main`` opens the file once the
+    data is ready, so that a failed run leaves none."""
     if path is None:
         return
     parent = os.path.dirname(path) or "."
     if not path:
         reason = os.strerror(errno.ENOENT)
+    elif "\0" in path:  # no file name holds one: open would raise ValueError
+        reason = os.strerror(errno.EINVAL)
     elif os.path.isdir(path):
         reason = os.strerror(errno.EISDIR)
     elif not os.path.isdir(parent):
         reason = os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
     else:
         return
-    raise ConfigError("out", f"cannot write {path}: {reason}")
+    raise ConfigError("out", f"cannot write {shown(path, quoted=False)}: {reason}")
 
 
 def _cmd_solve(args):
@@ -134,14 +136,14 @@ def _parse_grid(spec, as_int):
         lo_s, hi_s, step_s = spec.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError as exc:
-        raise ConfigError("grid", f"expected LO:HI:STEP, got {spec!r}") from exc
+        raise ConfigError("grid", f"expected LO:HI:STEP, got {shown(spec)}") from exc
     if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ConfigError("grid", f"LO, HI and STEP must be finite, got {spec!r}")
+        raise ConfigError("grid", f"LO, HI and STEP must be finite, got {shown(spec)}")
     if step <= 0 or hi < lo:
-        raise ConfigError("grid", f"empty or descending grid {spec!r}")
+        raise ConfigError("grid", f"empty or descending grid {shown(spec)}")
     if as_int and not (lo.is_integer() and step.is_integer()):
         raise ConfigError("grid", f"LO and STEP of a length grid must be whole "
-                          f"numbers, got {spec!r}")
+                          f"numbers, got {shown(spec)}")
     # Points and HI are compared as the CSV prints them, to 12 significant
     # digits, so a LO + k * STEP that misses HI by float rounding alone
     # still ends the grid, and no point that prints above HI is kept.
@@ -154,9 +156,10 @@ def _parse_grid(spec, as_int):
     values = []
     while (v := printed(lo + len(values) * step)) <= printed(hi):
         if len(values) == MAX_GRID_POINTS:
-            raise ConfigError("grid", f"{spec!r} has more than {MAX_GRID_POINTS} points")
+            raise ConfigError("grid", f"{shown(spec)} has more than "
+                              f"{MAX_GRID_POINTS} points")
         if values and v == values[-1]:
-            raise ConfigError("grid", f"STEP of {spec!r} is finer than the 12 digits "
+            raise ConfigError("grid", f"STEP of {shown(spec)} is finer than the 12 digits "
                               f"printed: two points print as {_fmt(v)}")
         values.append(v)
     return values
@@ -260,8 +263,8 @@ def main(argv=None) -> int:
                 handle.writelines(lines)
                 handle.flush()
         except OSError as exc:
-            raise ConfigError("out", f"cannot write {args.out or 'stdout'}: "
-                              f"{exc.strerror or exc}") from None
+            raise ConfigError("out", f"cannot write {shown(args.out or 'stdout', quoted=False)}"
+                              f": {exc.strerror or shown(exc, quoted=False)}") from None
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]

@@ -7,6 +7,7 @@ flows from the single ``seed`` field.
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,13 @@ _DEFAULTS = {
 }
 _REQUIRED = ("beta", "z", "c", "N", "delta_true", "len_true")
 
+# How error messages show a value from outside, be it from the config, a
+# flag or a path: a repr of a few items and levels, cut by ``shown``.
+_SHOWN_BYTES = 200
+_SHOWN = reprlib.Repr()
+_SHOWN.maxstring = _SHOWN_BYTES
+_SHOWN.maxlevel = 3
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -40,10 +48,25 @@ class RunConfig:
     spells: int
 
 
+def shown(value, quoted=True):
+    """``value`` as an error message shows it: its repr, or unless
+    ``quoted`` the repr of its ``str`` without the quotes, in at most
+    ``_SHOWN_BYTES`` bytes of UTF-8, where ``...`` stands for what is cut
+    from the middle, from a long string, list or object, and below the
+    third level. Escapes keep it on one line."""
+    text = _SHOWN.repr(value) if quoted else _SHOWN.repr(str(value))[1:-1]
+    data = text.encode()
+    if len(data) <= _SHOWN_BYTES:
+        return text
+    keep = (_SHOWN_BYTES - 3) // 2
+    return (data[:keep].decode(errors="ignore") + "..."
+            + data[-keep:].decode(errors="ignore"))
+
+
 def _numbers(values, field, not_number, not_finite):
     """``values`` as finite floats, or a ConfigError naming ``field``."""
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-        raise ConfigError(field, not_number.format(*values))
+        raise ConfigError(field, not_number.format(*map(shown, values)))
     try:
         values = [float(v) for v in values]
     except OverflowError:  # an integer beyond the float range
@@ -56,7 +79,7 @@ def _numbers(values, field, not_number, not_finite):
 def require_number(data, field, lo=None, hi=None, lo_open=False, hi_open=False):
     """``data[field]`` as a finite float within the bounds, each closed
     unless marked open, or a ConfigError naming ``field``."""
-    value, = _numbers([data[field]], field, "expected a number, got {!r}",
+    value, = _numbers([data[field]], field, "expected a number, got {}",
                       "expected a finite number, got {}")
     if lo is not None and (value <= lo if lo_open else value < lo):
         raise ConfigError(field, f"value {value} below the admissible range")
@@ -70,11 +93,11 @@ def require_int(data, field, lo, hi=None, limit=None):
     which ``limit`` names, or a ConfigError naming ``field``."""
     value = data[field]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
+        raise ConfigError(field, f"expected an integer, got {shown(value)}")
     if value < lo:
-        raise ConfigError(field, f"value {value} must be at least {lo}")
+        raise ConfigError(field, f"value {shown(value)} must be at least {lo}")
     if hi is not None and value > hi:
-        raise ConfigError(field, f"value {value} exceeds {limit}")
+        raise ConfigError(field, f"value {shown(value)} exceeds {limit}")
     return value
 
 
@@ -94,7 +117,7 @@ def _build_distribution(descriptor):
         raise ConfigError("distribution", "expected an object with a 'type' key")
     if descriptor["type"] != "uniform":
         raise ConfigError("distribution",
-                          f"unsupported type {descriptor['type']!r}")
+                          f"unsupported type {shown(descriptor['type'])}")
     low, high = _numbers([descriptor.get("low", 0.0), descriptor.get("high", 1.0)],
                          "distribution", "low and high must be numbers",
                          "low and high must be finite")
@@ -105,7 +128,7 @@ def _build_distribution(descriptor):
     # Last, so that every descriptor refused before keeps its message.
     unknown = sorted(descriptor.keys() - {"type", "low", "high"})
     if unknown:
-        raise ConfigError("distribution", f"unknown keys {unknown}: expected only "
+        raise ConfigError("distribution", f"unknown keys {shown(unknown)}: expected only "
                           "'type', 'low' and 'high'")
     return dist
 
@@ -125,9 +148,11 @@ def parse_config(path=None, overrides=None) -> RunConfig:
         try:
             loaded = json.loads(Path(path).read_bytes())
         except OSError as exc:
-            raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+            raise ConfigError("config", f"cannot read {shown(path, quoted=False)}: "
+                              f"{exc.strerror}") from exc
         except (ValueError, RecursionError) as exc:
-            raise ConfigError("config", f"malformed JSON in {path}: {exc}") from exc
+            raise ConfigError("config", f"malformed JSON in {shown(path, quoted=False)}: "
+                              f"{exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top-level JSON value must be an object")
         data.update(loaded)
@@ -137,7 +162,7 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     known = set(_DEFAULTS) | set(_REQUIRED)
     for key in data:
         if key not in known:
-            raise ConfigError(key, "unknown configuration key")
+            raise ConfigError(shown(key, quoted=False), "unknown configuration key")
     for key in _REQUIRED:
         if key not in data or data[key] is None:
             raise ConfigError(key, "required field is missing")

@@ -16,9 +16,10 @@ produce identical records. A block's lanes carry only a spell index and
 sit in segments of one extension period each, the pending prefix first,
 so entitlement, welfare, thresholds and draw counters are per-segment
 values. ``simulate_many`` always cuts spells into blocks of
-``DEFAULT_CHUNK``, runs them inline or shares them between the calling
-process and children forked for the call, and combines per-block sums
-with an exact (order-insensitive) reduction, so a fixed
+``DEFAULT_CHUNK``, deals them into shares that ``_forks.fork_map`` runs,
+the first in the calling process and each other one in a child forked
+for the call, and combines per-block sums with an exact
+(order-insensitive) reduction, so a fixed
 ``(master_seed, n_spells)`` gives a bit-identical summary for any
 worker count. Each process running blocks reuses one workspace of
 arrays for all of them, so a block allocates no array of its size
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._forks import fork_map
 from .distributions import UniformOffers
 from .params import (DEFAULT_MAX_PERIODS, MAX_PERIODS, MAX_SEED, MAX_SPELLS,
                      ExtensionSpec, MarketParams)
@@ -441,18 +443,18 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     summation, so the summary is bit-identical for a given
     ``(master_seed, n_spells)`` regardless of ``n_workers``.
 
-    Blocks run on ``w = min(n_workers, blocks, os.cpu_count())``
-    processes: the calling process runs every ``w``-th block from the
-    first, and each of ``w - 1`` children forked for this call
-    (``_forks.fork_map``) runs every ``w``-th block from its own, then
-    exits and is reaped before the call returns. Processes rather than
+    Blocks are dealt into ``w = min(n_workers, blocks, os.cpu_count())``
+    shares, share ``i`` holding every ``w``-th block from the ``i``-th,
+    or into one share where ``os`` has no ``fork``. ``_forks.fork_map``
+    runs them all: the first in the calling process, and each other one
+    in a child forked for this call, which exits and is reaped before
+    the call returns. So one share forks nothing. Processes rather than
     threads, because the kernel's many small numpy calls hand the GIL
     back and forth. Children inherit the job through fork, so neither
     ``policy`` nor ``dist`` has to be picklable; only their partial
-    sums come back, pickled. With one worker, or where ``os`` has no
-    ``fork``, every block runs inline and nothing is forked. Each
-    process runs its blocks in one ``_Workspace`` of
-    ``min(DEFAULT_CHUNK, n_spells)`` spells made for this call.
+    sums come back, pickled. Each process runs its blocks in one
+    ``_Workspace`` of ``min(DEFAULT_CHUNK, n_spells)`` spells made for
+    this call.
     """
     if n_spells < 1:
         raise ValueError("n_spells must be at least 1")
@@ -479,12 +481,8 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     workers = min(n_workers, len(starts), os.cpu_count() or 1)
     if not hasattr(os, "fork"):
         workers = 1
-    if workers == 1:
-        partials = run(starts)
-    else:
-        from ._forks import fork_map
-        shares = fork_map(run, [starts[i::workers] for i in range(workers)])
-        partials = [p for share in shares for p in share]
+    shares = fork_map(run, [starts[i::workers] for i in range(workers)])
+    partials = [p for share in shares for p in share]
 
     n_done = sum(p[0] for p in partials)
     sums = [math.fsum(p[k] for p in partials) for k in range(1, 7)]

@@ -1,12 +1,16 @@
 import contextlib
 import hashlib
+import io
 import json
+import math
 import os
+import re
 import signal
 import subprocess
 import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ import uisearch
 from uisearch import (ConfigError, build_policy, cli, simulate_many, solve_schedules,
                       solve_w0_basic, welfare_loss)
 from uisearch.cli import MAX_GRID_POINTS, _parse_grid, main
-from uisearch.config import parse_config
+from uisearch.config import parse_config, shown
 from uisearch.evaluate import PolicyProfile
 
 from conftest import (ACCEPTED_WAGE_LEAVES_SUPPORT, FLOW_AN_ULP_BELOW_TOP,
@@ -308,6 +312,18 @@ class TestCli:
         assert main([name, *config, *rest, "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == printed.encode()
+
+    def test_out_holding_nul_refused_before_work(self, config_path, tmp_path, capsys,
+                                                 monkeypatch):
+        # No file name holds a NUL: open would raise ValueError, not OSError.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before --out was checked")
+
+        monkeypatch.setattr("uisearch.cli.solve_schedules", no_solve)
+        out = str(tmp_path / "a\0b")
+        assert main(["solve", "--config", config_path, "--out", out]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: out: cannot write {tmp_path}/a\\x00b: Invalid argument\n")
 
     def test_config_error_comes_before_out(self, tmp_path, capsys):
         config, out = tmp_path / "absent.json", tmp_path / "missing" / "x.json"
@@ -968,10 +984,204 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err.startswith("error: duration")
 
 
+# Bytes of one ``error:`` line, its newline included, as README states.
+ERROR_LINE_CAP = 512
+
+
+def _nested(depth):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestErrorLineCap:
+    """Every value, key, grid spec and path from outside is shown cut, so
+    an ``error:`` line stays within ERROR_LINE_CAP bytes and keeps its
+    reason, however long or deep the input."""
+
+    LONG = 100_000
+
+    @pytest.mark.parametrize("fields, flags, head, tail", [
+        ({"beta": "x" * 1_000_000}, [], "error: beta: expected a number, got 'xxx",
+         "xxx'"),
+        ({"N": _nested(900)}, [], "error: N: expected an integer, got [[[[...]]]]", ""),
+        ({"k" * LONG: 1}, [], "error: kkk", "kkk: unknown configuration key"),
+        ({"distribution": {"type": "t" * LONG}}, [],
+         "error: distribution: unsupported type 'ttt", "ttt'"),
+        ({"distribution": {"type": "uniform", "q" * LONG: 1}}, [],
+         "error: distribution: unknown keys ['qqq",
+         "qqq']: expected only 'type', 'low' and 'high'"),
+        ({}, ["sweep", "--grid", "0:1:" + "s" * LONG],
+         "error: grid: expected LO:HI:STEP, got '0:1:sss", "sss'"),
+        ({}, ["solve", "--out", "{tmp}/" + "m" * LONG + "/x"], "error: out: cannot write ",
+         "mmm/x: No such file or directory"),
+        ({}, ["solve", "--config", "{tmp}/" + "c" * LONG], "error: config: cannot read ",
+         "ccc: File name too long"),
+    ], ids=["beta_1e6_chars", "N_900_deep", "key_1e5_chars", "type_1e5_chars",
+            "distribution_key_1e5_chars", "grid_step_1e5_chars", "out_dir_1e5_chars",
+            "config_path_1e5_chars"])
+    def test_long_input_gives_one_capped_line(self, tmp_path, capsys, fields, flags,
+                                              head, tail):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**BENCHMARK, **fields}))
+        name, *rest = flags or ["solve"]
+        # A --config among the flags wins over the first.
+        argv = [name, "--config", str(path),
+                *(flag.replace("{tmp}", str(tmp_path)) for flag in rest)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and len(err.encode()) <= ERROR_LINE_CAP
+        assert err.startswith(head) and err.endswith(tail + "\n") and "..." in err
+
+    def test_shown_cuts_by_utf8_bytes_and_escapes(self):
+        assert shown("gamma") == "'gamma'" and shown("a/b", quoted=False) == "a/b"
+        assert shown(Path("a/b"), quoted=False) == "a/b"
+        assert shown(["hi", "lo"]) == "['hi', 'lo']" and shown(10 ** 12) == "1000000000000"
+        assert shown("a\nb", quoted=False) == "a\\nb"
+        wide = shown("\N{GRINNING FACE}" * 1000, quoted=False)
+        assert len(wide.encode()) <= 200 and "..." in wide
+
+
+# The CLI contract as one property: config trees and flag strings, some
+# of them wrong, through ``main`` in process. Accepted examples stay small:
+# a few hundred spells at most, entitlements of a dozen periods, --threads
+# at most 2 (and one block, so nothing forks). Junk text holds no digit,
+# so none of it parses as a number, least of all a large spell count.
+_junk_text = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+_junk_numbers = st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=2 ** 65),
+    st.floats(min_value=2.0 ** 65) | st.floats(max_value=-1e-300),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 300, 1e308, 0]))
+_junk = st.recursive(
+    st.none() | st.booleans() | _junk_numbers | _junk_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_junk_text, inner,
+                                                               max_size=3),
+    max_leaves=6)
+_junk |= st.builds(_nested, st.integers(0, 300))  # deep
+_junk |= st.builds(str.__mul__, _junk_text, st.integers(0, 5_000))  # long
+
+
+def _seldom(good, junk, odds=8):
+    """``junk`` once in ``odds`` draws, else ``good``, toward which
+    examples shrink."""
+    return st.integers(0, odds - 1).flatmap(lambda k: junk if k == odds - 1 else good)
+
+
+_GOOD_FIELDS = {
+    "beta": st.floats(0.5, 0.99), "z": st.floats(0.05, 0.45),
+    "c": st.floats(0.05, 0.45), "N": st.integers(0, 12),
+    "delta_true": st.floats(0.0, 1.0), "len_true": st.integers(1, 12),
+    "delta_belief": st.floats(0.0, 1.0), "len_belief": st.integers(1, 12),
+    "distribution": st.fixed_dictionaries(
+        {"type": st.just("uniform"), "low": st.floats(-0.5, 0.3),
+         "high": st.floats(1.0, 2.0)}),
+    "max_periods": st.integers(1, 200), "seed": st.integers(0, 2 ** 64 - 1),
+    "spells": st.integers(1, 300),
+}
+_MISSING = object()
+
+
+@st.composite
+def _config_trees(draw):
+    """A valid tree, half the time with a field or two made wrong, dropped
+    (any but ``spells``, whose default is a million) or added; seldom not
+    an object at all."""
+    tree = {key: draw(good) for key, good in _GOOD_FIELDS.items()}
+    fields = st.sampled_from(sorted(_GOOD_FIELDS)) | _junk_text
+    changes = st.lists(st.tuples(fields, _junk | st.just(_MISSING)), min_size=1,
+                       max_size=2)
+    for key, value in draw(_seldom(st.just([]), changes, odds=2)):
+        if value is not _MISSING:
+            tree[key] = value
+        elif key != "spells":
+            tree.pop(key, None)
+    return draw(_seldom(st.just(tree), _junk, odds=20))
+
+
+def _flag_values(good, junk=_junk_text):
+    return _seldom(good, junk).map(str)
+
+
+_FLAGS = {
+    "--spells": _flag_values(st.integers(1, 300), st.integers(max_value=0) | _junk_text),
+    "--seed": _flag_values(st.integers(0, 2 ** 64 - 1), _junk_numbers | _junk_text),
+    "--threads": _flag_values(st.integers(1, 2), st.integers(max_value=0) | _junk_text),
+    "--max-periods": _flag_values(st.integers(1, 200), _junk_numbers | _junk_text),
+    "--trace": _flag_values(st.integers(0, 5), st.integers(max_value=-1) | _junk_text),
+    "--vary": _flag_values(st.sampled_from(["delta", "len"])),
+    "--mode": _flag_values(st.sampled_from(["exact", "mc"])),
+    "--grid": _flag_values(st.sampled_from([
+        "0.1:0.9:0.4", "1:5:2", "0:1:0.5", "", "1:2", "1:0:1", "0:1:0", "0:nan:1",
+        "0.1:0.1000000000001:1e-14", "1:3:0.5", "0:20000:1", "1e300:1e308:1e300"])),
+    "--duration": _flag_values(st.floats(allow_nan=True, allow_infinity=True)),
+    "--beta": _flag_values(st.floats(allow_nan=True, allow_infinity=True)),
+}
+_COMMAND_FLAGS = {
+    "solve": ["--config", "--out"], "evaluate": ["--config", "--out"],
+    "simulate": ["--config", "--out", "--spells", "--seed", "--threads",
+                 "--max-periods", "--trace"],
+    "sweep": ["--config", "--out", "--spells", "--seed", "--threads", "--vary",
+              "--grid", "--mode"],
+    "calibrate": ["--out", "--duration", "--beta"],
+}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cli_contract(contract_dir, data):
+    """Every run of ``main`` exits 0, 2, 3, 4 or 5 without a traceback. A
+    nonzero exit writes nothing to stdout and one ``error:`` line, within
+    ERROR_LINE_CAP, to stderr; argparse's own usage errors exit 2 with the
+    usage and its ``error:`` line."""
+    command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)), label="command")
+    config = contract_dir / "run.json"
+    config.write_text(json.dumps(data.draw(_config_trees(), label="config")))
+    names = _seldom(st.sampled_from(["out.txt", "", "missing/x", "."]),
+                    _junk_text.map(lambda name: name.replace(os.sep, "_")))
+    paths = {"--config": _seldom(st.just(str(config)), _junk_text),
+             "--out": names.map(lambda name: os.path.join(contract_dir, name))}
+    argv = [command]
+    for flag in _COMMAND_FLAGS[command]:
+        # A required flag is seldom left out, any other half the time.
+        odds = 20 if flag in ("--config", "--duration") else 2
+        left_out = _seldom(st.just(False), st.just(True), odds)
+        if not data.draw(left_out, label=f"{flag} left out"):
+            argv += [flag, data.draw(paths.get(flag, _FLAGS.get(flag)), label=flag)]
+    argv += data.draw(_seldom(st.just([]), st.lists(st.sampled_from(sorted(_FLAGS))
+                                                    | _junk_text, min_size=1, max_size=1),
+                              odds=20), label="extra")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code, usage = exc.code, True
+        else:
+            usage = False
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert "Traceback" not in err
+    if usage:  # which echoes a flag's value whole, line breaks included
+        assert code == 2 and out == "" and err.startswith("usage: uisearch")
+        assert re.search(r"^uisearch( \w+)?: error: ", err, re.MULTILINE)
+    elif code:
+        assert code in (2, 3, 4, 5) and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) <= ERROR_LINE_CAP
+    else:
+        assert all(line.startswith("warning: ") for line in err.split("\n")[:-1])
+
+
 def test_cli_import_leaves_worker_pool_unloaded():
-    """CLI start-up loads neither the fork fan-out, which ``simulate_many``
-    imports only when it forks, nor ``multiprocessing`` or
-    ``concurrent.futures``, which nothing imports."""
+    """CLI start-up loads neither the fork fan-out, which comes with the
+    Monte Carlo module that the CLI imports only to simulate, nor
+    ``multiprocessing`` or ``concurrent.futures``, which nothing imports."""
     src = os.path.dirname(os.path.dirname(uisearch.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -1017,6 +1227,26 @@ def test_only_simulation_loads_numpy(config_path, argv, loads_numpy, digest):
     result = subprocess.run([sys.executable, "-c", _COMMAND_CHILD, *argv], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.split() == ["0", str(loads_numpy), digest]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["evaluate"], ["sweep", "--mode", "exact"], ["calibrate", "--duration", "10"],
+    ["sweep", "--mode", "mc", "--spells", "2000", "--grid", "0.1:0.9:0.4", "--threads", "2"],
+    ["simulate", "--spells", "65537", "--threads", "2"],
+], ids=["solve", "evaluate", "sweep_exact", "calibrate", "sweep_mc", "simulate_forks"])
+def test_commands_raise_no_warning(config_path, tmp_path, argv):
+    """Under ``-W error -X dev`` a warning is an error and resource
+    warnings are on: an ``--out`` file left unclosed, or the ``os.fork``
+    warning of a multi-threaded process, fails the run. Two blocks on two
+    processes make the simulation fork one child."""
+    if argv[0] != "calibrate":
+        argv = [argv[0], "--config", config_path, *argv[1:]]
+    out = tmp_path / "data.txt"
+    result = subprocess.run([sys.executable, "-W", "error", "-X", "dev", "-m",
+                             "uisearch.cli", *argv, "--out", str(out)], env=_CHILD_ENV,
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    assert out.stat().st_size
 
 
 def test_package_names_resolve_on_demand():

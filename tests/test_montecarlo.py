@@ -807,6 +807,25 @@ class TestWorkerPool:
                 os.kill(pid, 0)
         assert_no_children()
 
+    def test_one_worker_runs_one_share_through_fork_map(self, monkeypatch):
+        # One worker takes the one fan-out path: fork_map, given a single
+        # share of every block, runs it in this process and forks nothing.
+        calls = []
+        real = montecarlo.fork_map
+
+        def fork_map(work, shares):
+            calls.append(shares)
+            return real(work, shares)
+
+        def no_fork():
+            raise AssertionError("forked for one worker")
+
+        monkeypatch.setattr(montecarlo, "fork_map", fork_map)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        summary = simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 140_000, 2024)
+        assert calls == [[range(0, 140_000, DEFAULT_CHUNK)]]
+        assert summary_bits(summary) == TestGolden.SUMMARY
+
     @needs_fork
     def test_inline_without_fork(self, monkeypatch, two_cpus):
         # Every block runs in this process: none is lost to a child.
