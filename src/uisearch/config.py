@@ -5,8 +5,10 @@ sweep scripts in any language can write one. All randomness in a run
 flows from the single ``seed`` field.
 """
 
+import errno
 import json
 import math
+import os
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,14 +144,20 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     """
     data = dict(_DEFAULTS)
     if path is not None:
+        # No file name holds a NUL: for such a path, reading raises
+        # ValueError before it opens anything.
+        try:
+            raw = Path(path).read_bytes()
+        except (OSError, ValueError) as exc:
+            reason = (exc.strerror if isinstance(exc, OSError)
+                      else os.strerror(errno.EINVAL))
+            raise ConfigError("config", f"cannot read {shown(path, quoted=False)}: "
+                              f"{reason}") from exc
         # json decodes UTF-8, UTF-16 and UTF-32 bytes, a BOM included. A
         # ValueError is also bytes valid in none of them, or an integer over
         # int's digit limit; a RecursionError, values nested too deep.
         try:
-            loaded = json.loads(Path(path).read_bytes())
-        except OSError as exc:
-            raise ConfigError("config", f"cannot read {shown(path, quoted=False)}: "
-                              f"{exc.strerror}") from exc
+            loaded = json.loads(raw)
         except (ValueError, RecursionError) as exc:
             raise ConfigError("config", f"malformed JSON in {shown(path, quoted=False)}: "
                               f"{exc}") from exc

@@ -6,7 +6,10 @@ methods ``cdf``, ``sf`` (the survival function ``1 - F``),
 ``partial_expectation`` (``int_a^b w dF(w)``) and ``quantile`` (the
 inverse CDF, for inverse-CDF sampling). The solver and the evaluator
 call ``cdf``, ``sf`` and ``partial_expectation`` on one float at a
-time; the simulator calls ``quantile`` on whole arrays of variates.
+time; the simulator calls ``quantile`` on whole arrays of variates,
+and takes its decisions on the integer words ``k`` of the variates
+``k * 2**-53``, so ``quantile`` must be non-decreasing on that grid
+(``UniformOffers``' ``low + u * W`` is, since rounding is monotone).
 ``UniformOffers`` is the one distribution shipped, and its methods'
 docstrings state the contract any other must keep. Instances are
 immutable after construction and safe to share across threads. The
@@ -72,6 +75,7 @@ class UniformOffers:
     def quantile(self, u):
         """Inverse CDF at u in [0, 1]: a float or a numpy array of them.
 
-        Returns the same kind it is given, elementwise on arrays.
+        Returns the same kind it is given, elementwise on arrays, and is
+        non-decreasing in u.
         """
         return self.low + u * (self.high - self.low)

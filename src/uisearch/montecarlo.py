@@ -4,18 +4,21 @@ Randomness comes from a counter-based scheme so that results never
 depend on worker count or scheduling: uniform variate ``j`` of spell
 ``i`` is a pure function of ``(master_seed, i, j)``. Concretely, the
 64-bit counter ``(i << 32) | j`` indexes a splitmix64 sequence offset by
-a mix of the master seed, and the mixed output is mapped to [0, 1).
-Each spell consumes one variate per extension trial (only while an
-extension is still possible) and one per wage offer, in that order
-within a period.
+a mix of the master seed, and the top 53 bits of the mixed output, a
+word ``k``, give the variate ``k * 2**-53`` in [0, 1). Each spell
+consumes one variate per extension trial (only while an extension is
+still possible) and one per wage offer, in that order within a period.
 
 Spells are simulated either one at a time (``simulate_spell``, which
-also accepts hand-built variate streams for tracing) or in vectorized
-blocks (``simulate_block``); the two paths consume identical streams and
-produce identical records. A block's lanes carry only a spell index and
-sit in segments of one extension period each, the pending prefix first,
-so entitlement, welfare, thresholds and draw counters are per-segment
-values. ``simulate_many`` always cuts spells into blocks of
+also accepts hand-built variate streams for tracing, and compares
+floats) or in vectorized blocks (``simulate_block``, which takes every
+decision on the words, against integer cutoffs computed once per
+policy); the two paths consume identical streams and produce identical
+records. A block's lanes carry only a key, the spell's counter times the
+splitmix64 increment, so each draw is the key plus one word per period;
+they sit in segments of one extension period each, the pending prefix
+first, so entitlement, welfare and cutoffs are per-segment values.
+``simulate_many`` always cuts spells into blocks of
 ``DEFAULT_CHUNK``, deals them into shares that ``_forks.fork_map`` runs,
 the first in the calling process and each other one in a child forked
 for the call, and combines per-block sums with an exact
@@ -45,6 +48,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U32, _U30, _U27, _U31, _U11 = (np.uint64(k) for k in (32, 30, 27, 31, 11))
 _GAMMA_U, _MIX1_U, _MIX2_U = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_GAMMA_INV_U = np.uint64(pow(_GAMMA, -1, 1 << 64))
+_LOW32_U = np.uint64((1 << 32) - 1)
+_WORDS = 1 << 53  # a variate is a word k < 2**53, scaled by 2**-53
 
 
 def _mix64(x: int) -> int:
@@ -78,28 +84,54 @@ def _variate(seed_offset: int, spell: int, draw: int) -> float:
     return (_mix64(state) >> 11) * 2.0 ** -53
 
 
-def _variates(seed_offset, spells: np.ndarray, draws, out=None) -> np.ndarray:
-    """Vectorized ``_variate`` over a uint64 spell array and uint64 draws.
+def _variates(add: int, keys: np.ndarray, out=None) -> np.ndarray:
+    """Vectorized ``_variate`` as 53-bit words: the top 53 bits of the
+    splitmix64 finalizer at ``keys + add``, a word ``k`` standing for the
+    variate ``k * 2**-53``.
 
-    ``out`` is an optional pair of uint64 scratch arrays shaped like
-    ``spells``; the result is a float64 view of the second one.
-    ``(counter + 1) * gamma + offset`` is evaluated as
-    ``counter * gamma + (gamma + offset)``, equal modulo 2**64.
+    With keys ``counter * gamma`` and ``add`` equal to ``gamma + offset``
+    these are ``_variate``'s variates; ``simulate_block`` moves part of
+    each counter from the keys into ``add``, which is equal modulo
+    2**64. ``out`` is an optional pair of uint64 scratch arrays shaped
+    like ``keys``; the words are written to the first.
     """
-    x, shifted = out if out is not None else (np.empty(len(spells), np.uint64),
-                                              np.empty(len(spells), np.uint64))
-    np.left_shift(spells, _U32, out=x)
-    x |= draws
-    x *= _GAMMA_U
-    x += np.uint64((_GAMMA + seed_offset) & _MASK64)
+    x, shifted = out if out is not None else (np.empty(len(keys), np.uint64),
+                                              np.empty(len(keys), np.uint64))
+    np.add(keys, np.uint64(add & _MASK64), out=x)
     x ^= np.right_shift(x, _U30, out=shifted)
     x *= _MIX1_U
     x ^= np.right_shift(x, _U27, out=shifted)
     x *= _MIX2_U
     x ^= np.right_shift(x, _U31, out=shifted)
     x >>= _U11
-    # Below 2**53 the int64 conversion is exact, and faster than uint64's.
-    return np.multiply(x.view(np.int64), 2.0 ** -53, out=shifted.view(np.float64))
+    return x
+
+
+def _offer_cutoffs(thresholds, dist: UniformOffers) -> np.ndarray:
+    """The least word ``k`` whose offer ``dist.quantile(k * 2**-53)``
+    reaches each of ``thresholds``, or ``2**53`` where none does.
+
+    ``quantile`` is non-decreasing on the grid ``k * 2**-53``, so a word
+    at or above its cutoff makes exactly the decision its offer would:
+    a bisection over ``k``, all thresholds at once in 54 steps. A NaN
+    threshold is never reached, as a float comparison with it never is.
+    """
+    lo = np.zeros(thresholds.shape, np.int64)
+    hi = np.full(thresholds.shape, _WORDS, np.int64)
+    # Where the search is done, mid is hi, so hi stays.
+    while (lo < hi).any():
+        mid = (lo + hi) >> 1
+        reached = dist.quantile(mid * 2.0 ** -53) >= thresholds
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, mid + 1)
+    return hi.view(np.uint64)
+
+
+def _extension_cutoff(delta) -> int:
+    """The words ``k`` whose variate ``k * 2**-53`` is below ``delta`` are
+    those below this; scaling by a power of two is exact, so it holds at
+    0, at 1 and at subnormal ``delta`` alike."""
+    return math.ceil(delta * _WORDS)
 
 
 class CounterStream:
@@ -188,11 +220,13 @@ class _Workspace:
     Sized for the largest block, ``min(DEFAULT_CHUNK, n_spells)`` spells
     (about 4.8 MB at ``DEFAULT_CHUNK``): two lane buffers that compaction
     copies between, the two ``_variates`` scratch arrays (which
-    ``_block_partials`` reuses), the spells in the order they ended, the
-    four per-spell outputs, which ``simulate_block`` returns views of,
-    and a mask for the trial and acceptance outcomes. Each process that
-    runs blocks of a ``simulate_many`` call, the calling one or a child
-    forked for it, makes its own, so concurrent calls share no array.
+    ``_block_partials`` reuses), the keys of spells in the order they
+    ended, the four per-spell outputs, which ``simulate_block`` returns
+    views of, and a mask for the trial and acceptance outcomes. It also
+    keeps the offer cutoffs of the last policy and distribution it was
+    given. Each process that runs blocks of a ``simulate_many`` call,
+    the calling one or a child forked for it, makes its own, so
+    concurrent calls share no array.
     """
 
     def __init__(self, size):
@@ -210,9 +244,19 @@ class _Workspace:
         self.welfare = words[7].view(np.float64)
         self.extension_period = words[8].view(np.int64)
         self.mask = np.empty(size, bool)
+        self._cutoffs = None
 
-    def variates_out(self, n):
-        return self.scratch[0][:n], self.scratch[1][:n]
+    def variates_out(self, lo, hi):
+        return self.scratch[0][lo:hi], self.scratch[1][lo:hi]
+
+    def cutoffs(self, policy, dist):
+        """``_offer_cutoffs`` of the pre- then the post-extension
+        thresholds, searched once for a given ``policy`` and ``dist``."""
+        memo = self._cutoffs
+        if memo is None or memo[0] is not policy or memo[1] is not dist:
+            thresholds = np.concatenate((policy.pre_thresholds, policy.post_thresholds))
+            memo = self._cutoffs = (policy, dist, _offer_cutoffs(thresholds, dist))
+        return memo[2]
 
 
 def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
@@ -227,30 +271,44 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
     truncated), ``welfare``, ``extended``, ``extension_period`` (-1 when
     none), and ``truncated``. They are fresh arrays unless a
     ``workspace`` of at least ``count`` spells is given; then they are
-    views of it, valid until its next block.
+    views of it, valid until its next block, and it keeps the offer
+    cutoffs for the next block of the same policy.
+
+    Every decision is taken on the 53-bit word ``k`` of a variate
+    ``u = k * 2**-53``, with no float formed: the trial extends when
+    ``k < ceil(delta * 2**53)``, and an offer is accepted when ``k``
+    reaches the threshold's cutoff (``_offer_cutoffs``). Only accepted
+    offers go through ``dist.quantile``, on the same floats ``u``.
 
     All active lanes are at the same period ``t``, so a lane's
-    entitlement, welfare, threshold and draw counters depend on it only
-    through its extension period ``k`` (0 while the trial is pending). A
-    lane carries just its spell index, and lanes sit in segments of
-    equal ``k``: the pending prefix first, then the extended lanes,
-    newest extension first. The trial runs on the prefix, and the lanes
-    it extends move to a new segment right after it. Entitlement and
-    welfare are kept per segment, and per-lane draw counters and
-    thresholds are repeated from per-segment values: a pending lane
-    draws its trial at ``2t`` and its offer at ``2t + 1``, an extended
-    one its offer at ``t + k``. Compaction keeps the segments in order.
-    A spell's record is written when it ends, in the order spells end,
-    and the records are put in spell order once, after the last period.
+    entitlement, welfare and threshold depend on it only through its
+    extension period ``e`` (0 while the trial is pending). A lane
+    carries just its key ``((spell << 32) | e) * gamma``, and lanes sit
+    in segments of equal ``e``: the pending prefix first, then the
+    extended lanes, newest extension first. Because draw ``d`` hashes
+    ``(spell << 32 | d) * gamma + gamma + offset``, every lane's draw is
+    its key plus one word per period: ``(2t + 1) * gamma`` for a pending
+    trial, ``(2t + 2) * gamma`` for a pending offer, and
+    ``(t + 1) * gamma`` for an extended one's offer (draw ``t + e``),
+    each plus the seed offset. The trial runs on the prefix, and the
+    lanes it extends, their keys raised by ``(t + 1) * gamma``, move to
+    a new segment right after it. Entitlement and welfare are kept per
+    segment, and compaction keeps the segments in order. A spell's key
+    and record are written when it ends, in the order spells end; after
+    the last period one multiply by the inverse of gamma decodes each
+    key into its spell and extension period, and the records are put in
+    spell order.
     """
     if start + count > MAX_SPELLS:
         raise ValueError("spell indices must fit in 32 bits")
     _check_max_periods(max_periods)
     ws = _Workspace(count) if workspace is None else workspace
     z, c, beta = params.z, params.c, params.beta
-    delta, length = truth.delta, truth.length
-    pre = policy.pre_thresholds
-    post = policy.post_thresholds
+    length = truth.length
+    extends = np.uint64(_extension_cutoff(truth.delta))
+    cutoffs = ws.cutoffs(policy, dist)
+    pre_cutoffs = cutoffs[:len(policy.pre_thresholds)]
+    post_cutoffs = cutoffs[len(policy.pre_thresholds):]
     offset = _seed_offset(master_seed)
 
     order = ws.order[:count]
@@ -260,13 +318,14 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
     ext_period = ws.extension_period[:count]
 
     # Active lanes are lane[:m]. Segment i holds the next sizes[i] of
-    # them, extended in period ks[i] (0 for the pending prefix), with
-    # entitlement ns[i] and welfare so far wels[i].
+    # them, with entitlement ns[i] and welfare so far wels[i]; segment 0
+    # is the pending prefix.
     lane, spare = ws.lanes
     lane[:count] = np.arange(start, start + count, dtype=np.uint64)
+    lane[:count] <<= _U32
+    lane[:count] *= _GAMMA_U
     m = count
     sizes = np.array([count])
-    ks = np.zeros(1, dtype=np.int64)
     ns = np.array([params.n_periods])
     wels = np.zeros(1)
     disc = 1.0
@@ -281,9 +340,9 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
         ns = np.maximum(ns - 1, 0)
         pending = int(sizes[0])
         if pending:
-            u_ext = _variates(offset, lane[:pending], np.uint64(2 * t),
-                              out=ws.variates_out(pending))
-            hit = np.less(u_ext, delta, out=ws.mask[:pending])
+            trial = _variates((2 * t + 1) * _GAMMA + offset, lane[:pending],
+                              out=ws.variates_out(0, pending))
+            hit = np.less(trial, extends, out=ws.mask[:pending])
             if hit.any():
                 # This period's extensions leave the prefix for a segment
                 # of their own, right after it.
@@ -291,22 +350,23 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
                 stay = np.logical_not(hit, out=hit).nonzero()[0]
                 lane.take(stay, out=spare[:stay.size], mode="wrap")
                 lane.take(moved, out=spare[stay.size:pending], mode="wrap")
+                spare[stay.size:pending] += np.uint64((t + 1) * _GAMMA & _MASK64)
                 lane[:pending] = spare[:pending]
-                sizes = np.concatenate(([stay.size, moved.size], sizes[1:]))
-                ks = np.concatenate(([0, t + 1], ks[1:]))
+                pending = stay.size
+                sizes = np.concatenate(([pending, moved.size], sizes[1:]))
                 ns = np.concatenate((ns[:1], ns[:1] + length, ns[1:]))
                 wels = np.concatenate((wels[:1], wels))
         disc *= beta
-        # Full-size temporaries are dropped as soon as they are used, so
-        # that at most two are alive at a time.
-        seg_draws = ks + t
-        seg_draws[0] = 2 * t + 1
-        draws = seg_draws.repeat(sizes).view(np.uint64)
-        w = dist.quantile(_variates(offset, lane[:m], draws, out=ws.variates_out(m)))
-        del draws
-        thr = np.concatenate((pre[ns[:1]], post[ns[1:]])).repeat(sizes)
-        accept = np.greater_equal(w, thr, out=ws.mask[:m])
-        del thr
+        if pending:
+            _variates((2 * t + 2) * _GAMMA + offset, lane[:pending],
+                      out=ws.variates_out(0, pending))
+        if m > pending:
+            _variates((t + 1) * _GAMMA + offset, lane[pending:m],
+                      out=ws.variates_out(pending, m))
+        words = ws.scratch[0][:m]
+        cut = np.concatenate((pre_cutoffs[ns[:1]], post_cutoffs[ns[1:]])).repeat(sizes)
+        accept = np.greater_equal(words, cut, out=ws.mask[:m])
+        del cut
         acc = accept.nonzero()[0]
         if not acc.size:
             continue
@@ -314,11 +374,12 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
         seg = ends.searchsorted(acc, side="right")
         records = slice(ended, ended + acc.size)
         lane.take(acc, out=order[records], mode="wrap")
-        w_acc = w.take(acc, out=wage[records], mode="wrap")
-        del w
+        w_acc = wage[records]
+        # Below 2**53 the int64 conversion is exact, and faster than uint64's.
+        u = words.view(np.int64).take(acc, out=w_acc.view(np.int64), mode="wrap")
+        w_acc[:] = dist.quantile(np.multiply(u, 2.0 ** -53, out=w_acc))
         welfare[records] = wels[seg] + disc * w_acc / (1.0 - beta)
         duration[records] = t + 1
-        ext_period[records] = ks[seg]
         ended += acc.size
 
         # Compact the survivors into the spare buffer; the segments keep
@@ -339,7 +400,9 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
     duration[rest] = max_periods
     wage[rest] = np.nan
     welfare[rest] = wels.repeat(sizes)
-    ext_period[rest] = ks.repeat(sizes)
+    order *= _GAMMA_INV_U
+    np.bitwise_and(order, _LOW32_U, out=ext_period.view(np.uint64))
+    order >>= _U32
     order -= np.uint64(start)
     for out in (duration, wage, welfare, ext_period):
         records = ws.scratch[0][:count].view(out.dtype)

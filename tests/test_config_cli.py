@@ -351,6 +351,16 @@ class TestCli:
         assert captured.err.startswith(f"error: config: malformed JSON in {path}: ")
         assert captured.err.count("\n") == 1
 
+    def test_config_path_holding_nul_cannot_be_read(self, tmp_path, capsys):
+        # Reading such a path raises ValueError before any byte is read:
+        # the path is unreadable, not the JSON malformed.
+        path = str(tmp_path / "a\0b")
+        with pytest.raises(ConfigError, match=r"cannot read .*a\\x00b: Invalid argument"):
+            parse_config(path)
+        assert main(["solve", "--config", path]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: config: cannot read {tmp_path}/a\\x00b: Invalid argument\n")
+
     @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
     def test_config_in_any_utf_encoding_reads_alike(self, config_path, tmp_path, capsys,
                                                    encoding):

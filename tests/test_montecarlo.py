@@ -14,14 +14,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uisearch import (CounterStream, ExtensionSpec, MarketParams,
                       UniformOffers, build_policy, simulate_many,
                       simulate_spell, solve_w0_basic)
 from uisearch import montecarlo
 from uisearch.evaluate import PolicyProfile
-from uisearch.montecarlo import (DEFAULT_CHUNK, _variate, _variates,
-                                 simulate_block)
+from uisearch.montecarlo import (DEFAULT_CHUNK, _seed_offset, _variate,
+                                 _variates, simulate_block)
 
 from conftest import summary_bits
 
@@ -30,6 +32,24 @@ BENCH_TRUTH = ExtensionSpec(delta=0.5, length=25)
 UNIT = UniformOffers()
 WIDE = UniformOffers(low=0.5, high=2.0)
 WIDE_PARAMS = MarketParams(beta=0.9, z=0.6, c=0.6, n_periods=3)
+
+
+GAMMA = montecarlo._GAMMA
+GAMMA_INV = pow(GAMMA, -1, 1 << 64)
+LOW32 = (1 << 32) - 1
+
+
+def _keys(spells, draws):
+    """``_variates`` keys of draws ``draws`` of ``spells``, uint64 arrays;
+    an ``add`` of ``gamma + offset`` then hashes exactly those draws."""
+    return ((spells << np.uint64(32)) | draws) * np.uint64(GAMMA)
+
+
+def _decoded(add, keys, offset):
+    """The ``(spell, draw)`` pairs a ``_variates(add, keys)`` call hashes
+    under ``offset``, decoded from ``keys + add`` through gamma's inverse."""
+    counters = (keys + np.uint64((add - GAMMA - offset) % (1 << 64))) * np.uint64(GAMMA_INV)
+    return counters >> np.uint64(32), counters & np.uint64(LOW32)
 
 
 def _policy(dist, params, truth, belief):
@@ -166,9 +186,8 @@ class TestCounterStreams:
     def test_scalar_matches_vectorized(self):
         spells = np.array([0, 1, 7, 123456], dtype=np.uint64)
         draws = np.array([0, 3, 11, 2], dtype=np.uint64)
-        from uisearch.montecarlo import _seed_offset
         offset = _seed_offset(42)
-        vec = _variates(offset, spells, draws)
+        vec = _variates(GAMMA + offset, _keys(spells, draws)) * 2.0 ** -53
         for k in range(len(spells)):
             assert vec[k] == _variate(offset, int(spells[k]), int(draws[k]))
 
@@ -197,11 +216,10 @@ class TestCounterStreams:
         assert len(first) == 3
 
     def test_draws_uniform_on_unit_interval(self):
-        from uisearch.montecarlo import _seed_offset
         offset = _seed_offset(1234)
         n = 200_000
-        u = _variates(offset, np.arange(n, dtype=np.uint64),
-                      np.zeros(n, dtype=np.uint64))
+        u = _variates(GAMMA + offset, _keys(np.arange(n, dtype=np.uint64),
+                                            np.zeros(n, dtype=np.uint64))) * 2.0 ** -53
         assert np.all((u >= 0.0) & (u < 1.0))
         assert abs(u.mean() - 0.5) < 4 * math.sqrt(1 / 12 / n)
         assert abs(u.var() - 1 / 12) < 4 * math.sqrt(1 / 180 / n)
@@ -282,6 +300,98 @@ class TestBlockEquivalence:
                               uniform, master_seed=3, start=32, count=32)
         np.testing.assert_array_equal(whole["duration"][32:], tail["duration"])
         np.testing.assert_array_equal(whole["welfare"][32:], tail["welfare"])
+
+
+WORDS = 1 << 53
+
+
+def _offer(dist, k):
+    """The offer of word ``k``."""
+    return float(dist.quantile(k * 2.0 ** -53))
+
+
+def _grid_thresholds(dist):
+    """Offers of words near 0, near 2**52 and at the top, one ulp either
+    side of each, and thresholds below, at and above the support."""
+    thresholds = [dist.low - 1.0, math.nextafter(dist.low, -math.inf), dist.high,
+                  math.nextafter(dist.high, math.inf), dist.high + 1.0]
+    for k in (0, 1, 2, (1 << 52) - 1, 1 << 52, (1 << 52) + 1, WORDS - 2, WORDS - 1):
+        offer = _offer(dist, k)
+        thresholds += [math.nextafter(offer, -math.inf), offer,
+                       math.nextafter(offer, math.inf)]
+    return thresholds
+
+
+class TestWordDecisions:
+    """Each decision taken on a 53-bit word is the float decision."""
+
+    @pytest.mark.parametrize("dist", [UNIT, WIDE, UniformOffers(low=-2.0, high=1.5)],
+                             ids=["unit", "wide", "negative_low"])
+    def test_offer_cutoffs_are_exact_on_both_sides(self, dist):
+        thresholds = _grid_thresholds(dist)
+        cutoffs = montecarlo._offer_cutoffs(np.array(thresholds), dist)
+        assert cutoffs.dtype == np.uint64
+        for r, cutoff in zip(thresholds, cutoffs.tolist()):
+            assert 0 <= cutoff <= WORDS
+            if cutoff < WORDS:
+                assert _offer(dist, cutoff) >= r
+            if cutoff > 0:
+                assert _offer(dist, cutoff - 1) < r
+        assert cutoffs[:2].tolist() == [0, 0]  # below the support: every offer
+        assert cutoffs[3:5].tolist() == [WORDS, WORDS]  # above it: none
+        # On the grid, the offer's own word is the cutoff unless the words
+        # below it give the same offer.
+        assert cutoffs[6] == 0 and cutoffs[9] == 1
+
+    def test_nan_threshold_never_accepts(self):
+        cutoffs = montecarlo._offer_cutoffs(np.array([math.nan, 0.5]), UNIT)
+        assert cutoffs.tolist() == [WORDS, 1 << 52]
+
+    @pytest.mark.parametrize("delta", [0.0, 5e-324, 2.0 ** -53, 0.5,
+                                       math.nextafter(1.0, 0.0), 1.0])
+    def test_extension_cutoff_is_the_float_trial(self, delta):
+        cutoff = montecarlo._extension_cutoff(delta)
+        assert 0 <= cutoff <= WORDS
+        for k in {0, 1, cutoff - 1, cutoff, cutoff + 1, WORDS - 1}:
+            if 0 <= k < WORDS:
+                assert (k < cutoff) == (k * 2.0 ** -53 < delta), k
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_thresholds_on_drawn_offers_match_scalar_loop(self, data):
+        # Each threshold is the first offer (draw 1) of a spell of the
+        # block, or one at or beyond the support's ends. Every first offer
+        # meets the threshold of the state it is drawn in, so that spell
+        # meets it exactly, and the block must accept as the scalar loop does.
+        low = data.draw(st.sampled_from([0.0, -2.0, 0.5]))
+        dist = UniformOffers(low, low + data.draw(st.sampled_from([1.0, 1.5, 3.5])))
+        params = MarketParams(beta=0.9, z=low, c=0.1, n_periods=data.draw(st.integers(0, 3)))
+        truth = ExtensionSpec(delta=data.draw(st.sampled_from([0.0, 0.3, 1.0])),
+                              length=data.draw(st.integers(1, 3)))
+        seed, count, max_periods = data.draw(st.integers(0, 1000)), 40, 12
+        offset = _seed_offset(seed)
+        offer = st.builds(lambda i: dist.quantile(_variate(offset, i, 1)),
+                          st.integers(0, count - 1))
+        threshold = st.one_of(offer, st.sampled_from(
+            [dist.low, dist.high, math.nextafter(dist.high, math.inf), math.nan]))
+
+        def schedule(n):
+            return np.array(data.draw(st.lists(threshold, min_size=n, max_size=n)))
+
+        policy = PolicyProfile(pre_thresholds=schedule(params.n_periods + 1),
+                               post_thresholds=schedule(params.n_periods + truth.length + 1))
+        block = simulate_block(policy, truth, params, dist, seed, 0, count,
+                               max_periods=max_periods)
+        for i in range(count):
+            rec = simulate_spell(policy, truth, params, dist, CounterStream(seed, i),
+                                 max_periods=max_periods)
+            wage = block["accepted_wage"][i]
+            period = block["extension_period"][i]
+            assert (rec.duration, rec.welfare, rec.extended, rec.truncated) == (
+                block["duration"][i], block["welfare"][i], block["extended"][i],
+                block["truncated"][i])
+            assert rec.accepted_wage == (None if np.isnan(wage) else wage)
+            assert rec.extension_period == (None if period == -1 else period)
 
 
 class TestSimulateMany:
@@ -436,11 +546,30 @@ class TestSimulateMany:
 
 
 class CountingUniform(UniformOffers):
-    """Uniform offers that count ``quantile`` calls."""
+    """Uniform offers that record the size of each ``quantile`` call."""
 
     def quantile(self, u):
-        object.__setattr__(self, "calls", getattr(self, "calls", 0) + 1)
+        self.__dict__.setdefault("sizes", []).append(np.size(u))
         return super().quantile(u)
+
+
+def counted_searches(monkeypatch):
+    """The cutoff searches from now on, each the ``quantile`` call sizes
+    it made; those calls are taken out of the distribution's ``sizes``,
+    so that the sizes left are the kernel's own calls."""
+    searches = []
+    real = montecarlo._offer_cutoffs
+
+    def search(thresholds, dist):
+        sizes = dist.__dict__.setdefault("sizes", [])
+        before = len(sizes)
+        cutoffs = real(thresholds, dist)
+        searches.append(sizes[before:])
+        del sizes[before:]
+        return cutoffs
+
+    monkeypatch.setattr(montecarlo, "_offer_cutoffs", search)
+    return searches
 
 
 class TestStreamConsumption:
@@ -448,8 +577,9 @@ class TestStreamConsumption:
 
     One variate per pending extension trial (through the period of the
     extension) and one per offer, drawn through the positional
-    ``_variates(offset, spells, draws)`` call, and one ``quantile`` call
-    per simulated period.
+    ``_variates(add, keys)`` call, whose ``(spell, draw)`` pairs are
+    decoded from ``keys + add``. ``quantile`` sees just the accepted
+    offers, and the cutoff search runs once per workspace and policy.
     """
 
     @pytest.mark.parametrize("case", ["benchmark", "delta_one", "truncate_2",
@@ -461,14 +591,15 @@ class TestStreamConsumption:
         policy = _policy(dist, params, truth, belief)
         drawn = Counter()
         sizes = []
+        offset = _seed_offset(5)
 
-        def counting(offset, spells, draws, out=None):
-            sizes.append(len(spells))
-            drawn.update(zip(spells.tolist(),
-                             np.broadcast_to(draws, spells.shape).tolist()))
-            return _variates(offset, spells, draws, out=out)
+        def counting(add, keys, out=None):
+            sizes.append(len(keys))
+            drawn.update(zip(*(a.tolist() for a in _decoded(add, keys, offset))))
+            return _variates(add, keys, out=out)
 
         monkeypatch.setattr(montecarlo, "_variates", counting)
+        searches = counted_searches(monkeypatch)
         kwargs = {"master_seed": 5, "start": 0, "count": 400, **overrides}
         block = simulate_block(policy, truth, params, dist, **kwargs)
         duration = block["duration"]
@@ -478,34 +609,65 @@ class TestStreamConsumption:
         for i, n in enumerate(duration + trials):
             spell = kwargs["start"] + i
             assert all((spell, j) in drawn for j in range(n))
-        assert dist.calls == duration.max()
+        assert sum(dist.sizes) == np.count_nonzero(~block["truncated"])
+        assert len(searches) == 1
+
+    def test_cutoff_search_runs_once_per_workspace_and_policy(self, monkeypatch):
+        searches = counted_searches(monkeypatch)
+        workspace = montecarlo._Workspace(300)
+        first = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
+        second = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.9, 25))
+        for policy, start in ((first, 0), (first, 300), (second, 0), (second, 300)):
+            simulate_block(policy, BENCH_TRUTH, BENCH, UNIT, 3, start, 300,
+                           workspace=workspace)
+        assert len(searches) == 2
+        simulate_block(first, BENCH_TRUTH, BENCH, UNIT, 3, 0, 300)
+        assert len(searches) == 3
+
+    def test_simulate_many_searches_cutoffs_once(self, monkeypatch):
+        # Three blocks on one worker: a search per block would be three.
+        searches = counted_searches(monkeypatch)
+        policy = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
+        simulate_many(policy, BENCH_TRUTH, BENCH, UNIT, 2 * DEFAULT_CHUNK + 500, 13)
+        assert len(searches) == 1
 
     def test_serial_blocks_go_through_module_seams(self, monkeypatch):
         # Three blocks inline: each is one call of the module-level
         # simulate_block with count at position 6, and every trial and
-        # offer batch one positional _variates call. bench/layers.py
-        # times both seams.
+        # offer batch one positional _variates call, keys at position 1.
+        # bench/layers.py times both seams.
         n_spells = 2 * DEFAULT_CHUNK + 500
         policy = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
-        blocks, sizes = [], []
+        blocks, sizes, counters = [], [], []
         real_block, real_variates = simulate_block, _variates
+        offset = _seed_offset(13)
 
         def block(*args, **kwargs):
             out = real_block(*args, **kwargs)
             trials = np.where(out["extended"], out["extension_period"], out["duration"])
-            blocks.append((args[5], args[6], int(out["duration"].sum() + trials.sum())))
+            blocks.append((args[5], args[6], out["duration"] + trials))
             return out
 
-        def variates(offset, spells, draws, out=None):
-            sizes.append(len(spells))
-            return real_variates(offset, spells, draws, out=out)
+        def variates(add, keys, out=None):
+            sizes.append(len(keys))
+            spells, draws = _decoded(add, keys, offset)
+            counters.append((spells << np.uint64(32)) | draws)
+            return real_variates(add, keys, out=out)
 
         monkeypatch.setattr(montecarlo, "simulate_block", block)
         monkeypatch.setattr(montecarlo, "_variates", variates)
         simulate_many(policy, BENCH_TRUTH, BENCH, UNIT, n_spells, 13)
         assert [(start, count) for start, count, _ in blocks] == [
             (0, DEFAULT_CHUNK), (DEFAULT_CHUNK, DEFAULT_CHUNK), (2 * DEFAULT_CHUNK, 500)]
-        assert sum(sizes) == sum(draws for _, _, draws in blocks)
+        draws = np.concatenate([n for _, _, n in blocks])
+        assert sum(sizes) == draws.sum()
+        # Every variate exactly once: spell i draws counters 0 .. draws[i] - 1.
+        drawn = np.unique(np.concatenate(counters))
+        assert drawn.size == draws.sum()
+        spells = drawn >> np.uint64(32)
+        assert np.array_equal(np.bincount(spells.astype(np.int64), minlength=n_spells),
+                              draws)
+        assert np.all((drawn & np.uint64(LOW32)) < draws[spells.astype(np.int64)])
 
 
 class TestGolden:

@@ -201,11 +201,11 @@ def test_guard_catches_a_missing_name():
 
 def test_span_size_arguments_keep_their_positions():
     # bench/layers.py sizes simulate_block spans by args[6] and _variates
-    # spans by len(args[1]); these feed periods_per_block and
-    # variates_per_spell.
+    # spans by len(args[1]), the lane keys; these feed periods_per_block
+    # and variates_per_spell.
     from uisearch import montecarlo
     assert list(inspect.signature(montecarlo.simulate_block).parameters)[6] == "count"
-    assert list(inspect.signature(montecarlo._variates).parameters)[1] == "spells"
+    assert list(inspect.signature(montecarlo._variates).parameters)[1] == "keys"
 
 
 def counted(monkeypatch, qualname):
