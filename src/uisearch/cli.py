@@ -251,6 +251,12 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    # numpy's OpenBLAS starts a thread pool on import, and no command makes
+    # a BLAS call: one thread spares each simulating process the pool's
+    # start-up and its forks a multi-threaded parent. Set before any
+    # command imports numpy; a value the user set wins, and the library
+    # leaves the environment to its caller.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -4,36 +4,18 @@ With identity CDF every fixed point reduces to a quadratic and every
 recursion step to a polynomial, so the whole schedule can be written
 down without iteration. These expressions serve as an independent
 oracle for the iterative solver.
+
+Both zero-entitlement wages are the smaller root of
+``a x^2 - x + t = 0``, taken as ``2t / (1 + sqrt(1 - 4at))`` with the
+discriminant written as a sum of nonnegative terms. Nothing cancels, so
+the root keeps its digits as ``delta -> 1`` or ``beta -> 0``, and at
+``a = 0`` (``delta = 1``) it is ``t`` itself.
 """
 
 import math
 
 from .params import ExtensionSpec, MarketParams
 from .schedule import ReservationSchedule, post_extension_state
-
-
-def w0_basic_closed_form(beta, flow) -> float:
-    """Zero-entitlement wage: the economically relevant root of the quadratic.
-
-    ``(beta/2) x^2 - x + flow (1 - beta) + beta/2 = 0`` has one root
-    inside [0, 1]; the other lies above 1.
-    """
-    return (1.0 - math.sqrt((1.0 - beta) * (1.0 + beta - 2.0 * beta * flow))) / beta
-
-
-def w0_extension_closed_form(beta, z, delta, w_basic_at_length) -> float:
-    """Zero-entitlement wage while an extension is possible.
-
-    At ``delta = 1`` the quadratic degenerates to a linear equation
-    (the self-referencing branch has weight zero); the general root
-    formula would divide by zero, so that limit is evaluated directly.
-    """
-    if delta == 1.0:
-        return z * (1.0 - beta) + 0.5 * beta * (1.0 + w_basic_at_length ** 2)
-    inner = 1.0 - beta * (1.0 - delta) * (
-        beta + 2.0 * z * (1.0 - beta) + beta * delta * w_basic_at_length ** 2
-    )
-    return (1.0 - math.sqrt(inner)) / (beta * (1.0 - delta))
 
 
 def uniform_closed_form(params: MarketParams,
@@ -50,12 +32,19 @@ def uniform_closed_form(params: MarketParams,
     delta, length = belief.delta, belief.length
     horizon = post_extension_state(n_periods, length)
 
-    basic = [w0_basic_closed_form(beta, z)]
+    def w0(d, y):
+        # x = z (1 - beta) + (beta/2) (1 + d y^2 + (1 - d) x^2); d = 0 is the basic wage
+        t = z * (1.0 - beta) + 0.5 * beta * (1.0 + d * y ** 2)
+        disc = (1.0 - beta) * (1.0 + beta - 2.0 * beta * z) + beta * d * (
+            beta * (1.0 - (1.0 - d) * y ** 2) + 2.0 * z * (1.0 - beta))
+        return 2.0 * t / (1.0 + math.sqrt(disc))
+
+    basic = [w0(0.0, 0.0)]
     base = (z + c) * (1.0 - beta)
     for n in range(1, horizon + 1):
         basic.append(base + 0.5 * beta * (1.0 + basic[n - 1] ** 2))
 
-    with_ext = [w0_extension_closed_form(beta, z, delta, basic[length])]
+    with_ext = [w0(delta, basic[length])]
     for n in range(1, n_periods + 1):
         with_ext.append(base + 0.5 * beta * (
             1.0

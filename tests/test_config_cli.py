@@ -919,6 +919,39 @@ class TestStdoutDigests:
         argv = ["calibrate", "--duration", "10"]
         assert self.digest(argv, capsys) == self.CALIBRATE_DIGEST
 
+    # sweep --mode mc on each default grid: 70 000 spells are two blocks,
+    # so two threads split every run between two processes.
+    MC_SWEEP_DIGESTS = {
+        "delta": "39d7e64bbb5ea881d5806e81edea68e36ffbda736b1d72bc10d4a8dee62810e3",
+        "len": "8c31aaf40d5d97c8b578db01666c08c4a2dce10687a8f4a889bf70971e2d4a0b",
+    }
+    # At max_periods 20 the runs behind every row of the delta grid truncate.
+    MC_SWEEP_TRUNCATED = (
+        "320c8dea670f744d85a4aab85513f9081fd36c3839a9f41a03db69b07ef8ec18",
+        "warning: spells truncated at max_periods=20 in the runs behind 17 of 17 rows; "
+        "means cover completed spells only\n")
+
+    @staticmethod
+    def mc_sweep(config, vary, threads, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path), "--mode", "mc", "--spells", "70000",
+                     "--vary", vary, "--threads", threads]) == 0
+        captured = capsys.readouterr()
+        return hashlib.sha256(captured.out.encode()).hexdigest(), captured.err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("vary", sorted(MC_SWEEP_DIGESTS))
+    def test_mc_sweep(self, tmp_path, capsys, vary, threads):
+        assert self.mc_sweep(BENCHMARK, vary, threads, capsys, tmp_path) == (
+            self.MC_SWEEP_DIGESTS[vary], "")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mc_sweep_truncated(self, tmp_path, capsys, threads):
+        config = {**BENCHMARK, "max_periods": 20}
+        assert self.mc_sweep(config, "delta", threads, capsys,
+                             tmp_path) == self.MC_SWEEP_TRUNCATED
+
 
 @contextlib.contextmanager
 def deadline(seconds):
@@ -1237,6 +1270,41 @@ def test_only_simulation_loads_numpy(config_path, argv, loads_numpy, digest):
     result = subprocess.run([sys.executable, "-c", _COMMAND_CHILD, *argv], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.split() == ["0", str(loads_numpy), digest]
+
+
+# Runs ``main`` on its arguments in a fresh interpreter and prints the exit
+# code, whether numpy was loaded, the OS threads of the process once main
+# returns, and OPENBLAS_NUM_THREADS.
+_THREADS_CHILD = """
+import contextlib, io, os, sys
+from uisearch.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
+print(code, 'numpy' in sys.modules, threads, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+def _threads_child(config_path, **env):
+    env = {**{k: v for k, v in _CHILD_ENV.items() if k != "OPENBLAS_NUM_THREADS"}, **env}
+    result = subprocess.run([sys.executable, "-c", _THREADS_CHILD, "simulate", "--config",
+                             config_path, "--spells", "2000", "--threads", "1"],
+                            env=env, capture_output=True, text=True, check=True)
+    return result.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_simulate_starts_no_blas_thread_pool(config_path):
+    """numpy's OpenBLAS starts a pool of threads on import unless told to
+    use one; no command makes a BLAS call, so the CLI tells it."""
+    assert _threads_child(config_path) == ["0", "True", "1", "1"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_user_blas_thread_setting_is_kept(config_path):
+    code, numpy_loaded, _, value = _threads_child(config_path, OPENBLAS_NUM_THREADS="2")
+    assert (code, numpy_loaded, value) == ("0", "True", "2")
 
 
 @pytest.mark.parametrize("argv", [

@@ -102,6 +102,16 @@ class TestCalibrateZ:
         with pytest.raises(InfeasibleError, match="below the top"):
             calibrate_z(2e15, 0.9, uniform)
 
+    @pytest.mark.xfail(strict=True, raises=InfeasibleError, reason=(
+        "upsilon's rounding near the top, scaled by beta / (1 - beta), carries the "
+        "computed flow to 1.0 where the exact flow lies five ulps below it "
+        "(ROADMAP item 7, thresholds as gaps below the top)"))
+    def test_flow_five_ulps_below_top_is_feasible(self, uniform):
+        # `uisearch calibrate --duration 1.66e15 --beta 0.9` exits 4 on the same refusal
+        _, exact = exact_flow(uniform, 0.9, 1.66e15)
+        assert float(exact) == 0.9999999999999994
+        assert relative_error(calibrate_z(1.66e15, 0.9, uniform), exact) < 1e-13
+
     @pytest.mark.parametrize("beta", [1.5, 1.0, 0.0, float("nan")])
     def test_beta_outside_unit_interval(self, uniform, beta):
         with pytest.raises(ValueError, match="beta") as excinfo:

@@ -424,3 +424,50 @@ def test_attribute_guard_finds_calls_and_bare_references():
                      "    d.sf(x)\n")
     assert attribute_uses(tree, {"cdf", "partial_expectation"}) == [
         (None, "cdf"), ("g", "cdf"), ("g", "partial_expectation")]
+
+
+def blas_uses(node):
+    """(function, use) of each ``@`` and each use of ``dot``, ``matmul`` or
+    ``linalg`` under ``node``, as an attribute, a name or an import."""
+    names = {"dot", "matmul", "linalg"}
+    found = attribute_uses(node, names)
+    for scope, child in scoped_nodes(node):
+        if isinstance(child, ast.Name) and child.id in names:
+            found.append((scope, child.id))
+        elif isinstance(child, ast.alias) and names & set(child.name.split(".")):
+            found.append((scope, child.name))
+        elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
+            found.append((scope, "@"))
+    return found
+
+
+def test_the_kernel_makes_no_blas_call():
+    # The CLI runs numpy's OpenBLAS on one thread; a BLAS call in the
+    # Monte Carlo kernel would make that a slowdown.
+    tree = ast.parse((ROOT / "src" / "uisearch" / "montecarlo.py").read_text())
+    assert blas_uses(tree) == []
+
+
+def test_blas_guard_finds_each_form():
+    tree = ast.parse("import numpy.linalg\nfrom numpy import dot\nx = a @ b\n"
+                     "def f():\n    y @= np.matmul(a, b)\n    return dot\n")
+    assert sorted(blas_uses(tree), key=str) == sorted(
+        [(None, "numpy.linalg"), (None, "dot"), (None, "@"), ("f", "@"),
+         ("f", "matmul"), ("f", "dot")], key=str)
+
+
+def test_the_oracle_shares_no_solver_code():
+    # uniform_closed_form checks the solver only while it computes every
+    # wage on its own: it takes from schedule the result type and the
+    # post-extension state, and calls no pricing, Newton or climbing step.
+    tree = ast.parse((ROOT / "src" / "uisearch" / "closedform.py").read_text())
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    from_schedule = {pair for pair in imported
+                     if "schedule" in f"{pair[0]}.{pair[1]}".split(".")}
+    assert from_schedule == {("schedule", "ReservationSchedule"),
+                             ("schedule", "post_extension_state")}
+    callees = {getattr(node.func, "attr", getattr(node.func, "id", None))
+               for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not callees & {"_price", "_price_each", "upsilon", "_climb", "_fixed_point"}
+    assert not [name for name in callees if name and name.startswith("solve_")]
