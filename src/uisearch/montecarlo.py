@@ -14,10 +14,11 @@ also accepts hand-built variate streams for tracing, and compares
 floats) or in vectorized blocks (``simulate_block``, which takes every
 decision on the words, against integer cutoffs computed once per
 policy); the two paths consume identical streams and produce identical
-records. A block's lanes carry only a key, the spell's counter times the
-splitmix64 increment, so each draw is the key plus one word per period;
-they sit in segments of one extension period each, the pending prefix
-first, so entitlement, welfare and cutoffs are per-segment values.
+records. A block's lanes carry only a key, a multiple of the
+splitmix64 increment, and each draw is a lane's key plus one word that
+every lane shares in that period; the lanes sit in segments of one
+extension period each, the pending ones first, so entitlement, welfare
+and cutoffs are per-segment values.
 ``simulate_many`` always cuts spells into blocks of
 ``DEFAULT_CHUNK``, deals them into shares that ``_forks.fork_map`` runs,
 the first in the calling process and each other one in a child forked
@@ -27,6 +28,15 @@ for the call, and combines per-block sums with an exact
 worker count. Each process running blocks reuses one workspace of
 arrays for all of them, so a block allocates no array of its size
 beyond a few short-lived temporaries.
+
+No block of a share runs its tail alone. A block's last few thousand
+spells take dozens of periods, each costing about as many numpy calls
+as a full one; so once at most ``_HEADROOM`` lanes are active, the
+share's next block joins them as a second cohort, in a second record
+slot of the workspace (about 2.5 MB more), and the two are simulated in
+the same periods. A spell's record depends only on its own stream, not
+on which lanes share its periods, so every block returns the records it
+has alone. This halves the periods of a million-spell share.
 """
 
 import math
@@ -49,6 +59,7 @@ _MIX2 = 0x94D049BB133111EB
 _U32, _U30, _U27, _U31, _U11 = (np.uint64(k) for k in (32, 30, 27, 31, 11))
 _GAMMA_U, _MIX1_U, _MIX2_U = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
 _GAMMA_INV_U = np.uint64(pow(_GAMMA, -1, 1 << 64))
+_GAMMA32_U = np.uint64(_GAMMA << 32 & _MASK64)  # (spell << 32) * gamma == spell * this
 _LOW32_U = np.uint64((1 << 32) - 1)
 _WORDS = 1 << 53  # a variate is a word k < 2**53, scaled by 2**-53
 
@@ -214,40 +225,79 @@ def simulate_spell(policy, truth: ExtensionSpec, params: MarketParams,
                        truncated=True)
 
 
-class _Workspace:
-    """The arrays one process reuses for every block of a simulation.
+# A share's next block joins the lanes once at most this many are
+# active, so its workspace holds this many lanes beyond DEFAULT_CHUNK.
+# On a 2-vCPU Xeon a 1-worker million-spell call at the benchmark policy
+# ran as fast at 2 048, 4 096 and 8 192 (within 1%); 1 024 leaves 2-5%
+# more periods. Each lane of headroom costs 12 words and a byte.
+_HEADROOM = DEFAULT_CHUNK // 16
 
-    Sized for the largest block, ``min(DEFAULT_CHUNK, n_spells)`` spells
-    (about 4.8 MB at ``DEFAULT_CHUNK``): two lane buffers that compaction
-    copies between, the two ``_variates`` scratch arrays (which
-    ``_block_partials`` reuses), the keys of spells in the order they
-    ended, the four per-spell outputs, which ``simulate_block`` returns
-    views of, and a mask for the trial and acceptance outcomes. It also
-    keeps the offer cutoffs of the last policy and distribution it was
-    given. Each process that runs blocks of a ``simulate_many`` call,
-    the calling one or a child forked for it, makes its own, so
+
+class _Cohort:
+    """A block in flight: spells ``start .. start + count - 1``, which
+    joined the lanes at the workspace's period ``first`` and write their
+    records to record slot ``slot``, ``ended`` of them so far. All its
+    lanes are at its own period, so they share the discount ``disc``."""
+
+    __slots__ = ("start", "count", "first", "slot", "ended", "disc")
+
+    def __init__(self, start, count, first, slot):
+        self.start, self.count, self.first, self.slot = start, count, first, slot
+        self.ended = 0
+        self.disc = 1.0
+
+
+class _Workspace:
+    """The arrays one process reuses for every block of a simulation, and
+    the block it keeps in flight between two of them.
+
+    Sized for the largest block, ``size`` = ``min(DEFAULT_CHUNK,
+    n_spells)`` spells: two lane buffers that compaction copies between,
+    the two ``_variates`` scratch arrays (which ``_block_partials``
+    reuses) and a mask for the trial and acceptance outcomes; ``slots``
+    record slots, each the keys of a block's spells in the order they
+    ended and three per-spell outputs, which ``simulate_block`` returns
+    views of; and the extension periods of the block returned last. With
+    one slot, as a lone block has, that is 9 words and a byte a spell,
+    about 4.8 MB at ``DEFAULT_CHUNK``. ``simulate_many`` gives a share
+    of several blocks two slots, and ``_HEADROOM`` more room in each
+    lane, scratch and record array, about 7.3 MB in all; before each
+    block it sets ``following`` to the ``(start, count)`` of the share's
+    next one, which then rides along in the current block's tail (see
+    ``simulate_block``). A block can then start about half a block's
+    70 periods after the one before it; a third slot would bring that
+    to about 25 periods, but the workspace to about 9.4 MB.
+
+    It also keeps the offer cutoffs of the last policy and distribution
+    it was given. Each process that runs blocks of a ``simulate_many``
+    call, the calling one or a child forked for it, makes its own, so
     concurrent calls share no array.
     """
 
-    def __init__(self, size):
-        # One allocation for the nine word arrays, not nine. Freeing a
+    def __init__(self, size, slots=1):
+        room = size + (_HEADROOM if slots > 1 else 0)
+        # One allocation for every word array, not one each. Freeing a
         # chunk this large raises glibc malloc's mmap and trim
         # thresholds above it, so later calls take their workspace from
         # the heap, and the blocks' temporaries are no longer handed
         # back to the OS and faulted in again every period.
-        words = np.empty((9, size), np.uint64)
-        self.lanes = words[0], words[1]
-        self.scratch = words[2], words[3]
-        self.order = words[4]
-        self.duration = words[5].view(np.int64)
-        self.accepted_wage = words[6].view(np.float64)
-        self.welfare = words[7].view(np.float64)
-        self.extension_period = words[8].view(np.int64)
-        self.mask = np.empty(size, bool)
+        words = np.empty(4 * room * (1 + slots) + size, np.uint64)
+        lanes = words[:4 * room].reshape(4, room)
+        records = words[4 * room:4 * room * (1 + slots)].reshape(slots, 4, room)
+        self.lanes = lanes[0], lanes[1]
+        self.scratch = lanes[2], lanes[3]
+        self.mask = np.empty(room, bool)
+        self.slots = [(keys, duration.view(np.int64), wage.view(np.float64),
+                       welfare.view(np.float64))
+                      for keys, duration, wage, welfare in records]
+        self.extension_period = words[4 * room * (1 + slots):].view(np.int64)
+        self.size = size
+        self.following = None
+        self.flight = None
         self._cutoffs = None
 
-    def variates_out(self, lo, hi):
-        return self.scratch[0][lo:hi], self.scratch[1][lo:hi]
+    def variates_out(self, n):
+        return self.scratch[0][:n], self.scratch[1][:n]
 
     def cutoffs(self, policy, dist):
         """``_offer_cutoffs`` of the pre- then the post-extension
@@ -257,6 +307,15 @@ class _Workspace:
             thresholds = np.concatenate((policy.pre_thresholds, policy.post_thresholds))
             memo = self._cutoffs = (policy, dist, _offer_cutoffs(thresholds, dist))
         return memo[2]
+
+
+def _outputs(duration, wage, welfare, ext_period) -> dict:
+    """The dict ``simulate_block`` returns; extension period 0 becomes -1."""
+    extended = ext_period > 0
+    ext_period -= ~extended  # a masked store is several times slower
+    return {"duration": duration, "accepted_wage": wage, "welfare": welfare,
+            "extended": extended, "extension_period": ext_period,
+            "truncated": np.isnan(wage)}
 
 
 def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
@@ -280,139 +339,294 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
     reaches the threshold's cutoff (``_offer_cutoffs``). Only accepted
     offers go through ``dist.quantile``, on the same floats ``u``.
 
-    All active lanes are at the same period ``t``, so a lane's
-    entitlement, welfare and threshold depend on it only through its
-    extension period ``e`` (0 while the trial is pending). A lane
-    carries just its key ``((spell << 32) | e) * gamma``, and lanes sit
-    in segments of equal ``e``: the pending prefix first, then the
-    extended lanes, newest extension first. Because draw ``d`` hashes
-    ``(spell << 32 | d) * gamma + gamma + offset``, every lane's draw is
-    its key plus one word per period: ``(2t + 1) * gamma`` for a pending
-    trial, ``(2t + 2) * gamma`` for a pending offer, and
-    ``(t + 1) * gamma`` for an extended one's offer (draw ``t + e``),
-    each plus the seed offset. The trial runs on the prefix, and the
-    lanes it extends, their keys raised by ``(t + 1) * gamma``, move to
-    a new segment right after it. Entitlement and welfare are kept per
-    segment, and compaction keeps the segments in order. A spell's key
-    and record are written when it ends, in the order spells end; after
-    the last period one multiply by the inverse of gamma decodes each
+    The lanes hold a cohort of spells for each block in flight, at most
+    two. All active lanes are at the same period ``t`` of the workspace,
+    and a cohort that joined at period ``s`` is at its own period
+    ``t - s``; so a lane's entitlement, welfare, discount and threshold
+    depend on it only through its cohort and its extension period ``e``
+    (0 while the trial is pending). A lane carries just its key. Because
+    draw ``d`` hashes ``(spell << 32 | d) * gamma + gamma + offset``, the
+    key can hold the draw's counter less the period's, so that every
+    lane's draw in period ``t`` is its key plus ``(t + 1) * gamma`` and
+    the seed offset: a pending lane's key ``((spell << 32) - 2s + t) *
+    gamma`` gives its trial, and raised by ``gamma`` it gives its offer
+    and, as an extended lane's key from then on, every later offer. So
+    the trial is one ``_variates`` call on the pending lanes, and all
+    offers one call on all lanes. Lanes sit in segments of one cohort and
+    one ``e``: first the pending segments, the newer cohort's first,
+    then the older cohort's extended segments, then the newer one's,
+    each cohort's newest extension first. So the pending lanes are one
+    run of lanes, and so are the older cohort's. Entitlement and welfare
+    are kept per segment, the discount, which starts at 1 and is
+    multiplied by ``beta`` each period, per cohort, and compaction keeps
+    the segments in order. An extended lane's key is ``((spell << 32) +
+    e - s) * gamma``; a spell that ends pending has its key lowered to
+    that with ``e = 0``. The key and the record are written to the
+    cohort's record slot when the spell ends, in the order spells end,
+    and a cohort's spells still searching ``max_periods`` periods after
+    it joined end truncated. After the block's last spell has ended, one
+    multiply by the inverse of gamma, and ``s`` added back, decode each
     key into its spell and extension period, and the records are put in
     spell order.
+
+    A workspace whose ``following`` names another block, with a record
+    slot free, runs that block too: its spells join the lanes as the
+    newer cohort once at most ``_HEADROOM`` lanes are in flight. The
+    call still returns when the last spell of its own block ends;
+    the other block stays in flight, and the call for it goes on from
+    there. A call for any other block, or for another job, drops what is
+    in flight and starts afresh. Either way every block's records are
+    those it has alone.
     """
+    if start < 0 or count < 0:
+        raise ValueError("start and count must not be negative")
     if start + count > MAX_SPELLS:
         raise ValueError("spell indices must fit in 32 bits")
     _check_max_periods(max_periods)
+    offset = _seed_offset(master_seed)
+    if workspace is not None and count > workspace.size:
+        raise ValueError(f"a block of {count} spells does not fit a workspace "
+                         f"of {workspace.size}")
+    if not count:
+        return _outputs(np.empty(0, np.int64), np.empty(0), np.empty(0),
+                        np.empty(0, np.int64))
+    if len(policy.pre_thresholds) <= params.n_periods:
+        # The cutoffs of both schedules are one table, so a short first
+        # one would lend the second's.
+        raise IndexError("pre_thresholds must cover entitlements 0 .. n_periods")
     ws = _Workspace(count) if workspace is None else workspace
     z, c, beta = params.z, params.c, params.beta
-    length = truth.length
     extends = np.uint64(_extension_cutoff(truth.delta))
     cutoffs = ws.cutoffs(policy, dist)
-    pre_cutoffs = cutoffs[:len(policy.pre_thresholds)]
-    post_cutoffs = cutoffs[len(policy.pre_thresholds):]
-    offset = _seed_offset(master_seed)
+    n_pre = len(policy.pre_thresholds)
+    extension = n_pre + truth.length  # from a pending cutoff to its extension's
 
-    order = ws.order[:count]
-    duration = ws.duration[:count]
-    wage = ws.accepted_wage[:count]
-    welfare = ws.welfare[:count]
-    ext_period = ws.extension_period[:count]
+    # Active lanes are lane[:m], of the cohorts in flight, the older
+    # first, each with a segment among the first `live` (the pending
+    # ones). Segment i holds the next sizes[i] lanes, with the cutoff
+    # cutoffs[at[i]] (at[i] is never below floor[i], the start of its
+    # threshold schedule, and is above it while entitled) and welfare so
+    # far wels[i]; segments from `split` on are the newer cohort's
+    # extended ones.
+    job = (policy, dist, truth, params, master_seed, max_periods)
+    flight, ws.flight = ws.flight, None  # an error leaves nothing in flight
+    own = None
+    if (flight is not None and flight[0][0] is policy and flight[0][1] is dist
+            and flight[0][2:] == job[2:]):
+        _, t, m, lane, spare, segments, split, cohorts = flight
+        own = next((co for co in cohorts if (co.start, co.count) == (start, count)), None)
+    if own is None:
+        t = m = split = 0
+        lane, spare = ws.lanes
+        segments = (np.zeros(0, np.int64),) * 3 + (np.zeros(0),)
+        cohorts = []
+        joining = own = _Cohort(start, count, 0, 0)
+    else:
+        joining = None
+    sizes, at, floor, wels = segments
+    live = len(cohorts)
+    pending = int(sizes[:live].sum())
+    left = int(sizes[live - 1:split].sum()) if joining is None else 0
+    following = ws.following
+    if (following is None or following[1] > ws.size or following == (start, count)
+            or len(cohorts) + (joining is not None) == len(ws.slots)
+            or any((co.start, co.count) == following for co in cohorts)):
+        following = None
 
-    # Active lanes are lane[:m]. Segment i holds the next sizes[i] of
-    # them, with entitlement ns[i] and welfare so far wels[i]; segment 0
-    # is the pending prefix.
-    lane, spare = ws.lanes
-    lane[:count] = np.arange(start, start + count, dtype=np.uint64)
-    lane[:count] <<= _U32
-    lane[:count] *= _GAMMA_U
-    m = count
-    sizes = np.array([count])
-    ns = np.array([params.n_periods])
-    wels = np.zeros(1)
-    disc = 1.0
-    # Spells leave the lanes in order[:ended], and the outputs hold their
-    # records in that order until one scatter per output at the end puts
-    # them in spell order: cheaper than four scatters every period, since
-    # each output then stays in cache while it is placed.
-    ended = 0
+    def grow(a, pend, old_new, new_new):
+        """``a`` with the pending segments ``pend`` and a new extended
+        segment for each cohort whose lanes the trial extended."""
+        pieces = [pend]
+        if older:
+            pieces.append(old_new)
+        pieces.append(a[live:split])
+        if newer:
+            pieces.append(new_new)
+        pieces.append(a[split:])
+        return np.concatenate(pieces)
 
-    for t in range(max_periods):
-        wels = wels + disc * (z + c * (ns > 0))
-        ns = np.maximum(ns - 1, 0)
-        pending = int(sizes[0])
+    while left or joining is not None:
+        if joining is None and following is not None and m <= _HEADROOM:
+            joining = _Cohort(*following, t, 1 - own.slot)
+            following = None
+        if joining is not None:
+            # The block's spells join as the first pending segment, their
+            # keys lowered by t counters so that its draws count from 0.
+            size = joining.count
+            new = np.multiply(np.arange(joining.start, joining.start + size,
+                                        dtype=np.uint64), _GAMMA32_U, out=spare[:size])
+            if t:
+                new -= np.uint64(t * _GAMMA & _MASK64)
+            spare[size:size + m] = lane[:m]
+            lane, spare = spare, lane
+            m += size
+            pending += size
+            sizes = np.concatenate(([size], sizes))
+            at = np.concatenate(([params.n_periods], at))
+            floor = np.concatenate(([0], floor))
+            wels = np.concatenate(([0.0], wels))
+            cohorts.append(joining)
+            live += 1
+            split = len(sizes)
+            if joining is own:
+                left = size
+            joining = None
+
+        entitled = at > floor
+        if live == 1:
+            wels = wels + own.disc * (z + c * entitled)
+        else:
+            flows = z + c * entitled
+            # The older cohort's segments are 1 .. split - 1.
+            scaled = np.multiply(flows, cohorts[1].disc)
+            np.multiply(flows[1:split], own.disc, out=scaled[1:split])
+            wels = wels + scaled
+        at = at - entitled
         if pending:
-            trial = _variates((2 * t + 1) * _GAMMA + offset, lane[:pending],
-                              out=ws.variates_out(0, pending))
+            trial = _variates((t + 1) * _GAMMA + offset, lane[:pending],
+                              out=ws.variates_out(pending))
+            lane[:pending] += _GAMMA_U  # their offers, and any extension's
             hit = np.less(trial, extends, out=ws.mask[:pending])
             if hit.any():
-                # This period's extensions leave the prefix for a segment
-                # of their own, right after it.
+                # This period's extensions leave the pending segments for
+                # a new segment at the head of their cohort's extended
+                # ones: the older cohort's right after the pending lanes,
+                # the newer one's after the older one's extended lanes,
+                # which shift to make room.
                 moved = hit.nonzero()[0]
                 stay = np.logical_not(hit, out=hit).nonzero()[0]
+                newer = int(moved.searchsorted(sizes[0])) if live == 2 else 0
+                older = moved.size - newer
                 lane.take(stay, out=spare[:stay.size], mode="wrap")
-                lane.take(moved, out=spare[stay.size:pending], mode="wrap")
-                spare[stay.size:pending] += np.uint64((t + 1) * _GAMMA & _MASK64)
-                lane[:pending] = spare[:pending]
+                lane.take(moved[newer:], out=spare[stay.size:pending - newer], mode="wrap")
+                reach = pending
+                if newer:
+                    reach = int(sizes[:split].sum())
+                    spare[pending - newer:reach - newer] = lane[pending:reach]
+                    lane.take(moved[:newer], out=spare[reach - newer:reach], mode="wrap")
+                lane[:reach] = spare[:reach]
                 pending = stay.size
-                sizes = np.concatenate(([pending, moved.size], sizes[1:]))
-                ns = np.concatenate((ns[:1], ns[:1] + length, ns[1:]))
-                wels = np.concatenate((wels[:1], wels))
-        disc *= beta
-        if pending:
-            _variates((2 * t + 2) * _GAMMA + offset, lane[:pending],
-                      out=ws.variates_out(0, pending))
-        if m > pending:
-            _variates((t + 1) * _GAMMA + offset, lane[pending:m],
-                      out=ws.variates_out(pending, m))
-        words = ws.scratch[0][:m]
-        cut = np.concatenate((pre_cutoffs[ns[:1]], post_cutoffs[ns[1:]])).repeat(sizes)
+
+                sizes = grow(sizes, sizes[:live] - (newer, older)[-live:], [older], [newer])
+                at = grow(at, at[:live], at[live - 1:live] + extension, at[:1] + extension)
+                floor = grow(floor, floor[:live], [n_pre], [n_pre])
+                wels = grow(wels, wels[:live], wels[live - 1:live], wels[:1])
+                split += older > 0
+        for co in cohorts:
+            co.disc *= beta
+        words = _variates((t + 1) * _GAMMA + offset, lane[:m], out=ws.variates_out(m))
+        cut = cutoffs[at].repeat(sizes)
         accept = np.greater_equal(words, cut, out=ws.mask[:m])
         del cut
         acc = accept.nonzero()[0]
-        if not acc.size:
-            continue
-        ends = sizes.cumsum()
-        seg = ends.searchsorted(acc, side="right")
-        records = slice(ended, ended + acc.size)
-        lane.take(acc, out=order[records], mode="wrap")
-        w_acc = wage[records]
-        # Below 2**53 the int64 conversion is exact, and faster than uint64's.
-        u = words.view(np.int64).take(acc, out=w_acc.view(np.int64), mode="wrap")
-        w_acc[:] = dist.quantile(np.multiply(u, 2.0 ** -53, out=w_acc))
-        welfare[records] = wels[seg] + disc * w_acc / (1.0 - beta)
-        duration[records] = t + 1
-        ended += acc.size
+        t += 1
+        if acc.size:
+            ends = sizes.cumsum()
+            kept = np.logical_not(accept, out=accept).nonzero()[0]
+            below = kept.searchsorted(ends)  # lanes kept, and so ended, per segment end
+            co, mixed = own, 0
+            if live == 2:
+                # The records go to the newer cohort's slot, the older
+                # cohort's last, whence they move to its own slot: they
+                # are acc[lo:hi], at most _HEADROOM of them.
+                co = cohorts[1]
+                lo, hi = int(ends[0] - below[0]), int(ends[split - 1] - below[split - 1])
+                mixed = hi - lo
+                if mixed:
+                    acc = np.concatenate((acc[:lo], acc[hi:], acc[lo:hi]))
+            keys, duration, wage, welfares = ws.slots[co.slot]
+            records = slice(co.ended, co.ended + acc.size)
+            ended_keys = lane.take(acc, out=keys[records], mode="wrap")
+            n = acc.size - mixed
+            if pending:
+                # A spell that ends pending has its key lowered to an
+                # extended one's with e = 0. The newer cohort's pending
+                # spells come first, the older one's first among its
+                # mixed ones.
+                ended_keys[:int(ends[0] - below[0])] -= np.uint64(
+                    (t - co.first) * _GAMMA & _MASK64)
+                if mixed:
+                    ended_keys[n:n + int(ends[1] - below[1]) - lo] -= np.uint64(
+                        (t - own.first) * _GAMMA & _MASK64)
+            w_acc = wage[records]
+            # Below 2**53 the int64 conversion is exact, and faster than uint64's.
+            u = words.view(np.int64).take(acc, out=w_acc.view(np.int64), mode="wrap")
+            w_acc[:] = dist.quantile(np.multiply(u, 2.0 ** -53, out=w_acc))
+            welfare = wels[ends.searchsorted(acc, side="right")]
+            # welfare + disc * w / (1 - beta), in place, with each
+            # cohort's discount
+            gain = np.multiply(w_acc, co.disc, out=welfares[records])
+            if mixed:
+                np.multiply(w_acc[n:], own.disc, out=gain[n:])
+            gain /= 1.0 - beta
+            gain += welfare
+            duration[co.ended:co.ended + n] = t - co.first
+            if mixed:
+                theirs = slice(co.ended + n, co.ended + acc.size)
+                mine = slice(own.ended, own.ended + mixed)
+                own_keys, own_duration, own_wage, own_welfares = ws.slots[own.slot]
+                own_keys[mine] = keys[theirs]
+                own_wage[mine] = wage[theirs]
+                own_welfares[mine] = welfares[theirs]
+                own_duration[mine] = t - own.first
+                own.ended += mixed
+            co.ended += n
 
-        # Compact the survivors into the spare buffer; the segments keep
-        # their order.
-        kept = np.logical_not(accept, out=accept).nonzero()[0]
-        below = kept.searchsorted(ends)
-        sizes = below.copy()
-        np.subtract(below[1:], below[:-1], out=sizes[1:])
-        m = kept.size
-        lane.take(kept, out=spare[:m], mode="wrap")
-        del kept
-        lane, spare = spare, lane
-        if m == 0:
-            break
+            # Compact the survivors into the spare buffer; the segments
+            # keep their order.
+            sizes = below.copy()
+            np.subtract(below[1:], below[:-1], out=sizes[1:])
+            m = kept.size
+            pending = int(below[live - 1])
+            left = int(below[split - 1]) - (int(below[0]) if live == 2 else 0)
+            lane.take(kept, out=spare[:m], mode="wrap")
+            del kept
+            lane, spare = spare, lane
+        if left and t - own.first == max_periods:
+            # The block's spells still searching end truncated.
+            lo = int(sizes[0]) if live == 2 else 0
+            hi = lo + left
+            keys, duration, wage, welfares = ws.slots[own.slot]
+            records = slice(own.ended, own.ended + left)
+            keys[records] = lane[lo:hi]
+            keys[own.ended:own.ended + int(sizes[live - 1])] -= np.uint64(
+                (t - own.first) * _GAMMA & _MASK64)
+            wage[records] = np.nan
+            welfares[records] = wels[live - 1:split].repeat(sizes[live - 1:split])
+            duration[records] = max_periods
+            own.ended += left
+            lane[lo:m - left] = lane[hi:m]
+            m -= left
+            pending -= int(sizes[live - 1])
+            sizes = np.concatenate((sizes[:live - 1], np.zeros(split - live + 1, np.int64),
+                                    sizes[split:]))
+            left = 0
 
-    rest = slice(ended, count)
-    order[rest] = lane[:m]
-    duration[rest] = max_periods
-    wage[rest] = np.nan
-    welfare[rest] = wels.repeat(sizes)
-    order *= _GAMMA_INV_U
-    np.bitwise_and(order, _LOW32_U, out=ext_period.view(np.uint64))
-    order >>= _U32
-    order -= np.uint64(start)
-    for out in (duration, wage, welfare, ext_period):
-        records = ws.scratch[0][:count].view(out.dtype)
-        records[:] = out
-        out[order.view(np.int64)] = records
-    extended = ext_period > 0
-    ext_period[~extended] = -1
-    return {"duration": duration, "accepted_wage": wage, "welfare": welfare,
-            "extended": extended, "extension_period": ext_period,
-            "truncated": np.isnan(wage)}
+    # The block's segments, empty now, go.
+    sizes, at, floor, wels = (np.concatenate((a[:live - 1], a[split:]))
+                              for a in (sizes, at, floor, wels))
+    cohorts.remove(own)
+    if cohorts:
+        ws.flight = (job, t, m, lane, spare, (sizes, at, floor, wels), len(sizes),
+                     cohorts)
+
+    keys, duration, wage, welfare = (a[:count] for a in ws.slots[own.slot])
+    keys *= _GAMMA_INV_U
+    keys += np.uint64(own.first - (start << 32) & _MASK64)  # spell offsets, in the high word
+    ext_period = ws.extension_period[:count]
+    np.bitwise_and(keys, _LOW32_U, out=ext_period.view(np.uint64))
+    keys >>= _U32
+    # The records go to spell order by gathers through the inverse
+    # permutation, faster than scatters, each into the array the one
+    # before it has freed. ("clip", unlike "wrap", cannot spin on an
+    # index far out of range.)
+    spells = ws.scratch[1][:count].view(np.int64)
+    spells[keys.view(np.int64)] = np.arange(count)
+    outputs = []
+    for records, out in ((ext_period, keys), (duration, ext_period),
+                         (wage, duration), (welfare, wage)):
+        outputs.append(records.take(spells, out=out.view(records.dtype), mode="clip"))
+    return _outputs(outputs[1], outputs[2], outputs[3], outputs[0])
 
 
 @dataclass(frozen=True)
@@ -517,7 +731,8 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     ``policy`` nor ``dist`` has to be picklable; only their partial
     sums come back, pickled. Each process runs its blocks in one
     ``_Workspace`` of ``min(DEFAULT_CHUNK, n_spells)`` spells made for
-    this call.
+    this call, with a second record slot when it has several blocks, so
+    that each block's successor joins its tail.
     """
     if n_spells < 1:
         raise ValueError("n_spells must be at least 1")
@@ -530,13 +745,15 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     scale = _square_scale(params, dist)
 
     def run(starts):
-        """Partial sums of the blocks at ``starts``, in one workspace."""
-        workspace = _Workspace(min(DEFAULT_CHUNK, n_spells))
+        """Partial sums of the blocks at ``starts``, in one workspace, each
+        block's successor riding along in its tail."""
+        blocks = [(start, min(DEFAULT_CHUNK, n_spells - start)) for start in starts]
+        workspace = _Workspace(min(DEFAULT_CHUNK, n_spells), slots=min(len(blocks), 2))
         partials = []
-        for start in starts:
+        for i, (start, count) in enumerate(blocks):
+            workspace.following = blocks[i + 1] if i + 1 < len(blocks) else None
             block = simulate_block(policy, truth, params, dist, master_seed, start,
-                                   min(DEFAULT_CHUNK, n_spells - start),
-                                   max_periods=max_periods, workspace=workspace)
+                                   count, max_periods=max_periods, workspace=workspace)
             partials.append(_block_partials(block, workspace, scale))
         return partials
 

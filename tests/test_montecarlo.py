@@ -490,6 +490,35 @@ class TestSimulateMany:
             simulate_spell(policy, BENCH_TRUTH, BENCH, UNIT, CounterStream(1, 0),
                            max_periods=max_periods)
 
+    @pytest.mark.parametrize("start, count", [(-1, 4), (0, -1)], ids=["start", "count"])
+    def test_block_refuses_negative_bounds_before_any_work(self, monkeypatch, start,
+                                                           count):
+        # A negative start used to overflow uint64, a negative count to
+        # fail inside numpy.
+        forbid_kernel_work(monkeypatch)
+        with pytest.raises(ValueError, match="start and count must not be negative"):
+            simulate_block(TestWorkerPool.POLICY, BENCH_TRUTH, BENCH, UNIT, 1, start, count)
+
+    def test_block_refuses_a_workspace_smaller_than_itself(self, monkeypatch):
+        workspace = montecarlo._Workspace(300)
+        forbid_kernel_work(monkeypatch)
+        with pytest.raises(ValueError, match="a block of 301 spells does not fit a "
+                                             "workspace of 300"):
+            simulate_block(TestWorkerPool.POLICY, BENCH_TRUTH, BENCH, UNIT, 1, 0, 301,
+                           workspace=workspace)
+
+    @pytest.mark.parametrize("workspace", [False, True], ids=["fresh", "workspace"])
+    def test_empty_block_returns_at_once(self, monkeypatch, workspace):
+        # It used to step max_periods empty periods.
+        workspace = montecarlo._Workspace(10) if workspace else None
+        forbid_kernel_work(monkeypatch)
+        block = simulate_block(TestWorkerPool.POLICY, BENCH_TRUTH, BENCH, UNIT, 1, 7, 0,
+                               workspace=workspace)
+        assert {key: (a.dtype.str, a.shape) for key, a in block.items()} == {
+            "duration": ("<i8", (0,)), "accepted_wage": ("<f8", (0,)),
+            "welfare": ("<f8", (0,)), "extended": ("|b1", (0,)),
+            "extension_period": ("<i8", (0,)), "truncated": ("|b1", (0,))}
+
     @pytest.mark.parametrize("seed", [-1, montecarlo.MAX_SEED + 1, (1 << 64) + 1])
     def test_rejects_seed_beyond_one_word(self, uniform, benchmark_params,
                                           benchmark_truth, monkeypatch, seed):
@@ -543,6 +572,16 @@ class TestSimulateMany:
             assert getattr(summary, f"{field}_stderr") == math.sqrt(var / n)
         assert summary.truncated_count == 4_000 - n
         assert (summary.truncated_count > 0) == (max_periods == 3)
+
+
+def forbid_kernel_work(monkeypatch):
+    """Make any workspace, cutoff search or variate a ``simulate_block``
+    call would start raise instead."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("simulate_block worked before refusing its input")
+
+    for name in ("_Workspace", "_offer_cutoffs", "_variates"):
+        monkeypatch.setattr(montecarlo, name, no_work)
 
 
 class CountingUniform(UniformOffers):
@@ -1004,3 +1043,151 @@ class TestWorkerPool:
                                 n_workers=2)
         assert starts == [0, DEFAULT_CHUNK, 2 * DEFAULT_CHUNK]
         assert summary_bits(summary) == TestGolden.SUMMARY
+
+
+def workspace_bytes(workspace):
+    """The bytes of every array a ``_Workspace`` holds, each buffer once."""
+    buffers = {}
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            base = value if value.base is None else value.base
+            buffers[id(base)] = base.nbytes
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+
+    for value in vars(workspace).values():
+        walk(value)
+    return sum(buffers.values())
+
+
+class TestOverlappedBlocks:
+    """A share's next block rides along in the tail of the current one.
+
+    Whatever shares the lanes with it, each block of a ``simulate_many``
+    share must return, from the module-level ``simulate_block`` that
+    ``bench/layers.py`` times, the records it has alone, bit for bit.
+    """
+
+    POLICY = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
+    N_SPELLS = 2 * DEFAULT_CHUNK + 500  # the last block is short
+    CASES = {
+        "benchmark": (BENCH_TRUTH, {}),
+        # Many spells stay pending, so two cohorts' trials share periods.
+        "pending_heavy": (ExtensionSpec(0.02, 25), {}),
+        # Every block truncates 40 periods after it joined; the second
+        # joins the first one's tail, so it truncates in a later call.
+        "truncating": (BENCH_TRUTH, {"max_periods": 40}),
+    }
+
+    @needs_fork
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_block_returns_its_lone_records(self, monkeypatch, two_cpus, case,
+                                                 n_workers):
+        truth, kwargs = self.CASES[case]
+        policy = _policy(UNIT, BENCH, truth, ExtensionSpec(0.1, 25))
+        real_block, real_variates = simulate_block, _variates
+        offset = _seed_offset(13)
+        returned, calls, tracing = [], [], [True]
+
+        def block(*args, **kw):
+            out = real_block(*args, **kw)
+            tracing[0] = False
+            lone = real_block(*args, max_periods=kw["max_periods"])
+            tracing[0] = True
+            for key, a in out.items():  # raised in a child too, with its type
+                assert a.dtype == lone[key].dtype and a.tobytes() == lone[key].tobytes(), \
+                    (args[5], key)
+            returned.append((args[5], args[6], int(out["truncated"].sum())))
+            return out
+
+        def variates(add, keys, out=None):
+            if tracing[0]:
+                spells, draws = _decoded(add, keys, offset)
+                blocks = (spells // np.uint64(DEFAULT_CHUNK)).tolist()
+                calls.append({b: set() for b in blocks})
+                for b, d in zip(blocks, draws.tolist()):
+                    calls[-1][b].add(d)
+            return real_variates(add, keys, out=out)
+
+        monkeypatch.setattr(montecarlo, "simulate_block", block)
+        monkeypatch.setattr(montecarlo, "_variates", variates)
+        summary = simulate_many(policy, truth, BENCH, UNIT, self.N_SPELLS, 13,
+                                n_workers=n_workers, **kwargs)
+        own = [0, DEFAULT_CHUNK, 2 * DEFAULT_CHUNK][::n_workers]
+        assert [start for start, _, _ in returned] == own
+        # The blocks of this process shared the lanes ...
+        assert any(len(call) == 2 for call in calls)
+        if case == "pending_heavy":
+            # ... and the pending lanes of two cohorts one trial: one
+            # even draw for each block.
+            assert any(len(call) == 2 and all(len(d) == 1 and min(d) % 2 == 0
+                                               for d in call.values())
+                       for call in calls)
+        if case == "truncating":
+            # Block 0 and, on one worker, block 1, which joined its tail.
+            assert all(truncated for _, _, truncated in returned[:3 - n_workers])
+            assert summary.truncated_count > 0
+
+    @pytest.mark.parametrize("foreign", ["seed", "policy"])
+    def test_a_foreign_block_between_two_of_a_share(self, foreign):
+        # The share's second block is in flight when a block of another
+        # job, with the same spells, runs through the workspace; it must
+        # not be picked up, and the share's block must then start afresh.
+        other = (_policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.9, 25))
+                 if foreign == "policy" else self.POLICY)
+        seed = 14 if foreign == "seed" else 13
+        first, second = (0, DEFAULT_CHUNK), (DEFAULT_CHUNK, DEFAULT_CHUNK)
+        workspace = montecarlo._Workspace(DEFAULT_CHUNK, slots=2)
+        runs = [(self.POLICY, 13, first, second), (other, seed, second, second),
+                (self.POLICY, 13, second, None)]
+        for i, (policy, master_seed, (start, count), following) in enumerate(runs):
+            workspace.following = following
+            block = simulate_block(policy, BENCH_TRUTH, BENCH, UNIT, master_seed, start,
+                                   count, workspace=workspace)
+            assert (workspace.flight is not None) == (i == 0)
+            lone = simulate_block(policy, BENCH_TRUTH, BENCH, UNIT, master_seed, start,
+                                  count)
+            for key, a in block.items():
+                assert a.tobytes() == lone[key].tobytes(), (start, key)
+
+    def test_overlap_saves_variates_calls(self, monkeypatch):
+        # TestGolden's three-block job on one worker, against its blocks
+        # run alone: a kernel that lost the overlap would make as many.
+        calls = []
+        real = _variates
+
+        def variates(add, keys, out=None):
+            calls.append(len(keys))
+            return real(add, keys, out=out)
+
+        monkeypatch.setattr(montecarlo, "_variates", variates)
+        summary = simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 140_000, 2024)
+        shared = len(calls)
+        del calls[:]
+        for start in range(0, 140_000, DEFAULT_CHUNK):
+            simulate_block(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 2024, start,
+                           min(DEFAULT_CHUNK, 140_000 - start))
+        assert summary_bits(summary) == TestGolden.SUMMARY
+        assert (shared, len(calls)) == (174, 246)
+
+    def test_workspace_bytes_within_budget(self, monkeypatch):
+        # A lone block's workspace is 9 words and a mask byte a spell,
+        # about 4.8 MB at DEFAULT_CHUNK; a share's second record slot and
+        # headroom add less than 3 MiB.
+        made = []
+        real = montecarlo._Workspace
+
+        class Recorded(real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(montecarlo, "_Workspace", Recorded)
+        simulate_block(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 2024, 0, DEFAULT_CHUNK)
+        simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 140_000, 2024)
+        lone, share = (workspace_bytes(ws) for ws in made)
+        assert 73 * DEFAULT_CHUNK <= lone < 73 * DEFAULT_CHUNK + 4096
+        assert share < 73 * DEFAULT_CHUNK + 3 * 2 ** 20
