@@ -16,9 +16,9 @@ decision on the words, against integer cutoffs computed once per
 policy); the two paths consume identical streams and produce identical
 records. A block's lanes carry only a key, a multiple of the
 splitmix64 increment, and each draw is a lane's key plus one word that
-every lane shares in that period; the lanes sit in segments of one
-extension period each, the pending ones first, so entitlement, welfare
-and cutoffs are per-segment values.
+every lane shares in that period; the lanes sit in the segments of
+one table, a row for each block in flight and extension period, so
+entitlement, welfare and cutoffs are per-row values.
 ``simulate_many`` always cuts spells into blocks of
 ``DEFAULT_CHUNK``, deals them into shares that ``_forks.fork_map`` runs,
 the first in the calling process and each other one in a child forked
@@ -32,11 +32,12 @@ beyond a few short-lived temporaries.
 No block of a share runs its tail alone. A block's last few thousand
 spells take dozens of periods, each costing about as many numpy calls
 as a full one; so once at most ``_HEADROOM`` lanes are active, the
-share's next block joins them as a second cohort, in a second record
-slot of the workspace (about 2.5 MB more), and the two are simulated in
-the same periods. A spell's record depends only on its own stream, not
-on which lanes share its periods, so every block returns the records it
-has alone. This halves the periods of a million-spell share.
+share's next block joins them as a second cohort, writing to a second
+record slot of the workspace (about 2.5 MB more). A cohort is data, a
+column of the segment table, so one path simulates one cohort or two
+in the same periods. A spell's record depends only on its own stream,
+not on which lanes share its periods, so every block returns the
+records it has alone. This halves the periods of a million-spell share.
 """
 
 import math
@@ -236,37 +237,36 @@ _HEADROOM = DEFAULT_CHUNK // 16
 class _Cohort:
     """A block in flight: spells ``start .. start + count - 1``, which
     joined the lanes at the workspace's period ``first`` and write their
-    records to record slot ``slot``, ``ended`` of them so far. All its
-    lanes are at its own period, so they share the discount ``disc``."""
+    records to record slot ``slot``, ``ended`` of them so far."""
 
-    __slots__ = ("start", "count", "first", "slot", "ended", "disc")
+    __slots__ = ("start", "count", "first", "slot", "ended")
 
-    def __init__(self, start, count, first, slot):
-        self.start, self.count, self.first, self.slot = start, count, first, slot
-        self.ended = 0
-        self.disc = 1.0
+    def __init__(self, start, count):
+        self.start, self.count, self.ended = start, count, 0
 
 
 class _Workspace:
     """The arrays one process reuses for every block of a simulation, and
-    the block it keeps in flight between two of them.
+    the blocks it keeps in flight between two of them.
 
     Sized for the largest block, ``size`` = ``min(DEFAULT_CHUNK,
     n_spells)`` spells: two lane buffers that compaction copies between,
     the two ``_variates`` scratch arrays (which ``_block_partials``
     reuses) and a mask for the trial and acceptance outcomes; ``slots``
-    record slots, each the keys of a block's spells in the order they
-    ended and three per-spell outputs, which ``simulate_block`` returns
-    views of; and the extension periods of the block returned last. With
-    one slot, as a lone block has, that is 9 words and a byte a spell,
-    about 4.8 MB at ``DEFAULT_CHUNK``. ``simulate_many`` gives a share
-    of several blocks two slots, and ``_HEADROOM`` more room in each
-    lane, scratch and record array, about 7.3 MB in all; before each
-    block it sets ``following`` to the ``(start, count)`` of the share's
-    next one, which then rides along in the current block's tail (see
-    ``simulate_block``). A block can then start about half a block's
-    70 periods after the one before it; a third slot would bring that
-    to about 25 periods, but the workspace to about 9.4 MB.
+    record slots, one for each block in flight, each the keys of a
+    block's spells in the order they ended and three per-spell outputs,
+    which ``simulate_block`` returns views of; and the extension periods
+    of the block returned last. With one slot, as a lone block has, that
+    is 9 words and a byte a spell, about 4.8 MB at ``DEFAULT_CHUNK``.
+    ``simulate_many`` gives a share of several blocks two slots, and
+    ``_HEADROOM`` more room in each lane, scratch and record array, about
+    7.3 MB in all. There are at most two: the segment table has two
+    sides, slot 0's rows before slot 1's. Before each block
+    ``simulate_many`` sets ``following`` to the ``(start, count)`` of the
+    share's next one, which then joins the current block's tail;
+    ``flight`` keeps the lanes and segment table of a block still in
+    flight when the call for the one before it returns (see
+    ``simulate_block``).
 
     It also keeps the offer cutoffs of the last policy and distribution
     it was given. Each process that runs blocks of a ``simulate_many``
@@ -275,6 +275,8 @@ class _Workspace:
     """
 
     def __init__(self, size, slots=1):
+        if slots not in (1, 2):
+            raise ValueError("a workspace has one or two record slots")
         room = size + (_HEADROOM if slots > 1 else 0)
         # One allocation for every word array, not one each. Freeing a
         # chunk this large raises glibc malloc's mmap and trim
@@ -339,44 +341,51 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
     reaches the threshold's cutoff (``_offer_cutoffs``). Only accepted
     offers go through ``dist.quantile``, on the same floats ``u``.
 
-    The lanes hold a cohort of spells for each block in flight, at most
-    two. All active lanes are at the same period ``t`` of the workspace,
+    The lanes hold a cohort of spells for each block in flight, one a
+    record slot. All active lanes are at the workspace's period ``t``,
     and a cohort that joined at period ``s`` is at its own period
-    ``t - s``; so a lane's entitlement, welfare, discount and threshold
-    depend on it only through its cohort and its extension period ``e``
-    (0 while the trial is pending). A lane carries just its key. Because
-    draw ``d`` hashes ``(spell << 32 | d) * gamma + gamma + offset``, the
-    key can hold the draw's counter less the period's, so that every
-    lane's draw in period ``t`` is its key plus ``(t + 1) * gamma`` and
-    the seed offset: a pending lane's key ``((spell << 32) - 2s + t) *
-    gamma`` gives its trial, and raised by ``gamma`` it gives its offer
-    and, as an extended lane's key from then on, every later offer. So
-    the trial is one ``_variates`` call on the pending lanes, and all
-    offers one call on all lanes. Lanes sit in segments of one cohort and
-    one ``e``: first the pending segments, the newer cohort's first,
-    then the older cohort's extended segments, then the newer one's,
-    each cohort's newest extension first. So the pending lanes are one
-    run of lanes, and so are the older cohort's. Entitlement and welfare
-    are kept per segment, the discount, which starts at 1 and is
-    multiplied by ``beta`` each period, per cohort, and compaction keeps
-    the segments in order. An extended lane's key is ``((spell << 32) +
-    e - s) * gamma``; a spell that ends pending has its key lowered to
-    that with ``e = 0``. The key and the record are written to the
-    cohort's record slot when the spell ends, in the order spells end,
-    and a cohort's spells still searching ``max_periods`` periods after
-    it joined end truncated. After the block's last spell has ended, one
-    multiply by the inverse of gamma, and ``s`` added back, decode each
-    key into its spell and extension period, and the records are put in
-    spell order.
+    ``t - s``. A lane carries just its key. Because draw ``d`` hashes
+    ``(spell << 32 | d) * gamma + gamma + offset``, the key can hold the
+    draw's counter less the period's, so that every lane's draw in
+    period ``t`` is its key plus ``(t + 1) * gamma`` and the seed offset:
+    a pending lane's key ``((spell << 32) - 2s + t) * gamma`` gives its
+    trial, and raised by ``gamma`` it gives its offer and, once the lane
+    extends in its period ``e``, as the key ``((spell << 32) + e - s) *
+    gamma``, every later offer. So the trial is one ``_variates`` call
+    on the pending lanes, and the offers one on all lanes.
+
+    A lane's entitlement, welfare, discount and threshold depend on it
+    only through its cohort and ``e`` (0 while pending), so the lanes sit
+    in the rows of one segment table: row ``i`` holds the next
+    ``sizes[i]`` lanes, at the cutoff ``cutoffs[at[i]]`` (``at[i]``
+    counts down to ``floor[i]``, the start of its threshold schedule,
+    while entitled), with welfare so far ``wels[i]``, and ``cohort[i]``
+    is its cohort's record slot, whose discount scales its flows. A row
+    is pending iff its floor is 0. The rows run in slot order, slot 0's
+    (the first ``b``) from its oldest extension to its pending row, slot
+    1's from its pending row to its oldest extension. So the pending
+    rows, one a cohort, are one run of lanes; the lanes of a cohort that
+    extend in a period leave its pending row for a new row beside it, on
+    its side of that run; and each cohort's lanes, and the spells it
+    ends in a period, are one run too, compaction keeping every row in
+    order. A row that compaction empties stays until its block ends.
+
+    A spell ends when an offer reaches its cutoff, or, truncated, when
+    its cohort has searched ``max_periods`` periods; only the block the
+    call is for, the oldest cohort, can get that far. Its key and record
+    go to its cohort's slot, in the order spells end, the key of a spell
+    that ends pending lowered to that with ``e = 0``. After the block's
+    last spell has ended, one multiply by the inverse of gamma, and
+    ``s`` added back, decode each key into its spell and extension
+    period, and the records are put in spell order.
 
     A workspace whose ``following`` names another block, with a record
-    slot free, runs that block too: its spells join the lanes as the
-    newer cohort once at most ``_HEADROOM`` lanes are in flight. The
-    call still returns when the last spell of its own block ends;
-    the other block stays in flight, and the call for it goes on from
-    there. A call for any other block, or for another job, drops what is
-    in flight and starts afresh. Either way every block's records are
-    those it has alone.
+    slot free, runs that block too: its spells join as a new cohort once
+    at most ``_HEADROOM`` lanes are active. The call still returns when
+    the last spell of its own block ends; the other block stays in
+    flight, and the call for it goes on from there. A call for any other
+    block, or for another job, drops what is in flight and starts
+    afresh. Either way every block's records are those it has alone.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must not be negative")
@@ -395,220 +404,141 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
         # one would lend the second's.
         raise IndexError("pre_thresholds must cover entitlements 0 .. n_periods")
     ws = _Workspace(count) if workspace is None else workspace
-    z, c, beta = params.z, params.c, params.beta
     extends = np.uint64(_extension_cutoff(truth.delta))
     cutoffs = ws.cutoffs(policy, dist)
     n_pre = len(policy.pre_thresholds)
     extension = n_pre + truth.length  # from a pending cutoff to its extension's
 
-    # Active lanes are lane[:m], of the cohorts in flight, the older
-    # first, each with a segment among the first `live` (the pending
-    # ones). Segment i holds the next sizes[i] lanes, with the cutoff
-    # cutoffs[at[i]] (at[i] is never below floor[i], the start of its
-    # threshold schedule, and is above it while entitled) and welfare so
-    # far wels[i]; segments from `split` on are the newer cohort's
-    # extended ones.
+    # The segment table is the columns sizes, at, floor, cohort and wels;
+    # discs holds the discount of each slot.
     job = (policy, dist, truth, params, master_seed, max_periods)
     flight, ws.flight = ws.flight, None  # an error leaves nothing in flight
-    own = None
-    if (flight is not None and flight[0][0] is policy and flight[0][1] is dist
-            and flight[0][2:] == job[2:]):
-        _, t, m, lane, spare, segments, split, cohorts = flight
-        own = next((co for co in cohorts if (co.start, co.count) == (start, count)), None)
-    if own is None:
-        t = m = split = 0
-        lane, spare = ws.lanes
-        segments = (np.zeros(0, np.int64),) * 3 + (np.zeros(0),)
-        cohorts = []
-        joining = own = _Cohort(start, count, 0, 0)
-    else:
-        joining = None
-    sizes, at, floor, wels = segments
-    live = len(cohorts)
-    pending = int(sizes[:live].sum())
-    left = int(sizes[live - 1:split].sum()) if joining is None else 0
+    cohorts = (flight[-1] if flight and flight[0][0] is policy and flight[0][1] is dist
+               and flight[0][2:] == job[2:] else [])
+    own = next((co for co in cohorts if (co.start, co.count) == (start, count)), None)
+    if own is None:  # start afresh
+        own = _Cohort(start, count)
+        table = [*np.zeros((4, 0), np.int64), np.zeros(0)]
+        flight = (job, 0, 0, *ws.lanes, table, np.ones(2), [])
+    _, t, m, lane, spare, table, discs, cohorts = flight
+    joining = [] if own in cohorts else [own]
     following = ws.following
-    if (following is None or following[1] > ws.size or following == (start, count)
-            or len(cohorts) + (joining is not None) == len(ws.slots)
-            or any((co.start, co.count) == following for co in cohorts)):
-        following = None
+    if (following is not None and following[1] <= ws.size and following != (start, count)
+            and len(cohorts) + len(joining) < len(ws.slots)):
+        joining.append(_Cohort(*following))
 
-    def grow(a, pend, old_new, new_new):
-        """``a`` with the pending segments ``pend`` and a new extended
-        segment for each cohort whose lanes the trial extended."""
-        pieces = [pend]
-        if older:
-            pieces.append(old_new)
-        pieces.append(a[live:split])
-        if newer:
-            pieces.append(new_new)
-        pieces.append(a[split:])
-        return np.concatenate(pieces)
-
-    while left or joining is not None:
-        if joining is None and following is not None and m <= _HEADROOM:
-            joining = _Cohort(*following, t, 1 - own.slot)
-            following = None
-        if joining is not None:
-            # The block's spells join as the first pending segment, their
-            # keys lowered by t counters so that its draws count from 0.
-            size = joining.count
-            new = np.multiply(np.arange(joining.start, joining.start + size,
-                                        dtype=np.uint64), _GAMMA32_U, out=spare[:size])
-            if t:
-                new -= np.uint64(t * _GAMMA & _MASK64)
-            spare[size:size + m] = lane[:m]
-            lane, spare = spare, lane
-            m += size
-            pending += size
-            sizes = np.concatenate(([size], sizes))
-            at = np.concatenate(([params.n_periods], at))
-            floor = np.concatenate(([0], floor))
-            wels = np.concatenate(([0.0], wels))
-            cohorts.append(joining)
-            live += 1
-            split = len(sizes)
-            if joining is own:
-                left = size
-            joining = None
+    edges, paid = (), None
+    while own.ended < own.count:
+        if joining and m <= _HEADROOM:
+            # A block's spells join as a pending row, slot 0's at the
+            # front, slot 1's at the back, their keys lowered by t
+            # counters so that its draws count from 0.
+            co = joining.pop(0)
+            co.first, co.slot = t, 1 - cohorts[0].slot if cohorts else 0
+            row, at_lane = (len(table[0]), m) if co.slot else (0, 0)
+            lane[at_lane + co.count:m + co.count] = lane[at_lane:m]
+            keys = np.multiply(np.arange(co.start, co.start + co.count, dtype=np.uint64),
+                               _GAMMA32_U, out=lane[at_lane:at_lane + co.count])
+            keys -= np.uint64(t * _GAMMA & _MASK64)
+            m += co.count
+            table = [np.concatenate((a[:row], [v], a[row:]))
+                     for a, v in zip(table, (co.count, params.n_periods, 0, co.slot, 0.0))]
+            discs[co.slot] = 1.0
+            cohorts.append(co)
+        sizes, at, floor, cohort, wels = table
+        if len(edges) != len(sizes) + 1:  # on entry and after a join
+            b, edges = int(cohort.searchsorted(1)), np.concatenate(([0], sizes.cumsum()))
 
         entitled = at > floor
-        if live == 1:
-            wels = wels + own.disc * (z + c * entitled)
-        else:
-            flows = z + c * entitled
-            # The older cohort's segments are 1 .. split - 1.
-            scaled = np.multiply(flows, cohorts[1].disc)
-            np.multiply(flows[1:split], own.disc, out=scaled[1:split])
-            wels = wels + scaled
-        at = at - entitled
-        if pending:
-            trial = _variates((t + 1) * _GAMMA + offset, lane[:pending],
-                              out=ws.variates_out(pending))
-            lane[:pending] += _GAMMA_U  # their offers, and any extension's
-            hit = np.less(trial, extends, out=ws.mask[:pending])
+        wels += discs[cohort] * (params.z + params.c * entitled)
+        at -= entitled
+        # The pending rows, one a cohort, are first .. last - 1.
+        first, last = b - (b > 0), b + (len(sizes) > b)
+        p0, p1 = int(edges[first]), int(edges[last])
+        if p1 > p0:
+            trial = _variates((t + 1) * _GAMMA + offset, lane[p0:p1],
+                              out=ws.variates_out(p1 - p0))
+            lane[p0:p1] += _GAMMA_U  # their offers, and any extension's
+            hit = np.less(trial, extends, out=ws.mask[:p1 - p0])
             if hit.any():
-                # This period's extensions leave the pending segments for
-                # a new segment at the head of their cohort's extended
-                # ones: the older cohort's right after the pending lanes,
-                # the newer one's after the older one's extended lanes,
-                # which shift to make room.
+                # The lanes that extend leave their pending row for a
+                # copy of it, a new row: slot 0's (a0 lanes) go to the
+                # front of the pending run, their row before its own,
+                # and slot 1's to the back, their row after its own.
                 moved = hit.nonzero()[0]
                 stay = np.logical_not(hit, out=hit).nonzero()[0]
-                newer = int(moved.searchsorted(sizes[0])) if live == 2 else 0
-                older = moved.size - newer
-                lane.take(stay, out=spare[:stay.size], mode="wrap")
-                lane.take(moved[newer:], out=spare[stay.size:pending - newer], mode="wrap")
-                reach = pending
-                if newer:
-                    reach = int(sizes[:split].sum())
-                    spare[pending - newer:reach - newer] = lane[pending:reach]
-                    lane.take(moved[:newer], out=spare[reach - newer:reach], mode="wrap")
-                lane[:reach] = spare[:reach]
-                pending = stay.size
-
-                sizes = grow(sizes, sizes[:live] - (newer, older)[-live:], [older], [newer])
-                at = grow(at, at[:live], at[live - 1:live] + extension, at[:1] + extension)
-                floor = grow(floor, floor[:live], [n_pre], [n_pre])
-                wels = grow(wels, wels[:live], wels[live - 1:live], wels[:1])
-                split += older > 0
-        for co in cohorts:
-            co.disc *= beta
+                a0 = int(moved.searchsorted(edges[b] - p0))
+                order = np.concatenate((moved[:a0], stay, moved[a0:]),
+                                       out=ws.scratch[0][:p1 - p0].view(np.int64))
+                lane[p0:p1].take(order, out=spare[:p1 - p0], mode="wrap")
+                lane[p0:p1] = spare[:p1 - p0]
+                counts = np.ones(len(sizes), np.int64)
+                counts[first] += a0 > 0
+                counts[last - 1] += moved.size > a0
+                table = [a.repeat(counts) for a in table]
+                sizes, at, floor, cohort, wels = table
+                b += a0 > 0
+                # Each copy (new) takes its n lanes from the pending row
+                # (old), and its cutoffs from the extended schedule.
+                for new, old, n in ((first, first + 1, a0), (b + 1, b, moved.size - a0)):
+                    if n:
+                        sizes[old], sizes[new], at[new], floor[new] = (
+                            sizes[old] - n, n, at[new] + extension, n_pre)
+                edges = np.concatenate(([0], sizes.cumsum()))
+        discs *= params.beta
         words = _variates((t + 1) * _GAMMA + offset, lane[:m], out=ws.variates_out(m))
-        cut = cutoffs[at].repeat(sizes)
-        accept = np.greater_equal(words, cut, out=ws.mask[:m])
-        del cut
-        acc = accept.nonzero()[0]
+        accept = np.greater_equal(words, cutoffs[at].repeat(sizes), out=ws.mask[:m])
         t += 1
+        if t - own.first == max_periods:
+            # The block's spells still searching end with its accepted
+            # ones, truncated.
+            paid, accept = accept, accept | (cohort == own.slot).repeat(sizes)
+        acc = accept.nonzero()[0]
         if acc.size:
-            ends = sizes.cumsum()
             kept = np.logical_not(accept, out=accept).nonzero()[0]
-            below = kept.searchsorted(ends)  # lanes kept, and so ended, per segment end
-            co, mixed = own, 0
-            if live == 2:
-                # The records go to the newer cohort's slot, the older
-                # cohort's last, whence they move to its own slot: they
-                # are acc[lo:hi], at most _HEADROOM of them.
-                co = cohorts[1]
-                lo, hi = int(ends[0] - below[0]), int(ends[split - 1] - below[split - 1])
-                mixed = hi - lo
-                if mixed:
-                    acc = np.concatenate((acc[:lo], acc[hi:], acc[lo:hi]))
-            keys, duration, wage, welfares = ws.slots[co.slot]
-            records = slice(co.ended, co.ended + acc.size)
-            ended_keys = lane.take(acc, out=keys[records], mode="wrap")
-            n = acc.size - mixed
-            if pending:
-                # A spell that ends pending has its key lowered to an
-                # extended one's with e = 0. The newer cohort's pending
-                # spells come first, the older one's first among its
-                # mixed ones.
-                ended_keys[:int(ends[0] - below[0])] -= np.uint64(
-                    (t - co.first) * _GAMMA & _MASK64)
-                if mixed:
-                    ended_keys[n:n + int(ends[1] - below[1]) - lo] -= np.uint64(
-                        (t - own.first) * _GAMMA & _MASK64)
-            w_acc = wage[records]
+            below = kept.searchsorted(edges)  # lanes kept before each row
+            x = (edges - below).tolist()  # and lanes ended
             # Below 2**53 the int64 conversion is exact, and faster than uint64's.
-            u = words.view(np.int64).take(acc, out=w_acc.view(np.int64), mode="wrap")
-            w_acc[:] = dist.quantile(np.multiply(u, 2.0 ** -53, out=w_acc))
-            welfare = wels[ends.searchsorted(acc, side="right")]
-            # welfare + disc * w / (1 - beta), in place, with each
-            # cohort's discount
-            gain = np.multiply(w_acc, co.disc, out=welfares[records])
-            if mixed:
-                np.multiply(w_acc[n:], own.disc, out=gain[n:])
-            gain /= 1.0 - beta
-            gain += welfare
-            duration[co.ended:co.ended + n] = t - co.first
-            if mixed:
-                theirs = slice(co.ended + n, co.ended + acc.size)
-                mine = slice(own.ended, own.ended + mixed)
-                own_keys, own_duration, own_wage, own_welfares = ws.slots[own.slot]
-                own_keys[mine] = keys[theirs]
-                own_wage[mine] = wage[theirs]
-                own_welfares[mine] = welfares[theirs]
-                own_duration[mine] = t - own.first
-                own.ended += mixed
-            co.ended += n
+            u = words.take(acc, out=ws.scratch[1][:acc.size], mode="wrap")
+            w = np.multiply(u.view(np.int64), 2.0 ** -53, out=u.view(np.float64))
+            if paid is None:
+                w = paying = dist.quantile(w)
+            else:  # a truncated spell has no wage, and gains nothing
+                ok = paid[acc]
+                w[ok] = dist.quantile(w[ok])
+                paying, w[~ok] = np.where(ok, w, 0.0), np.nan
+            welfare = wels.repeat(sizes - (below[1:] - below[:-1]))
+            for co in cohorts:
+                # Of acc, a cohort's spells are lo .. hi - 1, and those
+                # that ended pending x[b - 1 + slot] .. x[b + slot] - 1.
+                lo, hi = (x[b], x[-1]) if co.slot else (0, x[b])
+                if hi > lo:
+                    keys, duration, wage, gain = ws.slots[co.slot]
+                    n = co.ended - lo  # acc[i] goes to record i + n
+                    lane.take(acc[lo:hi], out=keys[lo + n:hi + n], mode="wrap")
+                    keys[x[b - 1 + co.slot] + n:x[b + co.slot] + n] -= np.uint64(
+                        (t - co.first) * _GAMMA & _MASK64)
+                    wage[lo + n:hi + n] = w[lo:hi]
+                    # welfare + disc * w / (1 - beta), in place
+                    gain = np.multiply(paying[lo:hi], discs[co.slot], out=gain[lo + n:hi + n])
+                    gain /= 1.0 - params.beta
+                    gain += welfare[lo:hi]
+                    duration[lo + n:hi + n] = t - co.first
+                    co.ended = hi + n
 
-            # Compact the survivors into the spare buffer; the segments
-            # keep their order.
-            sizes = below.copy()
-            np.subtract(below[1:], below[:-1], out=sizes[1:])
-            m = kept.size
-            pending = int(below[live - 1])
-            left = int(below[split - 1]) - (int(below[0]) if live == 2 else 0)
+            # Compact the survivors into the spare buffer; the rows keep
+            # their order.
+            np.subtract(below[1:], below[:-1], out=sizes)
+            edges, m = below, kept.size
             lane.take(kept, out=spare[:m], mode="wrap")
             del kept
             lane, spare = spare, lane
-        if left and t - own.first == max_periods:
-            # The block's spells still searching end truncated.
-            lo = int(sizes[0]) if live == 2 else 0
-            hi = lo + left
-            keys, duration, wage, welfares = ws.slots[own.slot]
-            records = slice(own.ended, own.ended + left)
-            keys[records] = lane[lo:hi]
-            keys[own.ended:own.ended + int(sizes[live - 1])] -= np.uint64(
-                (t - own.first) * _GAMMA & _MASK64)
-            wage[records] = np.nan
-            welfares[records] = wels[live - 1:split].repeat(sizes[live - 1:split])
-            duration[records] = max_periods
-            own.ended += left
-            lane[lo:m - left] = lane[hi:m]
-            m -= left
-            pending -= int(sizes[live - 1])
-            sizes = np.concatenate((sizes[:live - 1], np.zeros(split - live + 1, np.int64),
-                                    sizes[split:]))
-            left = 0
 
-    # The block's segments, empty now, go.
-    sizes, at, floor, wels = (np.concatenate((a[:live - 1], a[split:]))
-                              for a in (sizes, at, floor, wels))
+    # The block's rows, empty now, go.
     cohorts.remove(own)
     if cohorts:
-        ws.flight = (job, t, m, lane, spare, (sizes, at, floor, wels), len(sizes),
-                     cohorts)
+        table = [a[cohort != own.slot] for a in table]
+        ws.flight = (job, t, m, lane, spare, table, discs, cohorts)
 
     keys, duration, wage, welfare = (a[:count] for a in ws.slots[own.slot])
     keys *= _GAMMA_INV_U
@@ -622,10 +552,9 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
     # index far out of range.)
     spells = ws.scratch[1][:count].view(np.int64)
     spells[keys.view(np.int64)] = np.arange(count)
-    outputs = []
-    for records, out in ((ext_period, keys), (duration, ext_period),
-                         (wage, duration), (welfare, wage)):
-        outputs.append(records.take(spells, out=out.view(records.dtype), mode="clip"))
+    outputs = [records.take(spells, out=out.view(records.dtype), mode="clip")
+               for records, out in ((ext_period, keys), (duration, ext_period),
+                                    (wage, duration), (welfare, wage))]
     return _outputs(outputs[1], outputs[2], outputs[3], outputs[0])
 
 

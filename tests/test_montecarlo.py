@@ -1008,6 +1008,26 @@ class TestWorkerPool:
                 os.kill(pid, 0)
         assert_no_children()
 
+    @needs_fork
+    def test_a_live_thread_in_the_caller(self, two_cpus, forks, deadline):
+        # Another thread of the calling process is blocked on an Event
+        # while the call fans out; whether the call forks or not, it
+        # returns the 1-worker summary and leaves no child behind.
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            summary = simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 140_000, 2024,
+                                    n_workers=2)
+        finally:
+            release.set()
+            waiter.join()
+        assert summary_bits(summary) == TestGolden.SUMMARY
+        for pid in forks:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert_no_children()
+
     def test_one_worker_runs_one_share_through_fork_map(self, monkeypatch):
         # One worker takes the one fan-out path: fork_map, given a single
         # share of every block, runs it in this process and forks nothing.
@@ -1079,6 +1099,13 @@ class TestOverlappedBlocks:
         # Every block truncates 40 periods after it joined; the second
         # joins the first one's tail, so it truncates in a later call.
         "truncating": (BENCH_TRUTH, {"max_periods": 40}),
+        # No spell extends: both cohorts stay pending, and no extended
+        # row ever exists.
+        "delta_zero": (ExtensionSpec(0.0, 25), {}),
+        # Every spell extends in its cohort's first trial.
+        "delta_one": (ExtensionSpec(1.0, 25), {}),
+        # Spells still pending truncate while the next block is in flight.
+        "pending_truncating": (ExtensionSpec(0.02, 25), {"max_periods": 40}),
     }
 
     @needs_fork
@@ -1130,6 +1157,31 @@ class TestOverlappedBlocks:
             # Block 0 and, on one worker, block 1, which joined its tail.
             assert all(truncated for _, _, truncated in returned[:3 - n_workers])
             assert summary.truncated_count > 0
+
+    def test_edge_cases_reach_their_situations(self, monkeypatch):
+        # One worker, so each block after the first joins the tail of the
+        # one before it.
+        real = simulate_block
+        seen = []
+
+        def block(*args, **kw):
+            out = real(*args, **kw)
+            seen.append((out["extension_period"].copy(), out["truncated"].copy(),
+                         kw["workspace"].flight is not None))
+            return out
+
+        monkeypatch.setattr(montecarlo, "simulate_block", block)
+        runs = {}
+        for case in ("delta_zero", "delta_one", "pending_truncating"):
+            truth, kwargs = self.CASES[case]
+            policy = _policy(UNIT, BENCH, truth, ExtensionSpec(0.1, 25))
+            simulate_many(policy, truth, BENCH, UNIT, self.N_SPELLS, 13, **kwargs)
+            runs[case], seen[:] = seen[:], []
+        assert all((period == -1).all() for period, _, _ in runs["delta_zero"])
+        assert all((period == 1).all() for period, _, _ in runs["delta_one"])
+        # Block 0 truncates pending spells with block 1 in flight.
+        period, truncated, in_flight = runs["pending_truncating"][0]
+        assert in_flight and (truncated & (period == -1)).any()
 
     @pytest.mark.parametrize("foreign", ["seed", "policy"])
     def test_a_foreign_block_between_two_of_a_share(self, foreign):
@@ -1191,3 +1243,9 @@ class TestOverlappedBlocks:
         lone, share = (workspace_bytes(ws) for ws in made)
         assert 73 * DEFAULT_CHUNK <= lone < 73 * DEFAULT_CHUNK + 4096
         assert share < 73 * DEFAULT_CHUNK + 3 * 2 ** 20
+
+    @pytest.mark.parametrize("slots", [0, 3])
+    def test_a_workspace_has_one_or_two_record_slots(self, slots):
+        # The segment table has two sides, one a slot.
+        with pytest.raises(ValueError, match="one or two record slots"):
+            montecarlo._Workspace(10, slots=slots)

@@ -10,15 +10,18 @@ arguments the harness sizes its spans by must still sit where it reads
 them. ``uisearch.__all__`` holds exactly the top-level names these
 scripts and README use, plus the error classes callers catch, and every
 defaulted parameter of an exported function is set by some call in
-``src/``, these scripts or README's Python examples.
+``src/``, these scripts or README's Python examples. The Monte Carlo
+kernel also keeps a budget of code lines, counted with ``tokenize``.
 """
 
 import ast
 import importlib
 import inspect
+import io
 import pkgutil
 import re
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -471,3 +474,42 @@ def test_the_oracle_shares_no_solver_code():
                for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not callees & {"_price", "_price_each", "upsilon", "_climb", "_fixed_point"}
     assert not [name for name in callees if name and name.startswith("solve_")]
+
+
+def code_lines(source):
+    """The numbers of the lines of ``source`` that hold code: a token
+    other than a comment, outside every module, class and function
+    docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return lines - docstrings
+
+
+def test_the_monte_carlo_kernel_keeps_its_line_budget():
+    # The segment table serves one cohort or two on one path; the
+    # special cases it replaced had taken montecarlo.py to 441 code
+    # lines and simulate_block to 208.
+    source = (ROOT / "src" / "uisearch" / "montecarlo.py").read_text()
+    lines = code_lines(source)
+    kernel = next(node for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "simulate_block")
+    assert len(lines) <= 380
+    assert len([n for n in lines if kernel.lineno <= n <= kernel.end_lineno]) <= 140
+
+
+def test_line_count_leaves_out_docstrings_comments_and_blank_lines():
+    source = ('"""Module\ndocstring."""\n\n# comment\ndef f(a,\n      b):\n'
+              '    """One line."""\n    x = (a +  # trailing\n         b)\n\n'
+              '    return """not a\n    docstring"""\n')
+    assert sorted(code_lines(source)) == [5, 6, 8, 9, 11, 12]
