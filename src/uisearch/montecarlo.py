@@ -25,9 +25,15 @@ the first in the calling process and each other one in a child forked
 for the call, and combines per-block sums with an exact
 (order-insensitive) reduction, so a fixed
 ``(master_seed, n_spells)`` gives a bit-identical summary for any
-worker count. Each process running blocks reuses one workspace of
-arrays for all of them, so a block allocates no array of its size
-beyond a few short-lived temporaries.
+worker count. Each process runs its share in one workspace made for
+that share's blocks, whose arrays every block reuses, so a block
+allocates no array of its size beyond a few short-lived temporaries.
+One generator, ``_share``, runs the share's periods from its first
+block's first spell to its last block's last one, and yields each
+block's records when that block's last spell ends; each
+``simulate_block`` call takes the workspace's next block from it, and
+a call for any other block, or another job, is refused. A lone
+``simulate_block`` call is a share of one block, on the same path.
 
 No block of a share runs its tail alone. A block's last few thousand
 spells take dozens of periods, each costing about as many numpy calls
@@ -102,10 +108,10 @@ def _variates(add: int, keys: np.ndarray, out=None) -> np.ndarray:
     variate ``k * 2**-53``.
 
     With keys ``counter * gamma`` and ``add`` equal to ``gamma + offset``
-    these are ``_variate``'s variates; ``simulate_block`` moves part of
-    each counter from the keys into ``add``, which is equal modulo
-    2**64. ``out`` is an optional pair of uint64 scratch arrays shaped
-    like ``keys``; the words are written to the first.
+    these are ``_variate``'s variates; the block kernel, ``_share``,
+    moves part of each counter from the keys into ``add``, which is
+    equal modulo 2**64. ``out`` is an optional pair of uint64 scratch
+    arrays shaped like ``keys``; the words are written to the first.
     """
     x, shifted = out if out is not None else (np.empty(len(keys), np.uint64),
                                               np.empty(len(keys), np.uint64))
@@ -150,6 +156,8 @@ class CounterStream:
     """Per-spell uniform stream derived from ``(master_seed, index)``."""
 
     def __init__(self, master_seed: int, index: int):
+        if not 0 <= index < MAX_SPELLS:  # the counter's high word
+            raise ValueError("spell indices must fit in 32 bits")
         self._offset = _seed_offset(master_seed)
         self._spell = index
         self._draw = 0
@@ -236,7 +244,7 @@ _HEADROOM = DEFAULT_CHUNK // 16
 
 class _Cohort:
     """A block in flight: spells ``start .. start + count - 1``, which
-    joined the lanes at the workspace's period ``first`` and write their
+    joined the lanes at the share's period ``first`` and write their
     records to record slot ``slot``, ``ended`` of them so far."""
 
     __slots__ = ("start", "count", "first", "slot", "ended")
@@ -246,37 +254,33 @@ class _Cohort:
 
 
 class _Workspace:
-    """The arrays one process reuses for every block of a simulation, and
-    the blocks it keeps in flight between two of them.
+    """One share of blocks, the ``(start, count)`` pairs ``blocks`` in
+    the order they run, and the arrays that every one of them reuses.
 
-    Sized for the largest block, ``size`` = ``min(DEFAULT_CHUNK,
-    n_spells)`` spells: two lane buffers that compaction copies between,
-    the two ``_variates`` scratch arrays (which ``_block_partials``
-    reuses) and a mask for the trial and acceptance outcomes; ``slots``
-    record slots, one for each block in flight, each the keys of a
-    block's spells in the order they ended and three per-spell outputs,
-    which ``simulate_block`` returns views of; and the extension periods
-    of the block returned last. With one slot, as a lone block has, that
-    is 9 words and a byte a spell, about 4.8 MB at ``DEFAULT_CHUNK``.
-    ``simulate_many`` gives a share of several blocks two slots, and
-    ``_HEADROOM`` more room in each lane, scratch and record array, about
-    7.3 MB in all. There are at most two: the segment table has two
-    sides, slot 0's rows before slot 1's. Before each block
-    ``simulate_many`` sets ``following`` to the ``(start, count)`` of the
-    share's next one, which then joins the current block's tail;
-    ``flight`` keeps the lanes and segment table of a block still in
-    flight when the call for the one before it returns (see
-    ``simulate_block``).
+    Sized for the largest block: two lane buffers that compaction
+    copies between, the two ``_variates`` scratch arrays
+    (which ``_block_partials`` reuses) and a mask for the trial and
+    acceptance outcomes; a record slot for each block in flight, each
+    the keys of a block's spells in the order they ended and three
+    per-spell outputs, which ``simulate_block`` returns views of; and
+    the extension periods of the block returned last. A share of one
+    block has one slot, 9 words and a byte a spell, about 4.8 MB at
+    ``DEFAULT_CHUNK``. A share of several has two, and ``_HEADROOM``
+    more room in each lane, scratch and record array, about 7.3 MB in
+    all; there are at most two, as the segment table has two sides.
 
-    It also keeps the offer cutoffs of the last policy and distribution
-    it was given. Each process that runs blocks of a ``simulate_many``
-    call, the calling one or a child forked for it, makes its own, so
-    concurrent calls share no array.
+    ``blocks`` keeps the blocks not yet returned; ``job``, what the
+    share simulates, and ``share``, the ``_share`` generator that runs
+    it, are set by its first block. The generator holds the arrays,
+    not the workspace, so the two form no reference cycle and the
+    workspace goes with its last reference. Each process that runs
+    blocks of a ``simulate_many`` call, the calling one or a child
+    forked for it, makes its own, so concurrent calls share no array.
     """
 
-    def __init__(self, size, slots=1):
-        if slots not in (1, 2):
-            raise ValueError("a workspace has one or two record slots")
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+        size, slots = max(count for _, count in self.blocks), min(len(self.blocks), 2)
         room = size + (_HEADROOM if slots > 1 else 0)
         # One allocation for every word array, not one each. Freeing a
         # chunk this large raises glibc malloc's mmap and trim
@@ -293,22 +297,7 @@ class _Workspace:
                        welfare.view(np.float64))
                       for keys, duration, wage, welfare in records]
         self.extension_period = words[4 * room * (1 + slots):].view(np.int64)
-        self.size = size
-        self.following = None
-        self.flight = None
-        self._cutoffs = None
-
-    def variates_out(self, n):
-        return self.scratch[0][:n], self.scratch[1][:n]
-
-    def cutoffs(self, policy, dist):
-        """``_offer_cutoffs`` of the pre- then the post-extension
-        thresholds, searched once for a given ``policy`` and ``dist``."""
-        memo = self._cutoffs
-        if memo is None or memo[0] is not policy or memo[1] is not dist:
-            thresholds = np.concatenate((policy.pre_thresholds, policy.post_thresholds))
-            memo = self._cutoffs = (policy, dist, _offer_cutoffs(thresholds, dist))
-        return memo[2]
+        self.job = self.share = None
 
 
 def _outputs(duration, wage, welfare, ext_period) -> dict:
@@ -320,39 +309,33 @@ def _outputs(duration, wage, welfare, ext_period) -> dict:
             "truncated": np.isnan(wage)}
 
 
-def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
-                   dist: UniformOffers, master_seed: int,
-                   start: int, count: int,
-                   max_periods=DEFAULT_MAX_PERIODS, *, workspace=None) -> dict:
-    """Simulate spells ``start .. start + count - 1`` vectorized.
-
-    Consumes exactly the streams ``CounterStream(master_seed, i)`` would,
-    so results are independent of how spells are grouped into blocks.
-    Returns arrays keyed ``duration``, ``accepted_wage`` (NaN when
-    truncated), ``welfare``, ``extended``, ``extension_period`` (-1 when
-    none), and ``truncated``. They are fresh arrays unless a
-    ``workspace`` of at least ``count`` spells is given; then they are
-    views of it, valid until its next block, and it keeps the offer
-    cutoffs for the next block of the same policy.
+def _share(blocks, policy, truth, params, dist, offset, max_periods,
+           lanes, scratch, mask, slots, ext_periods):
+    """Simulate the ``(start, count)`` blocks of a share, yielding each
+    block's ``simulate_block`` outputs, views of the record arrays
+    ``slots`` and ``ext_periods``, when its last spell ends.
 
     Every decision is taken on the 53-bit word ``k`` of a variate
     ``u = k * 2**-53``, with no float formed: the trial extends when
     ``k < ceil(delta * 2**53)``, and an offer is accepted when ``k``
-    reaches the threshold's cutoff (``_offer_cutoffs``). Only accepted
-    offers go through ``dist.quantile``, on the same floats ``u``.
+    reaches the threshold's cutoff (``_offer_cutoffs``, searched once
+    for the share). Only accepted offers go through ``dist.quantile``,
+    on the same floats ``u``.
 
     The lanes hold a cohort of spells for each block in flight, one a
-    record slot. All active lanes are at the workspace's period ``t``,
-    and a cohort that joined at period ``s`` is at its own period
-    ``t - s``. A lane carries just its key. Because draw ``d`` hashes
-    ``(spell << 32 | d) * gamma + gamma + offset``, the key can hold the
-    draw's counter less the period's, so that every lane's draw in
-    period ``t`` is its key plus ``(t + 1) * gamma`` and the seed offset:
-    a pending lane's key ``((spell << 32) - 2s + t) * gamma`` gives its
-    trial, and raised by ``gamma`` it gives its offer and, once the lane
-    extends in its period ``e``, as the key ``((spell << 32) + e - s) *
-    gamma``, every later offer. So the trial is one ``_variates`` call
-    on the pending lanes, and the offers one on all lanes.
+    record slot: the first block, and once at most ``_HEADROOM`` lanes
+    are active and a slot is free, the next. All active lanes are at the
+    share's period ``t``, and a cohort that joined at period ``s`` is at
+    its own period ``t - s``. A lane carries just its key. Because draw
+    ``d`` hashes ``(spell << 32 | d) * gamma + gamma + offset``, the key
+    can hold the draw's counter less the period's, so that every lane's
+    draw in period ``t`` is its key plus ``(t + 1) * gamma`` and the
+    seed offset: a pending lane's key ``((spell << 32) - 2s + t) *
+    gamma`` gives its trial, and raised by ``gamma`` it gives its offer
+    and, once the lane extends in its period ``e``, as the key
+    ``((spell << 32) + e - s) * gamma``, every later offer. So the trial
+    is one ``_variates`` call on the pending lanes, and the offers one
+    on all lanes.
 
     A lane's entitlement, welfare, discount and threshold depend on it
     only through its cohort and ``e`` (0 while pending), so the lanes sit
@@ -371,21 +354,179 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
     order. A row that compaction empties stays until its block ends.
 
     A spell ends when an offer reaches its cutoff, or, truncated, when
-    its cohort has searched ``max_periods`` periods; only the block the
-    call is for, the oldest cohort, can get that far. Its key and record
+    its cohort has searched ``max_periods`` periods; only the oldest
+    cohort, the block yielded next, can get that far. Its key and record
     go to its cohort's slot, in the order spells end, the key of a spell
     that ends pending lowered to that with ``e = 0``. After the block's
     last spell has ended, one multiply by the inverse of gamma, and
     ``s`` added back, decode each key into its spell and extension
-    period, and the records are put in spell order.
+    period, and the records are put in spell order. A spell's record
+    depends only on its own stream, so every block's records are those
+    it has alone.
+    """
+    cutoffs = _offer_cutoffs(np.r_[policy.pre_thresholds, policy.post_thresholds], dist)
+    extends = np.uint64(_extension_cutoff(truth.delta))
+    n_pre = len(policy.pre_thresholds)
+    extension = n_pre + truth.length  # from a pending cutoff to its extension's
+    # The segment table is the columns sizes, at, floor, cohort and wels;
+    # discs holds the discount of each slot.
+    table = [*np.zeros((4, 0), np.int64), np.zeros(0)]
+    t, m, (lane, spare), discs = 0, 0, lanes, np.ones(2)
+    waiting, cohorts = [_Cohort(*block) for block in blocks], []
+    for own in list(waiting):
+        edges, paid = (), None
+        while own.ended < own.count:
+            if waiting and m <= _HEADROOM and len(cohorts) < len(slots):
+                # A block's spells join as a pending row, slot 0's at the
+                # front, slot 1's at the back, their keys lowered by t
+                # counters so that its draws count from 0.
+                co = waiting.pop(0)
+                co.first, co.slot = t, 1 - cohorts[0].slot if cohorts else 0
+                row, at_lane = (len(table[0]), m) if co.slot else (0, 0)
+                lane[at_lane + co.count:m + co.count] = lane[at_lane:m]
+                keys = np.multiply(np.arange(co.start, co.start + co.count, dtype=np.uint64),
+                                   _GAMMA32_U, out=lane[at_lane:at_lane + co.count])
+                keys -= np.uint64(t * _GAMMA & _MASK64)
+                m += co.count
+                table = [np.concatenate((a[:row], [v], a[row:]))
+                         for a, v in zip(table, (co.count, params.n_periods, 0, co.slot, 0.0))]
+                discs[co.slot] = 1.0
+                cohorts.append(co)
+            sizes, at, floor, cohort, wels = table
+            if len(edges) != len(sizes) + 1:  # on a block's first period and after a join
+                b, edges = int(cohort.searchsorted(1)), np.concatenate(([0], sizes.cumsum()))
 
-    A workspace whose ``following`` names another block, with a record
-    slot free, runs that block too: its spells join as a new cohort once
-    at most ``_HEADROOM`` lanes are active. The call still returns when
-    the last spell of its own block ends; the other block stays in
-    flight, and the call for it goes on from there. A call for any other
-    block, or for another job, drops what is in flight and starts
-    afresh. Either way every block's records are those it has alone.
+            entitled = at > floor
+            wels += discs[cohort] * (params.z + params.c * entitled)
+            at -= entitled
+            # The pending rows, one a cohort, are first .. last - 1.
+            first, last = b - (b > 0), b + (len(sizes) > b)
+            p0, p1 = int(edges[first]), int(edges[last])
+            if p1 > p0:
+                trial = _variates((t + 1) * _GAMMA + offset, lane[p0:p1],
+                                  out=[s[:p1 - p0] for s in scratch])
+                lane[p0:p1] += _GAMMA_U  # their offers, and any extension's
+                hit = np.less(trial, extends, out=mask[:p1 - p0])
+                if hit.any():
+                    # The lanes that extend leave their pending row for a
+                    # copy of it, a new row: slot 0's (a0 lanes) go to the
+                    # front of the pending run, their row before its own,
+                    # and slot 1's to the back, their row after its own.
+                    moved = hit.nonzero()[0]
+                    stay = np.logical_not(hit, out=hit).nonzero()[0]
+                    a0 = int(moved.searchsorted(edges[b] - p0))
+                    order = np.concatenate((moved[:a0], stay, moved[a0:]),
+                                           out=scratch[0][:p1 - p0].view(np.int64))
+                    lane[p0:p1].take(order, out=spare[:p1 - p0], mode="wrap")
+                    lane[p0:p1] = spare[:p1 - p0]
+                    counts = np.ones(len(sizes), np.int64)
+                    counts[first] += a0 > 0
+                    counts[last - 1] += moved.size > a0
+                    table = [a.repeat(counts) for a in table]
+                    sizes, at, floor, cohort, wels = table
+                    b += a0 > 0
+                    # Each copy (new) takes its n lanes from the pending row
+                    # (old), and its cutoffs from the extended schedule.
+                    for new, old, n in ((first, first + 1, a0), (b + 1, b, moved.size - a0)):
+                        if n:
+                            sizes[old], sizes[new], at[new], floor[new] = (
+                                sizes[old] - n, n, at[new] + extension, n_pre)
+                    edges = np.concatenate(([0], sizes.cumsum()))
+            discs *= params.beta
+            words = _variates((t + 1) * _GAMMA + offset, lane[:m], out=[s[:m] for s in scratch])
+            accept = np.greater_equal(words, cutoffs[at].repeat(sizes), out=mask[:m])
+            t += 1
+            if t - own.first == max_periods:
+                # The block's spells still searching end with its accepted
+                # ones, truncated.
+                paid, accept = accept, accept | (cohort == own.slot).repeat(sizes)
+            acc = accept.nonzero()[0]
+            if acc.size:
+                kept = np.logical_not(accept, out=accept).nonzero()[0]
+                below = kept.searchsorted(edges)  # lanes kept before each row
+                x = (edges - below).tolist()  # and lanes ended
+                # Below 2**53 the int64 conversion is exact, and faster than uint64's.
+                u = words.take(acc, out=scratch[1][:acc.size], mode="wrap")
+                w = np.multiply(u.view(np.int64), 2.0 ** -53, out=u.view(np.float64))
+                if paid is None:
+                    w = paying = dist.quantile(w)
+                else:  # a truncated spell has no wage, and gains nothing
+                    ok = paid[acc]
+                    w[ok] = dist.quantile(w[ok])
+                    paying, w[~ok] = np.where(ok, w, 0.0), np.nan
+                welfare = wels.repeat(sizes - (below[1:] - below[:-1]))
+                for co in cohorts:
+                    # Of acc, a cohort's spells are lo .. hi - 1, and those
+                    # that ended pending x[b - 1 + slot] .. x[b + slot] - 1.
+                    lo, hi = (x[b], x[-1]) if co.slot else (0, x[b])
+                    if hi > lo:
+                        keys, duration, wage, gain = slots[co.slot]
+                        n = co.ended - lo  # acc[i] goes to record i + n
+                        lane.take(acc[lo:hi], out=keys[lo + n:hi + n], mode="wrap")
+                        keys[x[b - 1 + co.slot] + n:x[b + co.slot] + n] -= np.uint64(
+                            (t - co.first) * _GAMMA & _MASK64)
+                        wage[lo + n:hi + n] = w[lo:hi]
+                        # welfare + disc * w / (1 - beta), in place
+                        gain = np.multiply(paying[lo:hi], discs[co.slot],
+                                           out=gain[lo + n:hi + n])
+                        gain /= 1.0 - params.beta
+                        gain += welfare[lo:hi]
+                        duration[lo + n:hi + n] = t - co.first
+                        co.ended = hi + n
+
+                # Compact the survivors into the spare buffer; the rows keep
+                # their order.
+                np.subtract(below[1:], below[:-1], out=sizes)
+                edges, m = below, kept.size
+                lane.take(kept, out=spare[:m], mode="wrap")
+                del kept
+                lane, spare = spare, lane
+
+        # The block's rows, empty now, go. (Its loop may not have run
+        # since the last block's rows went, so the cohort column is read
+        # from the table, not from the loop's last period.)
+        cohorts.remove(own)
+        keep = table[3] != own.slot
+        table = [a[keep] for a in table]
+        count = own.count
+        keys, duration, wage, welfare = (a[:count] for a in slots[own.slot])
+        keys *= _GAMMA_INV_U
+        # The spell offsets, in the high word, and s added back.
+        keys += np.uint64(own.first - (own.start << 32) & _MASK64)
+        ext_period = ext_periods[:count]
+        np.bitwise_and(keys, _LOW32_U, out=ext_period.view(np.uint64))
+        keys >>= _U32
+        # The records go to spell order by gathers through the inverse
+        # permutation, faster than scatters, each into the array the one
+        # before it has freed. ("clip", unlike "wrap", cannot spin on an
+        # index far out of range.)
+        spells = scratch[1][:count].view(np.int64)
+        spells[keys.view(np.int64)] = np.arange(count)
+        outputs = [records.take(spells, out=out.view(records.dtype), mode="clip")
+                   for records, out in ((ext_period, keys), (duration, ext_period),
+                                        (wage, duration), (welfare, wage))]
+        yield _outputs(outputs[1], outputs[2], outputs[3], outputs[0])
+
+
+def simulate_block(policy, truth: ExtensionSpec, params: MarketParams, dist: UniformOffers,
+                   master_seed: int, start: int, count: int,
+                   max_periods=DEFAULT_MAX_PERIODS, *, workspace=None) -> dict:
+    """Simulate spells ``start .. start + count - 1`` vectorized.
+
+    Consumes exactly the streams ``CounterStream(master_seed, i)`` would,
+    so results are independent of how spells are grouped into blocks.
+    Returns arrays keyed ``duration``, ``accepted_wage`` (NaN when
+    truncated), ``welfare``, ``extended``, ``extension_period`` (-1 when
+    none), and ``truncated``.
+
+    With no ``workspace`` the block is a share of its own, run by
+    ``_share`` in a workspace made for it, and the arrays are fresh.
+    With one, the block must be the workspace's next and, after its
+    first, of the same job (the same policy and distribution objects,
+    and equal truth, parameters, seed and ``max_periods``); any other
+    raises ``ValueError`` before any work. The arrays are then views of
+    the workspace, valid until its next block, which may already have
+    joined this one's tail.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must not be negative")
@@ -393,169 +534,30 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams,
         raise ValueError("spell indices must fit in 32 bits")
     _check_max_periods(max_periods)
     offset = _seed_offset(master_seed)
-    if workspace is not None and count > workspace.size:
-        raise ValueError(f"a block of {count} spells does not fit a workspace "
-                         f"of {workspace.size}")
+    # The policy and distribution by identity: the share holds them, so
+    # their ids stay theirs.
+    job = (id(policy), id(dist), truth, params, master_seed, max_periods)
+    ws = workspace
+    if ws is not None and (ws.blocks[:1] != [(start, count)] or ws.job not in (None, job)):
+        raise ValueError(f"the block of {count} spells from {start} is not the next "
+                         "block of this workspace's job")
     if not count:
-        return _outputs(np.empty(0, np.int64), np.empty(0), np.empty(0),
-                        np.empty(0, np.int64))
+        if ws is not None:
+            del ws.blocks[0]
+        return _outputs(*(np.empty(0, dtype) for dtype in (np.int64, float, float, np.int64)))
     if len(policy.pre_thresholds) <= params.n_periods:
         # The cutoffs of both schedules are one table, so a short first
         # one would lend the second's.
         raise IndexError("pre_thresholds must cover entitlements 0 .. n_periods")
-    ws = _Workspace(count) if workspace is None else workspace
-    extends = np.uint64(_extension_cutoff(truth.delta))
-    cutoffs = ws.cutoffs(policy, dist)
-    n_pre = len(policy.pre_thresholds)
-    extension = n_pre + truth.length  # from a pending cutoff to its extension's
-
-    # The segment table is the columns sizes, at, floor, cohort and wels;
-    # discs holds the discount of each slot.
-    job = (policy, dist, truth, params, master_seed, max_periods)
-    flight, ws.flight = ws.flight, None  # an error leaves nothing in flight
-    cohorts = (flight[-1] if flight and flight[0][0] is policy and flight[0][1] is dist
-               and flight[0][2:] == job[2:] else [])
-    own = next((co for co in cohorts if (co.start, co.count) == (start, count)), None)
-    if own is None:  # start afresh
-        own = _Cohort(start, count)
-        table = [*np.zeros((4, 0), np.int64), np.zeros(0)]
-        flight = (job, 0, 0, *ws.lanes, table, np.ones(2), [])
-    _, t, m, lane, spare, table, discs, cohorts = flight
-    joining = [] if own in cohorts else [own]
-    following = ws.following
-    if (following is not None and following[1] <= ws.size and following != (start, count)
-            and len(cohorts) + len(joining) < len(ws.slots)):
-        joining.append(_Cohort(*following))
-
-    edges, paid = (), None
-    while own.ended < own.count:
-        if joining and m <= _HEADROOM:
-            # A block's spells join as a pending row, slot 0's at the
-            # front, slot 1's at the back, their keys lowered by t
-            # counters so that its draws count from 0.
-            co = joining.pop(0)
-            co.first, co.slot = t, 1 - cohorts[0].slot if cohorts else 0
-            row, at_lane = (len(table[0]), m) if co.slot else (0, 0)
-            lane[at_lane + co.count:m + co.count] = lane[at_lane:m]
-            keys = np.multiply(np.arange(co.start, co.start + co.count, dtype=np.uint64),
-                               _GAMMA32_U, out=lane[at_lane:at_lane + co.count])
-            keys -= np.uint64(t * _GAMMA & _MASK64)
-            m += co.count
-            table = [np.concatenate((a[:row], [v], a[row:]))
-                     for a, v in zip(table, (co.count, params.n_periods, 0, co.slot, 0.0))]
-            discs[co.slot] = 1.0
-            cohorts.append(co)
-        sizes, at, floor, cohort, wels = table
-        if len(edges) != len(sizes) + 1:  # on entry and after a join
-            b, edges = int(cohort.searchsorted(1)), np.concatenate(([0], sizes.cumsum()))
-
-        entitled = at > floor
-        wels += discs[cohort] * (params.z + params.c * entitled)
-        at -= entitled
-        # The pending rows, one a cohort, are first .. last - 1.
-        first, last = b - (b > 0), b + (len(sizes) > b)
-        p0, p1 = int(edges[first]), int(edges[last])
-        if p1 > p0:
-            trial = _variates((t + 1) * _GAMMA + offset, lane[p0:p1],
-                              out=ws.variates_out(p1 - p0))
-            lane[p0:p1] += _GAMMA_U  # their offers, and any extension's
-            hit = np.less(trial, extends, out=ws.mask[:p1 - p0])
-            if hit.any():
-                # The lanes that extend leave their pending row for a
-                # copy of it, a new row: slot 0's (a0 lanes) go to the
-                # front of the pending run, their row before its own,
-                # and slot 1's to the back, their row after its own.
-                moved = hit.nonzero()[0]
-                stay = np.logical_not(hit, out=hit).nonzero()[0]
-                a0 = int(moved.searchsorted(edges[b] - p0))
-                order = np.concatenate((moved[:a0], stay, moved[a0:]),
-                                       out=ws.scratch[0][:p1 - p0].view(np.int64))
-                lane[p0:p1].take(order, out=spare[:p1 - p0], mode="wrap")
-                lane[p0:p1] = spare[:p1 - p0]
-                counts = np.ones(len(sizes), np.int64)
-                counts[first] += a0 > 0
-                counts[last - 1] += moved.size > a0
-                table = [a.repeat(counts) for a in table]
-                sizes, at, floor, cohort, wels = table
-                b += a0 > 0
-                # Each copy (new) takes its n lanes from the pending row
-                # (old), and its cutoffs from the extended schedule.
-                for new, old, n in ((first, first + 1, a0), (b + 1, b, moved.size - a0)):
-                    if n:
-                        sizes[old], sizes[new], at[new], floor[new] = (
-                            sizes[old] - n, n, at[new] + extension, n_pre)
-                edges = np.concatenate(([0], sizes.cumsum()))
-        discs *= params.beta
-        words = _variates((t + 1) * _GAMMA + offset, lane[:m], out=ws.variates_out(m))
-        accept = np.greater_equal(words, cutoffs[at].repeat(sizes), out=ws.mask[:m])
-        t += 1
-        if t - own.first == max_periods:
-            # The block's spells still searching end with its accepted
-            # ones, truncated.
-            paid, accept = accept, accept | (cohort == own.slot).repeat(sizes)
-        acc = accept.nonzero()[0]
-        if acc.size:
-            kept = np.logical_not(accept, out=accept).nonzero()[0]
-            below = kept.searchsorted(edges)  # lanes kept before each row
-            x = (edges - below).tolist()  # and lanes ended
-            # Below 2**53 the int64 conversion is exact, and faster than uint64's.
-            u = words.take(acc, out=ws.scratch[1][:acc.size], mode="wrap")
-            w = np.multiply(u.view(np.int64), 2.0 ** -53, out=u.view(np.float64))
-            if paid is None:
-                w = paying = dist.quantile(w)
-            else:  # a truncated spell has no wage, and gains nothing
-                ok = paid[acc]
-                w[ok] = dist.quantile(w[ok])
-                paying, w[~ok] = np.where(ok, w, 0.0), np.nan
-            welfare = wels.repeat(sizes - (below[1:] - below[:-1]))
-            for co in cohorts:
-                # Of acc, a cohort's spells are lo .. hi - 1, and those
-                # that ended pending x[b - 1 + slot] .. x[b + slot] - 1.
-                lo, hi = (x[b], x[-1]) if co.slot else (0, x[b])
-                if hi > lo:
-                    keys, duration, wage, gain = ws.slots[co.slot]
-                    n = co.ended - lo  # acc[i] goes to record i + n
-                    lane.take(acc[lo:hi], out=keys[lo + n:hi + n], mode="wrap")
-                    keys[x[b - 1 + co.slot] + n:x[b + co.slot] + n] -= np.uint64(
-                        (t - co.first) * _GAMMA & _MASK64)
-                    wage[lo + n:hi + n] = w[lo:hi]
-                    # welfare + disc * w / (1 - beta), in place
-                    gain = np.multiply(paying[lo:hi], discs[co.slot], out=gain[lo + n:hi + n])
-                    gain /= 1.0 - params.beta
-                    gain += welfare[lo:hi]
-                    duration[lo + n:hi + n] = t - co.first
-                    co.ended = hi + n
-
-            # Compact the survivors into the spare buffer; the rows keep
-            # their order.
-            np.subtract(below[1:], below[:-1], out=sizes)
-            edges, m = below, kept.size
-            lane.take(kept, out=spare[:m], mode="wrap")
-            del kept
-            lane, spare = spare, lane
-
-    # The block's rows, empty now, go.
-    cohorts.remove(own)
-    if cohorts:
-        table = [a[cohort != own.slot] for a in table]
-        ws.flight = (job, t, m, lane, spare, table, discs, cohorts)
-
-    keys, duration, wage, welfare = (a[:count] for a in ws.slots[own.slot])
-    keys *= _GAMMA_INV_U
-    keys += np.uint64(own.first - (start << 32) & _MASK64)  # spell offsets, in the high word
-    ext_period = ws.extension_period[:count]
-    np.bitwise_and(keys, _LOW32_U, out=ext_period.view(np.uint64))
-    keys >>= _U32
-    # The records go to spell order by gathers through the inverse
-    # permutation, faster than scatters, each into the array the one
-    # before it has freed. ("clip", unlike "wrap", cannot spin on an
-    # index far out of range.)
-    spells = ws.scratch[1][:count].view(np.int64)
-    spells[keys.view(np.int64)] = np.arange(count)
-    outputs = [records.take(spells, out=out.view(records.dtype), mode="clip")
-               for records, out in ((ext_period, keys), (duration, ext_period),
-                                    (wage, duration), (welfare, wage))]
-    return _outputs(outputs[1], outputs[2], outputs[3], outputs[0])
+    if ws is None:
+        ws = _Workspace([(start, count)])
+    if ws.share is None:
+        ws.job, ws.share = job, _share(
+            [block for block in ws.blocks if block[1]], policy, truth, params, dist,
+            offset, max_periods, ws.lanes, ws.scratch, ws.mask, ws.slots,
+            ws.extension_period)
+    del ws.blocks[0]
+    return next(ws.share)
 
 
 @dataclass(frozen=True)
@@ -658,10 +660,10 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     threads, because the kernel's many small numpy calls hand the GIL
     back and forth. Children inherit the job through fork, so neither
     ``policy`` nor ``dist`` has to be picklable; only their partial
-    sums come back, pickled. Each process runs its blocks in one
-    ``_Workspace`` of ``min(DEFAULT_CHUNK, n_spells)`` spells made for
-    this call, with a second record slot when it has several blocks, so
-    that each block's successor joins its tail.
+    sums come back, pickled. Each process runs its share in one
+    ``_Workspace`` made for its blocks, ``min(DEFAULT_CHUNK, n_spells)``
+    spells, with a second record slot when it has several, so that each
+    block's successor joins its tail.
     """
     if n_spells < 1:
         raise ValueError("n_spells must be at least 1")
@@ -674,13 +676,12 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     scale = _square_scale(params, dist)
 
     def run(starts):
-        """Partial sums of the blocks at ``starts``, in one workspace, each
-        block's successor riding along in its tail."""
+        """Partial sums of the blocks at ``starts``, one share in one
+        workspace, each block's successor riding along in its tail."""
         blocks = [(start, min(DEFAULT_CHUNK, n_spells - start)) for start in starts]
-        workspace = _Workspace(min(DEFAULT_CHUNK, n_spells), slots=min(len(blocks), 2))
+        workspace = _Workspace(blocks)
         partials = []
-        for i, (start, count) in enumerate(blocks):
-            workspace.following = blocks[i + 1] if i + 1 < len(blocks) else None
+        for start, count in blocks:
             block = simulate_block(policy, truth, params, dist, master_seed, start,
                                    count, max_periods=max_periods, workspace=workspace)
             partials.append(_block_partials(block, workspace, scale))

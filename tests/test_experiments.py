@@ -98,19 +98,17 @@ class TestCalibrateZ:
         # the threshold, 1 - 1e-17, rounds to the top of [0, 1]
         with pytest.raises(InfeasibleError, match="edge of the support"):
             calibrate_z(1e17, 0.95, uniform)
-        # the threshold is inside, but the flow rounds to the top
-        with pytest.raises(InfeasibleError, match="below the top"):
-            calibrate_z(2e15, 0.9, uniform)
 
     @pytest.mark.xfail(strict=True, raises=InfeasibleError, reason=(
         "upsilon's rounding near the top, scaled by beta / (1 - beta), carries the "
         "computed flow to 1.0 where the exact flow lies five ulps below it "
         "(ROADMAP item 7, thresholds as gaps below the top)"))
-    def test_flow_five_ulps_below_top_is_feasible(self, uniform):
+    @pytest.mark.parametrize("target", [1.66e15, 2e15])
+    def test_flow_five_ulps_below_top_is_feasible(self, uniform, target):
         # `uisearch calibrate --duration 1.66e15 --beta 0.9` exits 4 on the same refusal
-        _, exact = exact_flow(uniform, 0.9, 1.66e15)
+        _, exact = exact_flow(uniform, 0.9, target)
         assert float(exact) == 0.9999999999999994
-        assert relative_error(calibrate_z(1.66e15, 0.9, uniform), exact) < 1e-13
+        assert relative_error(calibrate_z(target, 0.9, uniform), exact) < 1e-13
 
     @pytest.mark.parametrize("beta", [1.5, 1.0, 0.0, float("nan")])
     def test_beta_outside_unit_interval(self, uniform, beta):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -210,6 +212,16 @@ class TestCounterStreams:
         policy = build_policy(UNIT, BENCH, BENCH_TRUTH)
         with pytest.raises(ValueError, match=message):
             simulate_block(policy, BENCH_TRUTH, BENCH, UNIT, seed, 0, 4)
+
+    # 2**32 used to replay spell 0's stream, and -1 to yield variates.
+    @pytest.mark.parametrize("index", [-1, 1 << 32])
+    def test_spell_index_beyond_32_bits_rejected_by_stream(self, index):
+        with pytest.raises(ValueError, match="spell indices must fit in 32 bits"):
+            CounterStream(1, index)
+
+    def test_spell_indices_at_the_ends_of_32_bits_are_distinct(self):
+        first = {CounterStream(1, index)._next() for index in (0, 1, (1 << 32) - 1)}
+        assert len(first) == 3
 
     def test_seeds_at_the_ends_of_one_word_are_distinct(self):
         first = {CounterStream(seed, 0)._next() for seed in (0, 1, montecarlo.MAX_SEED)}
@@ -499,18 +511,23 @@ class TestSimulateMany:
         with pytest.raises(ValueError, match="start and count must not be negative"):
             simulate_block(TestWorkerPool.POLICY, BENCH_TRUTH, BENCH, UNIT, 1, start, count)
 
-    def test_block_refuses_a_workspace_smaller_than_itself(self, monkeypatch):
-        workspace = montecarlo._Workspace(300)
+    @pytest.mark.parametrize("start, count", [(300, 300), (0, 301), (1, 300), (0, 0)],
+                             ids=["second_first", "longer", "shifted", "empty"])
+    def test_block_refuses_all_but_its_workspaces_next_block(self, monkeypatch, start,
+                                                             count):
+        # A workspace runs its share's blocks in order, (0, 300) first.
+        workspace = montecarlo._Workspace([(0, 300), (300, 300)])
         forbid_kernel_work(monkeypatch)
-        with pytest.raises(ValueError, match="a block of 301 spells does not fit a "
-                                             "workspace of 300"):
-            simulate_block(TestWorkerPool.POLICY, BENCH_TRUTH, BENCH, UNIT, 1, 0, 301,
+        with pytest.raises(ValueError, match=f"the block of {count} spells from {start} is "
+                                             "not the next block of this workspace's job"):
+            simulate_block(TestWorkerPool.POLICY, BENCH_TRUTH, BENCH, UNIT, 1, start, count,
                            workspace=workspace)
+        assert workspace.blocks == [(0, 300), (300, 300)]
 
     @pytest.mark.parametrize("workspace", [False, True], ids=["fresh", "workspace"])
     def test_empty_block_returns_at_once(self, monkeypatch, workspace):
         # It used to step max_periods empty periods.
-        workspace = montecarlo._Workspace(10) if workspace else None
+        workspace = montecarlo._Workspace([(7, 0)]) if workspace else None
         forbid_kernel_work(monkeypatch)
         block = simulate_block(TestWorkerPool.POLICY, BENCH_TRUTH, BENCH, UNIT, 1, 7, 0,
                                workspace=workspace)
@@ -651,18 +668,6 @@ class TestStreamConsumption:
         assert sum(dist.sizes) == np.count_nonzero(~block["truncated"])
         assert len(searches) == 1
 
-    def test_cutoff_search_runs_once_per_workspace_and_policy(self, monkeypatch):
-        searches = counted_searches(monkeypatch)
-        workspace = montecarlo._Workspace(300)
-        first = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.1, 25))
-        second = _policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.9, 25))
-        for policy, start in ((first, 0), (first, 300), (second, 0), (second, 300)):
-            simulate_block(policy, BENCH_TRUTH, BENCH, UNIT, 3, start, 300,
-                           workspace=workspace)
-        assert len(searches) == 2
-        simulate_block(first, BENCH_TRUTH, BENCH, UNIT, 3, 0, 300)
-        assert len(searches) == 3
-
     def test_simulate_many_searches_cutoffs_once(self, monkeypatch):
         # Three blocks on one worker: a search per block would be three.
         searches = counted_searches(monkeypatch)
@@ -761,15 +766,28 @@ class TestGolden:
                                dist, **kwargs)
         assert self._digests(block) == expected
 
-    def test_one_workspace_serves_blocks_of_any_size(self):
-        # A full block, then shorter ones, then a full one again: nothing
-        # a block leaves in the workspace reaches the next one.
-        workspace = montecarlo._Workspace(3000)
-        for name in ("benchmark", "certain_wide", "truncating", "benchmark"):
-            (params, dist, truth, belief), kwargs, expected = self.BLOCKS[name]
-            block = simulate_block(_policy(dist, params, truth, belief), truth, params,
-                                   dist, workspace=workspace, **kwargs)
-            assert self._digests(block) == expected, name
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_one_workspace_serves_blocks_of_any_size(self, name):
+        # A share of the full block, then shorter ones from the same
+        # spell, then the full one again: nothing a block leaves in the
+        # workspace reaches the next one. A short block's records are
+        # the full block's first ones.
+        (params, dist, truth, belief), kwargs, expected = self.BLOCKS[name]
+        start, count = kwargs["start"], kwargs["count"]
+        blocks = [(start, count), (start, count // 6), (start, count // 2), (start, count)]
+        workspace = montecarlo._Workspace(blocks)
+        policy = _policy(dist, params, truth, belief)
+        full = None
+        for start, count in blocks:
+            block = simulate_block(policy, truth, params, dist, workspace=workspace,
+                                   **{**kwargs, "start": start, "count": count})
+            if count == kwargs["count"]:
+                assert self._digests(block) == expected
+                if full is None:
+                    full = {key: a.copy() for key, a in block.items()}
+            else:
+                for key, a in block.items():
+                    assert a.tobytes() == full[key][:count].tobytes(), (count, key)
 
     def test_policy_rebuilt_from_arrays_keeps_digests(self):
         # A policy built from ndarray copies of the thresholds stores the
@@ -1161,49 +1179,61 @@ class TestOverlappedBlocks:
     def test_edge_cases_reach_their_situations(self, monkeypatch):
         # One worker, so each block after the first joins the tail of the
         # one before it.
-        real = simulate_block
-        seen = []
+        real_block, real_variates = simulate_block, _variates
+        offset = _seed_offset(13)
+        seen, calls = [], []
 
         def block(*args, **kw):
-            out = real(*args, **kw)
-            seen.append((out["extension_period"].copy(), out["truncated"].copy(),
-                         kw["workspace"].flight is not None))
+            out = real_block(*args, **kw)
+            seen.append((out["extension_period"].copy(), out["truncated"].copy()))
             return out
 
+        def variates(add, keys, out=None):
+            # The blocks drawing in this call, and block 0's last draw.
+            spells, draws = _decoded(add, keys, offset)
+            blocks = spells // np.uint64(DEFAULT_CHUNK)
+            calls.append((set(blocks.tolist()), int(draws[blocks == 0].max(initial=0))))
+            return real_variates(add, keys, out=out)
+
         monkeypatch.setattr(montecarlo, "simulate_block", block)
+        monkeypatch.setattr(montecarlo, "_variates", variates)
         runs = {}
         for case in ("delta_zero", "delta_one", "pending_truncating"):
             truth, kwargs = self.CASES[case]
             policy = _policy(UNIT, BENCH, truth, ExtensionSpec(0.1, 25))
             simulate_many(policy, truth, BENCH, UNIT, self.N_SPELLS, 13, **kwargs)
-            runs[case], seen[:] = seen[:], []
-        assert all((period == -1).all() for period, _, _ in runs["delta_zero"])
-        assert all((period == 1).all() for period, _, _ in runs["delta_one"])
-        # Block 0 truncates pending spells with block 1 in flight.
-        period, truncated, in_flight = runs["pending_truncating"][0]
-        assert in_flight and (truncated & (period == -1)).any()
+            runs[case], seen[:], calls[:] = (seen[:], calls[:]), [], []
+        assert all((period == -1).all() for period, _ in runs["delta_zero"][0])
+        assert all((period == 1).all() for period, _ in runs["delta_one"][0])
+        # Block 0 truncates pending spells, whose last offer in period 40
+        # is draw 79, in a call that block 1 draws in too.
+        (period, truncated), _, _ = runs["pending_truncating"][0]
+        assert (truncated & (period == -1)).any()
+        assert ({0, 1}, 79) in runs["pending_truncating"][1]
 
     @pytest.mark.parametrize("foreign", ["seed", "policy"])
-    def test_a_foreign_block_between_two_of_a_share(self, foreign):
+    def test_a_foreign_block_between_two_of_a_share(self, monkeypatch, foreign):
         # The share's second block is in flight when a block of another
-        # job, with the same spells, runs through the workspace; it must
-        # not be picked up, and the share's block must then start afresh.
+        # job, with the same spells, is asked of the workspace: it is
+        # refused before any work, and the share's block then returns
+        # the records it has alone.
         other = (_policy(UNIT, BENCH, BENCH_TRUTH, ExtensionSpec(0.9, 25))
                  if foreign == "policy" else self.POLICY)
         seed = 14 if foreign == "seed" else 13
         first, second = (0, DEFAULT_CHUNK), (DEFAULT_CHUNK, DEFAULT_CHUNK)
-        workspace = montecarlo._Workspace(DEFAULT_CHUNK, slots=2)
-        runs = [(self.POLICY, 13, first, second), (other, seed, second, second),
-                (self.POLICY, 13, second, None)]
-        for i, (policy, master_seed, (start, count), following) in enumerate(runs):
-            workspace.following = following
-            block = simulate_block(policy, BENCH_TRUTH, BENCH, UNIT, master_seed, start,
-                                   count, workspace=workspace)
-            assert (workspace.flight is not None) == (i == 0)
-            lone = simulate_block(policy, BENCH_TRUTH, BENCH, UNIT, master_seed, start,
-                                  count)
+        workspace = montecarlo._Workspace([first, second])
+        for start, count in (first, second):
+            block = simulate_block(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 13, start, count,
+                                   workspace=workspace)
+            lone = simulate_block(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 13, start, count)
             for key, a in block.items():
                 assert a.tobytes() == lone[key].tobytes(), (start, key)
+            if start == 0:
+                with monkeypatch.context() as patched, pytest.raises(
+                        ValueError, match="not the next block of this workspace's job"):
+                    forbid_kernel_work(patched)
+                    simulate_block(other, BENCH_TRUTH, BENCH, UNIT, seed, *second,
+                                   workspace=workspace)
 
     def test_overlap_saves_variates_calls(self, monkeypatch):
         # TestGolden's three-block job on one worker, against its blocks
@@ -1244,8 +1274,27 @@ class TestOverlappedBlocks:
         assert 73 * DEFAULT_CHUNK <= lone < 73 * DEFAULT_CHUNK + 4096
         assert share < 73 * DEFAULT_CHUNK + 3 * 2 ** 20
 
-    @pytest.mark.parametrize("slots", [0, 3])
-    def test_a_workspace_has_one_or_two_record_slots(self, slots):
-        # The segment table has two sides, one a slot.
-        with pytest.raises(ValueError, match="one or two record slots"):
-            montecarlo._Workspace(10, slots=slots)
+    def test_no_workspace_outlives_its_call(self, monkeypatch):
+        # With the cyclic collector off, a workspace and the generator
+        # running its share must not keep each other alive: such a cycle
+        # kept 7.3 MB until a collection, and each call faulted its
+        # workspace in afresh.
+        made = []
+        real = montecarlo._Workspace
+
+        class Recorded(real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(montecarlo, "_Workspace", Recorded)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 140_000, 2024)
+            block = simulate_block(self.POLICY, BENCH_TRUTH, BENCH, UNIT, 2024, 0, 1000)
+            assert len(made) == 2 and block["duration"].size == 1000
+            assert [ref() for ref in made] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
