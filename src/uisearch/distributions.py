@@ -6,10 +6,16 @@ methods ``cdf``, ``sf`` (the survival function ``1 - F``),
 ``partial_expectation`` (``int_a^b w dF(w)``) and ``quantile`` (the
 inverse CDF, for inverse-CDF sampling). The solver and the evaluator
 call ``cdf``, ``sf`` and ``partial_expectation`` on one float at a
-time; the simulator calls ``quantile`` on whole arrays of variates,
-and takes its decisions on the integer words ``k`` of the variates
-``k * 2**-53``, so ``quantile`` must be non-decreasing on that grid
-(``UniformOffers``' ``low + u * W`` is, since rounding is monotone).
+time. ``cdf`` and ``partial_expectation`` serve only the pricing of a
+threshold (``uisearch.schedule._price``), so they check its domain and
+refuse an argument outside the support, NaN included, instead of
+clamping it. ``sf`` still clamps: the evaluator takes the state-0
+acceptance probabilities from it before any price, on thresholds that
+may lie above the support. The simulator calls ``quantile`` on whole
+arrays of variates, and takes its decisions on the integer words ``k``
+of the variates ``k * 2**-53``, so ``quantile`` must be non-decreasing
+on that grid (``UniformOffers``' ``low + u * W`` is, since rounding is
+monotone).
 ``UniformOffers`` is the one distribution shipped, and its methods'
 docstrings state the contract any other must keep. Instances are
 immutable after construction and safe to share across threads. The
@@ -49,9 +55,11 @@ class UniformOffers:
         return 0.5 * (self.low + self.high)
 
     def cdf(self, x):
-        """P(w <= x) for one float x. Clamps to 0 below the support and 1
-        above it."""
-        return min(max((x - self.low) / (self.high - self.low), 0.0), 1.0)
+        """P(w <= x) for one float x in the support. Raises ValueError for
+        an x outside it, NaN included."""
+        if not self.low <= x <= self.high:
+            raise ValueError(f"cdf argument {x} outside support [{self.low}, {self.high}]")
+        return (x - self.low) / (self.high - self.low)
 
     def sf(self, x):
         """P(w > x) for one float x, computed without forming ``1 - cdf(x)``,
@@ -60,17 +68,17 @@ class UniformOffers:
         return min(max((self.high - x) / (self.high - self.low), 0.0), 1.0)
 
     def partial_expectation(self, a, b):
-        """int_a^b w dF(w) for floats a <= b, clamped to the support.
+        """int_a^b w dF(w) for floats ``low <= a <= b <= high``.
 
         Additive over adjacent intervals; over the full support it
-        equals the mean. Raises ValueError when a > b.
+        equals the mean. Raises ValueError for a reversed interval or
+        an end outside the support, NaN included.
         """
-        if a > b:
-            raise ValueError(f"invalid interval: a={a} > b={b}")
-        lo = min(max(a, self.low), self.high)
-        hi = min(max(b, self.low), self.high)
-        # int_lo^hi w/(high-low) dw
-        return (hi * hi - lo * lo) / (2.0 * (self.high - self.low))
+        if not self.low <= a <= b <= self.high:
+            raise ValueError(f"partial_expectation interval [{a}, {b}] is not "
+                             f"an interval of support [{self.low}, {self.high}]")
+        # int_a^b w/(high-low) dw
+        return (b * b - a * a) / (2.0 * (self.high - self.low))
 
     def quantile(self, u):
         """Inverse CDF at u in [0, 1]: a float or a numpy array of them.

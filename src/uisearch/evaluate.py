@@ -120,7 +120,8 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     ``build_policies``, bring their prices under the distribution that
     built them; any others are priced here. Raises ``DivergenceError``
     when a state-0 acceptance probability is zero, or when the expected
-    accepted wage comes out outside the support.
+    accepted wage comes out outside the support, and ``ValueError`` when
+    a threshold it prices lies outside the support, NaN included.
     """
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
@@ -137,8 +138,9 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
         )
 
     # State-0 acceptance comes from the survival function, which keeps its
-    # digits where 1 - cdf(x) cancels. It is checked before any price, so a
-    # threshold above the support diverges instead of failing its price.
+    # digits where 1 - cdf(x) cancels, and clamps where cdf refuses. It is
+    # checked before any price, so a threshold above the support diverges
+    # instead of failing its price in cdf.
     accept0_post = dist.sf(post[0])
     accept0_pre_stuck = delta + (1.0 - delta) * dist.sf(pre[0])
     if delta > 0.0 and accept0_post <= 0.0:

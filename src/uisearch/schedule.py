@@ -39,11 +39,9 @@ _MAX_STEPS = 100
 
 def _price(dist, x):
     """``(F(x), int_x^w_high w dF(w))``, the rejection probability and the
-    acceptance tail of threshold ``x``. ``x`` must lie inside the support."""
-    lo, hi = dist.low, dist.high
-    if x < lo or x > hi:
-        raise ValueError(f"upsilon argument {x} outside support [{lo}, {hi}]")
-    return dist.cdf(x), dist.partial_expectation(x, hi)
+    acceptance tail of threshold ``x``. ``x`` must lie inside the support:
+    ``dist.cdf`` raises ValueError for any other ``x``, NaN included."""
+    return dist.cdf(x), dist.partial_expectation(x, dist.high)
 
 
 def upsilon(dist: UniformOffers, x) -> float:

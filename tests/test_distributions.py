@@ -32,12 +32,8 @@ class TestCdf:
     def test_identity_on_unit_interval(self, uniform):
         assert uniform.cdf(0.42) == pytest.approx(0.42, abs=0)
 
-    def test_clamps_outside_support(self, uniform):
-        assert uniform.cdf(-3.0) == 0.0
-        assert uniform.cdf(7.0) == 1.0
-
     def test_nondecreasing(self, uniform):
-        grid = np.linspace(-0.5, 1.5, 401)
+        grid = np.linspace(0.0, 1.0, 401)
         values = np.array([uniform.cdf(x) for x in grid])
         assert np.all(np.diff(values) >= 0.0)
 
@@ -78,10 +74,6 @@ class TestPartialExpectation:
     def test_empty_interval(self, uniform):
         assert uniform.partial_expectation(0.3, 0.3) == 0.0
 
-    def test_invalid_interval_raises(self, uniform):
-        with pytest.raises(ValueError, match="invalid interval"):
-            uniform.partial_expectation(0.6, 0.2)
-
     @pytest.mark.parametrize("dist", [UniformOffers(), UniformOffers(2.0, 5.0)])
     def test_additive_over_adjacent_intervals(self, dist):
         rng = np.random.default_rng(7)
@@ -93,8 +85,20 @@ class TestPartialExpectation:
             whole = dist.partial_expectation(a, b)
             assert left + right == pytest.approx(whole, abs=1e-12)
 
-    def test_clamps_to_support(self, uniform):
-        assert uniform.partial_expectation(-2.0, 2.0) == pytest.approx(0.5, abs=1e-15)
+
+class TestDomain:
+    # cdf and partial_expectation price thresholds only: they refuse what
+    # no threshold can be instead of clamping it, and sf still clamps.
+    @pytest.mark.parametrize("member, args", [
+        ("cdf", (1.999,)), ("cdf", (5.001,)), ("cdf", (math.nan,)),
+        ("partial_expectation", (1.999, 3.0)), ("partial_expectation", (3.0, 5.001)),
+        ("partial_expectation", (math.nan, 5.0)), ("partial_expectation", (2.0, math.nan)),
+        ("partial_expectation", (4.0, 3.0)),
+    ], ids=["cdf-below", "cdf-above", "cdf-nan", "pe-below", "pe-above", "pe-nan-a",
+            "pe-nan-b", "pe-reversed"])
+    def test_refuses_arguments_outside_the_support(self, member, args):
+        with pytest.raises(ValueError, match=r"support \[2\.0, 5\.0\]"):
+            getattr(UniformOffers(2.0, 5.0), member)(*args)
 
 
 class TestSampling:

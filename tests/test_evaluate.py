@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import math
 import pickle
 
 import numpy as np
@@ -253,14 +254,24 @@ class TestPostChainReuse:
 
     def test_out_of_support_post_threshold_raises(self, setting):
         policy, truth, params, uniform = setting
-        post = policy.post_thresholds.copy()
-        post[5] = 1.2
-        bad = PolicyProfile(pre_thresholds=policy.pre_thresholds, post_thresholds=post)
-        evaluate_policy(*setting)
-        for _ in range(2):
-            with pytest.raises(ValueError,
-                               match=r"upsilon argument 1.2 outside support \[0.0, 1.0\]"):
-                evaluate_policy(bad, truth, params, uniform)
+        for value in (1.2, math.nan):
+            post = policy.post_thresholds.copy()
+            post[5] = value
+            bad = PolicyProfile(pre_thresholds=policy.pre_thresholds, post_thresholds=post)
+            evaluate_policy(*setting)
+            for _ in range(2):
+                with pytest.raises(ValueError,
+                                   match=rf"cdf argument {value} outside support \[0.0, 1.0\]"):
+                    evaluate_policy(bad, truth, params, uniform)
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_nan_pre_threshold_raises(self, setting, index):
+        policy, truth, params, uniform = setting
+        pre = policy.pre_thresholds.copy()
+        pre[index] = math.nan
+        bad = PolicyProfile(pre_thresholds=pre, post_thresholds=policy.post_thresholds)
+        with pytest.raises(ValueError, match=r"cdf argument nan outside support \[0.0, 1.0\]"):
+            evaluate_policy(bad, truth, params, uniform)
 
 
 class TestSharedSchedules:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,9 @@ class TestUpsilon:
         assert np.all(values <= 1.0 + 1e-15)
 
     def test_domain_error(self, uniform):
-        with pytest.raises(ValueError, match="outside support"):
-            upsilon(uniform, 1.5)
+        for x in (1.5, math.nan):
+            with pytest.raises(ValueError, match="outside support"):
+                upsilon(uniform, x)
 
 
 class TestBasicFixedPoint:
@@ -144,6 +147,12 @@ class TestExtensionFixedPoint:
                                 ExtensionSpec(delta=1.0, length=13), basic[13])
         direct = (fig3_params.z * 0.05 + 0.95 * upsilon(uniform, basic[13]))
         assert w0 == pytest.approx(direct, abs=1e-12)
+
+    def test_nan_basic_wage_raises(self, uniform, fig3_params):
+        # NaN fails every comparison, so Newton's first step would not
+        # rise and the solve would return the bottom of the support.
+        with pytest.raises(ValueError, match=r"cdf argument nan outside support \[0.0, 1.0\]"):
+            solve_w0_extension(uniform, fig3_params, ExtensionSpec(0.5, 13), math.nan)
 
 
 class TestExtensionSchedule:

@@ -240,6 +240,28 @@ def test_a_sweep_pass_makes_the_census_divisors(monkeypatch):
     assert len(upsilon) == len(evaluations)
 
 
+def test_a_sweep_pass_calls_the_counted_distribution_members(monkeypatch):
+    # bench/run.py reads a sweep's distributions.cdf and
+    # distributions.partial_expectation counts from a plain dict copied
+    # from its Counter, so a pass must call each member at least once or
+    # the census raises KeyError.
+    from uisearch import UniformOffers
+    calls = []
+
+    def counting(member):
+        original = getattr(UniformOffers, member)
+
+        def wrapper(self, *args):
+            calls.append(member)
+            return original(self, *args)
+        return wrapper
+
+    for member in ("cdf", "partial_expectation"):
+        monkeypatch.setattr(UniformOffers, member, counting(member))
+    uisearch.sweep_beliefs(uisearch.default_calibration(), vary="delta")
+    assert set(calls) == {"cdf", "partial_expectation"}
+
+
 def test_a_traced_simulate_makes_the_census_divisor(monkeypatch, tmp_path, capsys):
     # bench/run.py divides the traced CLI's spell time by its
     # montecarlo.simulate_spell spans.
@@ -403,9 +425,10 @@ def attribute_uses(node, names):
 
 def test_thresholds_are_priced_in_one_place():
     # Every module takes a threshold's rejection probability and tail from
-    # schedule._price, which holds the support check: Newton's steps, the
-    # recursions and the evaluator alike, so that each step prices its
-    # iterate once and a belief comparison prices each threshold once.
+    # schedule._price, whose cdf call refuses a threshold outside the
+    # support: Newton's steps, the recursions and the evaluator alike, so
+    # that each step prices its iterate once and a belief comparison
+    # prices each threshold once.
     found = [(path.stem, *use) for path in sorted(ROOT.glob("src/uisearch/*.py"))
              for use in attribute_uses(ast.parse(path.read_text()),
                                        {"cdf", "partial_expectation"})]
