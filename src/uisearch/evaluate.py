@@ -5,9 +5,10 @@ while the actual extension draw follows the true process. Expected
 discounted welfare, expected offers until acceptance, and the expected
 accepted wage all satisfy linear one-step recursions over the
 entitlement state, so they can be computed exactly instead of by brute
-Monte Carlo. The timing convention matches the simulator: the spell
-starts at a flow node with full entitlement, and the first offer
-arrives the following period.
+Monte Carlo, each in one upward pass over its thresholds that carries
+the running value, duration and wage. The timing convention matches the
+simulator: the spell starts at a flow node with full entitlement, and
+the first offer arrives the following period.
 
 Post-extension behaviour is belief-free, so ``evaluate_beliefs``
 computes ``post_chains`` once and hands them to every evaluation; the
@@ -70,7 +71,8 @@ class PolicyEvaluation:
     ``welfare``, ``duration``, and ``accepted_wage`` are the ex-ante
     expectations at spell start (full entitlement); ``offer_values[n]``
     is the expected value at the pre-extension offer node with
-    entitlement ``n``. The offer values are stored as a tuple of floats,
+    entitlement ``n``, the continuation value of the flow node at
+    ``n + 1``. The offer values are stored as a tuple of floats,
     ``_offer_values``; the attribute is a read-only float64 array built
     from it on first access (see ``FloatArray``).
     """
@@ -86,21 +88,25 @@ def post_chains(post, beta, dist):
     post-extension offer nodes ``0..len(post) - 1``.
 
     They depend on ``post``, ``beta`` and ``dist`` alone, not on the
-    belief, so one set serves every policy that shares ``post``.
+    belief, so one set serves every policy that shares ``post``. The
+    duration and wage chains come from one upward pass that carries the
+    running duration and wage from state 0.
     """
     prices = _price_each(dist, post)
     g_post = [(x * reject + tail) / (1.0 - beta)
               for x, (reject, tail) in zip(post, prices)]
-    d_post, a_post = [0.0] * len(post), [0.0] * len(post)
+    duration = wage = 0.0
     accept0 = dist.sf(post[0])
     # At delta = 0 accept0 may be 0; the zeros then keep delta-weighted terms finite.
     if accept0 > 0.0:
-        d_post[0] = 1.0 / accept0
-        a_post[0] = prices[0][1] / accept0
-    for m in range(1, len(post)):
-        reject, tail = prices[m]
-        d_post[m] = 1.0 + reject * d_post[m - 1]
-        a_post[m] = tail + reject * a_post[m - 1]
+        duration = 1.0 / accept0
+        wage = prices[0][1] / accept0
+    d_post, a_post = [duration], [wage]
+    for reject, tail in prices[1:]:
+        duration = 1.0 + reject * duration
+        wage = tail + reject * wage
+        d_post.append(duration)
+        a_post.append(wage)
     return g_post, d_post, a_post
 
 
@@ -110,9 +116,12 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     """Expected welfare, duration, and accepted wage under the true process.
 
     Takes the post-extension chains (their values are optimal Bellman
-    quantities), then solves the pre-extension recursions upward from
-    entitlement 0, whose equation is self-referencing and is solved in
-    closed form as one linear equation. ``chains``, when given, must be
+    quantities), then solves the pre-extension recursions in one upward
+    pass from entitlement 0, whose equation is self-referencing and is
+    solved in closed form as one linear equation. The pass carries the
+    running value, duration and wage; offer value ``n`` is the
+    continuation value it forms on the step to ``n + 1``, and the last
+    one is formed after the pass. ``chains``, when given, must be
     ``post_chains(policy.post_thresholds, params.beta, dist)``, computed
     once by ``evaluate_beliefs`` for all the beliefs it compares;
     results are bit-identical without it, when the chains are computed
@@ -154,41 +163,36 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     # Pre-extension flow-node recursions. At entitlement 0 the state
     # persists until extension or acceptance, so the equation contains
     # its own unknown and is solved linearly.
-    values, durations, wages = ([0.0] * (n_periods + 1) for _ in range(3))
-
     f0, tail0 = prices[0]
-    values[0] = (z + beta * delta * g_post[length]
-                 + beta * (1.0 - delta) * tail0 / (1.0 - beta)) / (
-                     1.0 - beta * (1.0 - delta) * f0)
-    durations[0] = (delta * d_post[length] + (1.0 - delta)) / accept0_pre_stuck
-    wages[0] = (delta * a_post[length] + (1.0 - delta) * tail0) / accept0_pre_stuck
+    value = (z + beta * delta * g_post[length]
+             + beta * (1.0 - delta) * tail0 / (1.0 - beta)) / (
+                 1.0 - beta * (1.0 - delta) * f0)
+    duration = (delta * d_post[length] + (1.0 - delta)) / accept0_pre_stuck
+    wage = (delta * a_post[length] + (1.0 - delta) * tail0) / accept0_pre_stuck
 
-    for n in range(1, n_periods + 1):
-        k = n - 1
-        m = post_extension_state(n, length)
-        reject, tail = prices[k]
-        g_pre = reject * values[k] + tail / (1.0 - beta)
-        values[n] = z + c + beta * (delta * g_post[m] + (1.0 - delta) * g_pre)
-        durations[n] = delta * d_post[m] + (1.0 - delta) * (1.0 + reject * durations[k])
-        wages[n] = delta * a_post[m] + (1.0 - delta) * (tail + reject * wages[k])
+    # The step to entitlement n + 1 prices threshold n, draws an extension
+    # into post state n + length, and forms offer value n on the way.
+    offer_values = []
+    for (reject, tail), m in zip(prices, range(length, n_periods + length)):
+        g_pre = reject * value + tail / (1.0 - beta)
+        offer_values.append(g_pre)
+        value = z + c + beta * (delta * g_post[m] + (1.0 - delta) * g_pre)
+        duration = delta * d_post[m] + (1.0 - delta) * (1.0 + reject * duration)
+        wage = delta * a_post[m] + (1.0 - delta) * (tail + reject * wage)
+    reject, tail = prices[n_periods]
+    offer_values.append(reject * value + tail / (1.0 - beta))
 
     # The expected accepted wage averages offers inside the support. With
     # thresholds a few ulps below its top, the tails hi**2 - x**2 cancel,
     # and their rounding carries the quotients out.
-    accepted_wage = wages[n_periods]
-    if not dist.low <= accepted_wage <= dist.high:
+    if not dist.low <= wage <= dist.high:
         raise DivergenceError(
-            f"expected accepted wage {float(accepted_wage)!r} lies outside the offer "
+            f"expected accepted wage {float(wage)!r} lies outside the offer "
             f"support [{dist.low!r}, {dist.high!r}]: acceptance "
             "probabilities too small to resolve in floating point")
 
-    return PolicyEvaluation(
-        welfare=values[n_periods],
-        duration=durations[n_periods],
-        accepted_wage=accepted_wage,
-        offer_values=[reject * value + tail / (1.0 - beta)
-                      for (reject, tail), value in zip(prices, values)],
-    )
+    return PolicyEvaluation(welfare=value, duration=duration, accepted_wage=wage,
+                            offer_values=offer_values)
 
 
 def evaluate_beliefs(beliefs, truth: ExtensionSpec, params: MarketParams,

@@ -63,12 +63,15 @@ class _Priced(tuple):
 
 def _climb(dist, w0, slope, terms):
     """Wages up from ``w0`` by ``w[n] = min(terms[n - 1] + slope * upsilon(w[n - 1]),
-    top)``, each priced once."""
-    wages, prices = [w0], [_price(dist, w0)]
+    top)`` with ``top = dist.high``, in one upward pass that prices each
+    wage once, as it forms it."""
+    wage, top = w0, dist.high
+    wages, prices = [wage], [_price(dist, wage)]
     for term in terms:
         reject, tail = prices[-1]
-        wages.append(min(term + slope * (wages[-1] * reject + tail), dist.high))
-        prices.append(_price(dist, wages[-1]))
+        wage = min(term + slope * (wage * reject + tail), top)
+        wages.append(wage)
+        prices.append(_price(dist, wage))
     climbed = _Priced(map(float, wages))
     climbed.dist, climbed.prices = dist, prices
     return climbed

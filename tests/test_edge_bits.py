@@ -5,18 +5,23 @@ to 12 digits. These pins hold the full bits where the support's range
 check and the cap at its top matter: thresholds a few ulps below the
 top, a support with a negative bottom, and beliefs with delta 0 and 1.
 Each was recorded before the solver and the evaluator began sharing the
-prices of their thresholds, which must move no bit.
+prices of their thresholds, which must move no bit. The evaluator pins,
+on a long schedule, a one-period one and a post-extension state 0 that
+never accepts, were recorded before the exact recursions became one
+pass each.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from uisearch import DivergenceError, solve_schedules
 from uisearch.cli import main
 from uisearch.config import parse_config
-from uisearch.evaluate import evaluate_beliefs
+from uisearch.evaluate import (PolicyProfile, build_policy, evaluate_beliefs,
+                               evaluate_policy, post_chains)
 
 from conftest import (ACCEPTED_WAGE_LEAVES_SUPPORT, FLOW_AN_ULP_BELOW_TOP,
                       ROUNDED_TO_CERTAIN_REJECTION)
@@ -103,6 +108,47 @@ class TestLibraryBits:
         except DivergenceError as exc:
             found = str(exc)
         assert found == self.EVALUATIONS[name]
+
+
+class TestEvaluatorBits:
+    # evaluate_beliefs([belief, truth], truth): the bits of each evaluation.
+    EVALUATIONS = {
+        "long_schedule": (
+            {**BENCHMARK, "N": 300, "len_true": 300, "len_belief": 300}, [
+                ("0x1.1fffffffffff7p+4", "0x1.3ffffffffffcbp+3", "0x1.e66666666665cp-1",
+                 "48f1003e6dc9328b"),
+                ("0x1.1fffffffffff7p+4", "0x1.3ffffffffffcbp+3", "0x1.e66666666665cp-1",
+                 "fe49397062339ff3")]),
+        "one_period": (
+            {**BENCHMARK, "N": 1}, [
+                ("0x1.1acc199e9d4cep+4", "0x1.12ce623ebc474p+3", "0x1.e0a4ad1f78e7cp-1",
+                 "bfd9f7c133ff0435"),
+                ("0x1.1b023e654dc0dp+4", "0x1.1cc47d3ddda31p+3", "0x1.e26856b4ea48cp-1",
+                 "da81f750d0f2c28d")]),
+    }
+
+    @pytest.mark.parametrize("name", EVALUATIONS)
+    def test_evaluations(self, name):
+        overrides, expected = self.EVALUATIONS[name]
+        cfg = parse_config(overrides=overrides)
+        assert [bits(ev) for ev in evaluate_beliefs(
+            [cfg.belief, cfg.truth], cfg.truth, cfg.params, cfg.distribution)] == expected
+
+    def test_post_state_zero_that_never_accepts(self):
+        # A post-extension state 0 at the top of the support accepts with
+        # probability 0, which only a truth with delta 0 evaluates:
+        # post_chains then leaves its state-0 duration and wage at 0.
+        cfg = parse_config(overrides={**BENCHMARK, "delta_true": 0.0})
+        dist = cfg.distribution
+        policy = build_policy(dist, cfg.params, cfg.belief, cfg.truth.length)
+        hand = PolicyProfile(list(policy._pre_thresholds),
+                             [dist.high, *policy._post_thresholds[1:]])
+        chains = post_chains(hand._post_thresholds, cfg.params.beta, dist)
+        assert [digest(np.array(chain)) for chain in chains] == [
+            "6fbe8dfba51672a5", "25298d72f7738de6", "eaf0603b3808c4bf"]
+        assert bits(evaluate_policy(hand, cfg.truth, cfg.params, dist)) == (
+            "0x1.1a6b36303e029p+4", "0x1.e42a7cbfa70bfp+2", "0x1.dcb8c9cd8d44dp-1",
+            "4d34e1f3dd786ff9")
 
 
 class TestCommandOutput:

@@ -436,6 +436,42 @@ def test_thresholds_are_priced_in_one_place():
                              ("schedule", "_price", "partial_expectation")]
 
 
+LOOPS = (ast.For, ast.AsyncFor, ast.While)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def passes(function):
+    """The kinds of the loops and comprehensions under ``function``,
+    sorted, and the callees of the calls inside its loops, their headers
+    included."""
+    kinds = sorted(type(node).__name__ for node in ast.walk(function)
+                   if isinstance(node, LOOPS + COMPREHENSIONS))
+    callees = {getattr(node.func, "attr", getattr(node.func, "id", None))
+               for loop in ast.walk(function) if isinstance(loop, LOOPS)
+               for node in ast.walk(loop) if isinstance(node, ast.Call)}
+    return kinds, callees
+
+
+def test_exact_evaluation_is_one_pass():
+    # evaluate_policy forms offer value n on the step to n + 1 and steps
+    # the post-extension state beside the prices; a second pass over the
+    # prices, or a state computed on every step, redoes the loop's work.
+    tree = ast.parse((ROOT / "src" / "uisearch" / "evaluate.py").read_text())
+    function = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "evaluate_policy")
+    kinds, callees = passes(function)
+    assert kinds == ["For"]
+    assert "post_extension_state" not in callees
+
+
+def test_pass_guard_finds_loops_comprehensions_and_their_calls():
+    tree = ast.parse("def f(xs):\n    for x in g(xs):\n        m.h(x)\n"
+                     "    while k():\n        pass\n"
+                     "    return [y for y in xs], {y: 1 for y in xs}, sum(y for y in xs)\n")
+    assert passes(tree.body[0]) == (
+        ["DictComp", "For", "GeneratorExp", "ListComp", "While"], {"g", "h", "k"})
+
+
 def test_only_the_parameter_checks_write_to_frozen_objects():
     # A result that gains a hidden attribute after it is built is a second
     # channel beside its fields. The one use is MarketParams and
