@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import zip_longest
 
 from .config import (parse_config, require_int, require_length, require_number,
                      require_probability, shown)
@@ -71,10 +72,9 @@ def _cmd_solve(args):
     _check_out(args.out)
     schedule = solve_schedules(cfg.distribution, cfg.params, cfg.belief)
     lines = ["n,w_basic,w_ext\n"]
-    ext_wages = schedule._with_extension
-    for n, w in enumerate(schedule._basic):
-        ext = _fmt(ext_wages[n]) if n < len(ext_wages) else ""
-        lines.append(f"{n},{_fmt(w)},{ext}\n")
+    # The basic schedule is the longer one; w_ext is blank past n_periods.
+    for n, (w, ext) in enumerate(zip_longest(schedule._basic, schedule._with_extension)):
+        lines.append(f"{n},{_fmt(w)},{'' if ext is None else _fmt(ext)}\n")
     return lines
 
 

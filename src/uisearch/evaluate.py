@@ -22,7 +22,7 @@ from .distributions import UniformOffers
 from .errors import DivergenceError
 from .params import ExtensionSpec, MarketParams
 from .schedule import (FloatArray, _price_each, build_basic_schedule,
-                       build_extension_schedule, post_extension_state)
+                       build_extension_schedule, check_cover, post_extension_state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,6 +40,18 @@ class PolicyProfile:
 
     pre_thresholds: FloatArray = FloatArray()
     post_thresholds: FloatArray = FloatArray()
+
+
+def check_policy(policy: PolicyProfile, params: MarketParams, truth: ExtensionSpec):
+    """Raise ValueError unless ``policy`` has a threshold for exactly the
+    pre-extension states ``0..params.n_periods`` and post-extension ones
+    up to every state an extension of ``truth.length`` leads to
+    (``check_cover``). Every reader of a policy checks it here, the
+    evaluator and the three simulators alike, before any work."""
+    if len(policy._pre_thresholds) != params.n_periods + 1:
+        raise ValueError(f"pre_thresholds must cover entitlements 0..{params.n_periods}, "
+                         f"not 0..{len(policy._pre_thresholds) - 1}")
+    check_cover("post_thresholds", policy._post_thresholds, params.n_periods, truth.length)
 
 
 def build_policies(dist: UniformOffers, params: MarketParams, beliefs,
@@ -129,22 +141,15 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     ``build_policies``, bring their prices under the distribution that
     built them; any others are priced here. Raises ``DivergenceError``
     when a state-0 acceptance probability is zero, or when the expected
-    accepted wage comes out outside the support, and ``ValueError`` when
-    a threshold it prices lies outside the support, NaN included.
+    accepted wage comes out outside the support, and ``ValueError``,
+    before any work, when ``check_policy`` refuses the policy's lengths,
+    or when a threshold it prices lies outside the support, NaN included.
     """
+    check_policy(policy, params, truth)
     beta, z, c = params.beta, params.z, params.c
     n_periods = params.n_periods
     delta, length = truth.delta, truth.length
-    pre = policy._pre_thresholds
-    post = policy._post_thresholds
-
-    if len(pre) != n_periods + 1:
-        raise ValueError("pre_thresholds must cover entitlements 0..n_periods")
-    top_post = post_extension_state(n_periods, length)
-    if len(post) <= top_post:
-        raise ValueError(
-            f"post_thresholds cover 0..{len(post) - 1} but index {top_post} is needed"
-        )
+    pre, post = policy._pre_thresholds, policy._post_thresholds
 
     # State-0 acceptance comes from the survival function, which keeps its
     # digits where 1 - cdf(x) cancels, and clamps where cdf refuses. It is

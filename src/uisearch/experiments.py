@@ -110,6 +110,9 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
     comparisons. Rows come back in grid order. Grid points run one
     after another; ``n_workers`` sets the worker processes of each
     ``simulate_many`` call in mc mode and does nothing in exact mode.
+    Each grid point goes to ``ExtensionSpec`` as given, so a point it
+    refuses, such as a length of 25.9, raises ``ValueError`` before any
+    work.
     """
     if vary not in ("delta", "len"):
         raise ValueError("vary must be 'delta' or 'len'")
@@ -122,7 +125,7 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
     if vary == "delta":
         beliefs = [ExtensionSpec(delta=float(v), length=truth.length) for v in grid]
     else:
-        beliefs = [ExtensionSpec(delta=truth.delta, length=int(v)) for v in grid]
+        beliefs = [ExtensionSpec(delta=truth.delta, length=v) for v in grid]
     if mode == "exact":
         stats = [(ev.welfare, ev.duration, ev.accepted_wage, 0)
                  for ev in evaluate_beliefs([truth, *beliefs], truth, params, dist)]

@@ -54,6 +54,7 @@ import numpy as np
 
 from ._forks import fork_map
 from .distributions import UniformOffers
+from .evaluate import check_policy
 from .params import (DEFAULT_MAX_PERIODS, MAX_PERIODS, MAX_SEED, MAX_SPELLS,
                      ExtensionSpec, MarketParams)
 
@@ -87,12 +88,24 @@ def _seed_offset(master_seed: int) -> int:
     return _mix64(master_seed)
 
 
-def _check_max_periods(max_periods: int):
-    """A spell sees at least one offer, and its draws, at most two a
-    period, must fit the 32-bit draw counter."""
+def _check_job(policy, truth, params, max_periods: int):
+    """Refuse, with ValueError, a job no simulator can run as asked.
+
+    A spell sees at least one offer, and its draws, at most two a
+    period, must fit the 32-bit draw counter. The policy must pass
+    ``check_policy``: exactly ``N + 1`` pre-extension thresholds, and
+    post-extension ones up to every state an extension leads to. The
+    kernel needs the ``N + 1`` because one cutoff table holds both
+    schedules, so a short first schedule would lend entries from the
+    second. Neither simulator reads ``pre_thresholds[N]`` when
+    ``N >= 1``, as the first offer is compared one state down, at
+    ``N - 1``; only the evaluator's ``offer_values[N]`` does. The rule
+    stays ``N + 1``, which is what the builders produce.
+    """
     if not 1 <= max_periods <= MAX_PERIODS:
         raise ValueError("max_periods must lie in [1, 2**30], "
                          "the periods the draw counter allows")
+    check_policy(policy, params, truth)
 
 
 def _variate(seed_offset: int, spell: int, draw: int) -> float:
@@ -204,9 +217,11 @@ def simulate_spell(policy, truth: ExtensionSpec, params: MarketParams,
     jumps to ``max(n - 1, 0) + length`` on success, so an extension at
     zero entitlement restores the full extension length), then draw an
     offer and compare it against the threshold at the new state. The
-    spell truncates after ``max_periods`` offers.
+    spell truncates after ``max_periods`` offers. A bad ``max_periods``
+    or a policy that ``check_policy`` refuses raises ValueError before
+    the first draw.
     """
-    _check_max_periods(max_periods)
+    _check_job(policy, truth, params, max_periods)
     z, c, beta = params.z, params.c, params.beta
     n = params.n_periods
     extended = False
@@ -526,13 +541,15 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams, dist: Uni
     and equal truth, parameters, seed and ``max_periods``); any other
     raises ``ValueError`` before any work. The arrays are then views of
     the workspace, valid until its next block, which may already have
-    joined this one's tail.
+    joined this one's tail. A bad ``max_periods``, or a policy that
+    ``check_policy`` refuses, raises ``ValueError`` before any work too,
+    for an empty block as well.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must not be negative")
     if start + count > MAX_SPELLS:
         raise ValueError("spell indices must fit in 32 bits")
-    _check_max_periods(max_periods)
+    _check_job(policy, truth, params, max_periods)
     offset = _seed_offset(master_seed)
     # The policy and distribution by identity: the share holds them, so
     # their ids stay theirs.
@@ -545,10 +562,6 @@ def simulate_block(policy, truth: ExtensionSpec, params: MarketParams, dist: Uni
         if ws is not None:
             del ws.blocks[0]
         return _outputs(*(np.empty(0, dtype) for dtype in (np.int64, float, float, np.int64)))
-    if len(policy.pre_thresholds) <= params.n_periods:
-        # The cutoffs of both schedules are one table, so a short first
-        # one would lend the second's.
-        raise IndexError("pre_thresholds must cover entitlements 0 .. n_periods")
     if ws is None:
         ws = _Workspace([(start, count)])
     if ws.share is None:
@@ -663,14 +676,17 @@ def simulate_many(policy, truth: ExtensionSpec, params: MarketParams,
     sums come back, pickled. Each process runs its share in one
     ``_Workspace`` made for its blocks, ``min(DEFAULT_CHUNK, n_spells)``
     spells, with a second record slot when it has several, so that each
-    block's successor joins its tail.
+    block's successor joins its tail. A bad spell count, seed,
+    ``max_periods`` or worker count, or a policy that ``check_policy``
+    refuses, raises ``ValueError`` before any block runs or any child
+    is forked.
     """
     if n_spells < 1:
         raise ValueError("n_spells must be at least 1")
     if n_spells > MAX_SPELLS:
         raise ValueError("spell indices must fit in 32 bits")
     _seed_offset(master_seed)  # rejects a bad seed before any worker starts
-    _check_max_periods(max_periods)
+    _check_job(policy, truth, params, max_periods)
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
     scale = _square_scale(params, dist)

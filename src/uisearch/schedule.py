@@ -104,6 +104,17 @@ def post_extension_state(n, length):
     return max(n - 1, 0) + length
 
 
+def check_cover(name, wages, n_periods, length):
+    """Raise ValueError unless the schedule ``wages``, called ``name`` in
+    the message, reaches ``post_extension_state(n_periods, length)``, the
+    highest state an extension of ``length`` drawn within ``n_periods``
+    leads to: the one rule for how far a post-extension schedule reaches."""
+    needed = post_extension_state(n_periods, length)
+    if len(wages) <= needed:
+        raise ValueError(f"{name} must cover entitlements 0..{needed}, "
+                         f"not 0..{len(wages) - 1}")
+
+
 def _fixed_point(dist, base, slope, label):
     """Root of ``g(x) = base + slope * upsilon(x) - x`` by Newton's method
     from the bottom of the support.
@@ -193,14 +204,11 @@ def build_extension_schedule(dist: UniformOffers, params: MarketParams,
     ``w[n] = (z + c) * (1 - beta)
     + beta * delta * upsilon(basic[n - 1 + length])
     + beta * (1 - delta) * upsilon(w[n - 1])``,
-    so ``basic`` must cover index ``n_periods - 1 + length``.
+    so ``basic`` must reach ``post_extension_state(n_periods, length)``,
+    as ``check_cover`` requires.
     """
     n_periods, length = params.n_periods, belief.length
-    needed = post_extension_state(n_periods, length)
-    if len(basic) <= needed:
-        raise ValueError(
-            f"basic schedule covers 0..{len(basic) - 1} but index {needed} is needed"
-        )
+    check_cover("basic schedule", basic, n_periods, length)
     w0 = solve_w0_extension(dist, params, belief, basic[length])
     beta, delta = params.beta, belief.delta
     base = (params.z + params.c) * (1.0 - beta)
@@ -296,12 +304,14 @@ def reservation_identity_residual(dist: UniformOffers,
     independence check on the fixed-point algebra. The identity scales
     each wage's rounding by ``beta / (1 - beta)``, so the tests' 1e-13
     bound on [0, 1] holds because ``conftest.random_valid_params`` keeps
-    ``beta <= 0.99``.
+    ``beta <= 0.99``. Raises ValueError, through ``check_cover``, when
+    the basic schedule stops short of a state an extension leads to.
     """
     params = schedule.params
     per_period = params.beta / (1.0 - params.beta)
     delta, length = schedule.belief.delta, schedule.belief.length
     wages, post = schedule._with_extension, schedule._basic
+    check_cover("basic schedule", post, params.n_periods, length)
 
     worst = 0.0
     for n in range(len(wages)):

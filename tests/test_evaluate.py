@@ -136,20 +136,6 @@ class TestValidation:
         with pytest.raises(DivergenceError):
             evaluate_policy(policy, ExtensionSpec(delta=0.0, length=1), p, uniform)
 
-    def test_short_post_thresholds_rejected(self, uniform, benchmark_params,
-                                            benchmark_truth):
-        policy = build_policy(uniform, benchmark_params,
-                              ExtensionSpec(delta=0.5, length=5))
-        with pytest.raises(ValueError, match="post_thresholds"):
-            evaluate_policy(policy, benchmark_truth, benchmark_params, uniform)
-
-    def test_wrong_pre_length_rejected(self, uniform, benchmark_params,
-                                       benchmark_truth):
-        policy = PolicyProfile(pre_thresholds=np.linspace(0.5, 0.6, 3),
-                               post_thresholds=np.linspace(0.5, 0.7, 40))
-        with pytest.raises(ValueError, match="pre_thresholds"):
-            evaluate_policy(policy, benchmark_truth, benchmark_params, uniform)
-
 
 class TestMonteCarloAgreement:
     def test_exact_within_mc_error_bars(self, uniform, benchmark_params,

@@ -249,6 +249,21 @@ class TestSweep:
         # belief equals truth: the row's run is the baseline run, counted twice
         assert rows[1].truncated_count == 2 * baseline
 
+    def test_lengths_go_to_extension_spec_as_given(self, cal, monkeypatch):
+        # ExtensionSpec checks each length: an integral float runs as its
+        # integer, and 25.9 is refused rather than run at 25.
+        assert (sweep_beliefs(cal, vary="len", grid=[20.0, 25.0])
+                == sweep_beliefs(cal, vary="len", grid=[20, 25]))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before the grid was checked")
+
+        for name in ("evaluate_beliefs", "build_policies"):
+            monkeypatch.setattr(f"uisearch.experiments.{name}", no_work)
+        for mode in ("exact", "mc"):
+            with pytest.raises(ValueError, match="length must be a positive integer"):
+                sweep_beliefs(cal, vary="len", grid=[20, 25.9], mode=mode)
+
     def test_invalid_arguments(self, cal):
         with pytest.raises(ValueError, match="vary"):
             sweep_beliefs(cal, vary="beta")

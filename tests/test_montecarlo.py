@@ -19,13 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uisearch import (CounterStream, ExtensionSpec, MarketParams,
-                      UniformOffers, build_policy, simulate_many,
-                      simulate_spell, solve_w0_basic)
+from uisearch import (CounterStream, ExtensionSpec, MarketParams, ReservationSchedule,
+                      UniformOffers, build_policy, evaluate_policy,
+                      reservation_identity_residual, simulate_many, simulate_spell,
+                      solve_schedules, solve_w0_basic)
 from uisearch import montecarlo
 from uisearch.evaluate import PolicyProfile
 from uisearch.montecarlo import (DEFAULT_CHUNK, _seed_offset, _variate,
                                  _variates, simulate_block)
+from uisearch.schedule import build_extension_schedule
 
 from conftest import summary_bits
 
@@ -907,6 +909,79 @@ def fail_in_children(monkeypatch, failure):
     monkeypatch.setattr(montecarlo, "simulate_block", block)
 
 
+class Untouched:
+    """A distribution or a stream whose every member raises, so a reader
+    that prices, draws or samples has started work."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read .{name} before refusing its input")
+
+
+class TestCoverage:
+    """Every reader of a policy refuses one without exactly ``N + 1``
+    pre-extension thresholds or with post-extension ones that stop short
+    of a state an extension leads to, and every reader of a basic
+    schedule refuses one that stops short: ``ValueError`` naming the
+    field, before any price, draw, workspace or cutoff search, and with
+    no child forked."""
+
+    POLICY = build_policy(UNIT, BENCH, BENCH_TRUTH)  # 11 and 35 thresholds
+    SCHEDULE = solve_schedules(UNIT, BENCH, BENCH_TRUTH)  # basic: 35 wages
+
+    FAULTS = {
+        "pre_short": lambda pre, post: PolicyProfile(pre[:-1], post),
+        "pre_long": lambda pre, post: PolicyProfile((*pre, pre[-1]), post),
+        "post_short": lambda pre, post: PolicyProfile(pre, post[:-1]),
+    }
+    READERS = {
+        "evaluate_policy": lambda policy, dist: evaluate_policy(
+            policy, BENCH_TRUTH, BENCH, dist),
+        "simulate_spell": lambda policy, dist: simulate_spell(
+            policy, BENCH_TRUTH, BENCH, dist, Untouched()),
+        "simulate_block": lambda policy, dist: simulate_block(
+            policy, BENCH_TRUTH, BENCH, dist, 1, 0, 4),
+        "simulate_many_1": lambda policy, dist: simulate_many(
+            policy, BENCH_TRUTH, BENCH, dist, DEFAULT_CHUNK + 1, 1, n_workers=1),
+        "simulate_many_2": lambda policy, dist: simulate_many(
+            policy, BENCH_TRUTH, BENCH, dist, DEFAULT_CHUNK + 1, 1, n_workers=2),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_policy_readers_refuse_a_missed_state(self, monkeypatch, two_cpus, forks,
+                                                  reader, fault):
+        policy = self.FAULTS[fault](self.POLICY._pre_thresholds,
+                                    self.POLICY._post_thresholds)
+        forbid_kernel_work(monkeypatch)
+        with pytest.raises(ValueError, match=fault.split("_")[0] + "_thresholds must cover"):
+            self.READERS[reader](policy, Untouched())
+        assert forks == []
+
+    def test_the_faults_are_one_threshold_off(self):
+        lengths = {name: (len(policy._pre_thresholds), len(policy._post_thresholds))
+                   for name, fault in self.FAULTS.items()
+                   for policy in [fault(self.POLICY._pre_thresholds,
+                                        self.POLICY._post_thresholds)]}
+        assert lengths == {"pre_short": (10, 35), "pre_long": (12, 35),
+                           "post_short": (11, 34)}
+        # The policy as built passes every reader.
+        for reader in ("evaluate_policy", "simulate_block"):
+            self.READERS[reader](self.POLICY, UNIT)
+
+    @pytest.mark.parametrize("reader", ["build_extension_schedule",
+                                        "reservation_identity_residual"])
+    def test_schedule_readers_refuse_a_short_basic_schedule(self, reader):
+        short = self.SCHEDULE._basic[:-1]
+        with pytest.raises(ValueError, match="basic schedule must cover entitlements "
+                                             "0..34, not 0..33"):
+            if reader == "build_extension_schedule":
+                build_extension_schedule(Untouched(), BENCH, BENCH_TRUTH, short)
+            else:
+                reservation_identity_residual(Untouched(), ReservationSchedule(
+                    basic=short, with_extension=self.SCHEDULE._with_extension,
+                    params=BENCH, belief=BENCH_TRUTH))
+
+
 class LockedError(Exception):
     """An exception holding a lock, so it cannot be pickled."""
 
@@ -947,13 +1022,17 @@ class TestWorkerPool:
         assert summary_bits(summary) == TestGolden.SUMMARY
 
     @needs_fork
-    def test_worker_error_keeps_its_type(self, two_cpus, forks, deadline):
-        short = PolicyProfile(pre_thresholds=self.POLICY.pre_thresholds,
-                              post_thresholds=self.POLICY.post_thresholds[:3])
+    def test_worker_error_keeps_its_type(self, monkeypatch, two_cpus, forks, deadline):
+        # Every share fails once it has started, in the calling process
+        # and in the child forked for the second share alike.
+        def fail(*args, **kwargs):
+            raise IndexError(f"block {args[5]}")
+
+        monkeypatch.setattr(montecarlo, "simulate_block", fail)
         raised = []
         for n_workers in (1, 2):
             with pytest.raises(Exception) as info:
-                simulate_many(short, BENCH_TRUTH, BENCH, UNIT, DEFAULT_CHUNK + 1, 6,
+                simulate_many(self.POLICY, BENCH_TRUTH, BENCH, UNIT, DEFAULT_CHUNK + 1, 6,
                               n_workers=n_workers)
             raised.append(type(info.value))
         assert len(forks) == 1

@@ -436,6 +436,48 @@ def test_thresholds_are_priced_in_one_place():
                              ("schedule", "_price", "partial_expectation")]
 
 
+SCHEDULE_NAMES = re.compile(r"threshold|wage|schedule|basic|with_extension|^pre$|^post$")
+
+
+def length_checks(node):
+    """(function, argument) of each comparison under ``node`` that takes
+    ``len`` of a schedule or of a policy's thresholds: an argument with a
+    name or attribute such as ``basic``, ``wages`` or ``pre_thresholds``."""
+    found = []
+    for scope, child in scoped_nodes(node):
+        if not isinstance(child, ast.Compare):
+            continue
+        for operand in [child.left, *child.comparators]:
+            for call in ast.walk(operand):
+                if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "len"
+                        and any(SCHEDULE_NAMES.search(name)
+                                for arg in call.args for sub in ast.walk(arg)
+                                for name in [getattr(sub, "id", getattr(sub, "attr", ""))])):
+                    found.append((scope, ast.unparse(call.args[0])))
+    return found
+
+
+def test_coverage_is_checked_in_one_place():
+    # How many thresholds a policy holds, and how far a post-extension
+    # schedule reaches, is one rule, checked by evaluate.check_policy and
+    # schedule.check_cover for the evaluator, the simulators, the
+    # extension builder and the identity residual alike.
+    found = [(path.stem, *check) for path in sorted(ROOT.glob("src/uisearch/*.py"))
+             for check in length_checks(ast.parse(path.read_text()))]
+    assert sorted(found) == [("evaluate", "check_policy", "policy._pre_thresholds"),
+                             ("schedule", "check_cover", "wages")]
+
+
+def test_length_guard_finds_schedule_lengths_in_any_comparison():
+    tree = ast.parse("def f(policy, basic, sizes, n):\n"
+                     "    if len(policy.pre_thresholds) != n + 1:\n        pass\n"
+                     "    ok = n < len(basic) and len(sizes) > 2\n"
+                     "    return [x for x in range(len(basic))], 0 < len(ext_wages) + 1\n"
+                     "def g(pre, prefix):\n    return len(pre) == len(prefix)\n")
+    assert length_checks(tree) == [("f", "policy.pre_thresholds"), ("f", "basic"),
+                                   ("f", "ext_wages"), ("g", "pre")]
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While)
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
