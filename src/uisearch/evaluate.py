@@ -100,13 +100,14 @@ def post_chains(post, beta, dist):
     post-extension offer nodes ``0..len(post) - 1``.
 
     They depend on ``post``, ``beta`` and ``dist`` alone, not on the
-    belief, so one set serves every policy that shares ``post``. The
-    duration and wage chains come from one upward pass that carries the
-    running duration and wage from state 0.
+    belief, so one set serves every policy that shares ``post``. Each
+    option value is ``upsilon`` of its threshold, read from the price and
+    scaled by ``1 / (1 - beta)``. The duration and wage chains come from
+    one upward pass that carries the running duration and wage from
+    state 0.
     """
     prices = _price_each(dist, post)
-    g_post = [(x * reject + tail) / (1.0 - beta)
-              for x, (reject, tail) in zip(post, prices)]
+    g_post = [option / (1.0 - beta) for _, _, option in prices]
     duration = wage = 0.0
     accept0 = dist.sf(post[0])
     # At delta = 0 accept0 may be 0; the zeros then keep delta-weighted terms finite.
@@ -114,7 +115,7 @@ def post_chains(post, beta, dist):
         duration = 1.0 / accept0
         wage = prices[0][1] / accept0
     d_post, a_post = [duration], [wage]
-    for reject, tail in prices[1:]:
+    for reject, tail, _ in prices[1:]:
         duration = 1.0 + reject * duration
         wage = tail + reject * wage
         d_post.append(duration)
@@ -168,7 +169,7 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     # Pre-extension flow-node recursions. At entitlement 0 the state
     # persists until extension or acceptance, so the equation contains
     # its own unknown and is solved linearly.
-    f0, tail0 = prices[0]
+    f0, tail0, _ = prices[0]
     value = (z + beta * delta * g_post[length]
              + beta * (1.0 - delta) * tail0 / (1.0 - beta)) / (
                  1.0 - beta * (1.0 - delta) * f0)
@@ -178,13 +179,13 @@ def evaluate_policy(policy: PolicyProfile, truth: ExtensionSpec,
     # The step to entitlement n + 1 prices threshold n, draws an extension
     # into post state n + length, and forms offer value n on the way.
     offer_values = []
-    for (reject, tail), m in zip(prices, range(length, n_periods + length)):
+    for (reject, tail, _), m in zip(prices, range(length, n_periods + length)):
         g_pre = reject * value + tail / (1.0 - beta)
         offer_values.append(g_pre)
         value = z + c + beta * (delta * g_post[m] + (1.0 - delta) * g_pre)
         duration = delta * d_post[m] + (1.0 - delta) * (1.0 + reject * duration)
         wage = delta * a_post[m] + (1.0 - delta) * (tail + reject * wage)
-    reject, tail = prices[n_periods]
+    reject, tail, _ = prices[n_periods]
     offer_values.append(reject * value + tail / (1.0 - beta))
 
     # The expected accepted wage averages offers inside the support. With

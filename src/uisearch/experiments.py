@@ -111,8 +111,8 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
     after another; ``n_workers`` sets the worker processes of each
     ``simulate_many`` call in mc mode and does nothing in exact mode.
     Each grid point goes to ``ExtensionSpec`` as given, so a point it
-    refuses, such as a length of 25.9, raises ``ValueError`` before any
-    work.
+    refuses raises before any work: ``ValueError`` for a length of 25.9,
+    ``TypeError`` for a delta given as a string such as ``"0.5"``.
     """
     if vary not in ("delta", "len"):
         raise ValueError("vary must be 'delta' or 'len'")
@@ -123,7 +123,7 @@ def sweep_beliefs(cal: Calibration, vary="delta", grid=None, mode="exact",
 
     params, dist, truth = cal.params, cal.dist, cal.truth
     if vary == "delta":
-        beliefs = [ExtensionSpec(delta=float(v), length=truth.length) for v in grid]
+        beliefs = [ExtensionSpec(delta=v, length=truth.length) for v in grid]
     else:
         beliefs = [ExtensionSpec(delta=truth.delta, length=v) for v in grid]
     if mode == "exact":

@@ -115,7 +115,7 @@ def _variate(seed_offset: int, spell: int, draw: int) -> float:
     return (_mix64(state) >> 11) * 2.0 ** -53
 
 
-def _variates(add: int, keys: np.ndarray, out=None) -> np.ndarray:
+def _variates(add: int, keys: np.ndarray, out) -> np.ndarray:
     """Vectorized ``_variate`` as 53-bit words: the top 53 bits of the
     splitmix64 finalizer at ``keys + add``, a word ``k`` standing for the
     variate ``k * 2**-53``.
@@ -123,11 +123,10 @@ def _variates(add: int, keys: np.ndarray, out=None) -> np.ndarray:
     With keys ``counter * gamma`` and ``add`` equal to ``gamma + offset``
     these are ``_variate``'s variates; the block kernel, ``_share``,
     moves part of each counter from the keys into ``add``, which is
-    equal modulo 2**64. ``out`` is an optional pair of uint64 scratch
-    arrays shaped like ``keys``; the words are written to the first.
+    equal modulo 2**64. ``out`` is a pair of uint64 scratch arrays shaped
+    like ``keys``; the words are written to the first.
     """
-    x, shifted = out if out is not None else (np.empty(len(keys), np.uint64),
-                                              np.empty(len(keys), np.uint64))
+    x, shifted = out
     np.add(keys, np.uint64(add & _MASK64), out=x)
     x ^= np.right_shift(x, _U30, out=shifted)
     x *= _MIX1_U

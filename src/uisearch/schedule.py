@@ -16,8 +16,9 @@ support. Each step prices its iterate once. Both schedules then build
 upward by a one-step recursion on the option-value kernel, pricing each
 wage once; the tuples they return carry the prices to the evaluator,
 and results store them as they are. ``_price`` is the one place a
-threshold is priced, and ``_price_each`` the one way to the prices of a
-schedule.
+threshold is priced and its option value ``upsilon`` formed, and
+``_price_each`` the one way to the prices of a schedule; every Newton
+step, recursion and post-extension chain reads ``upsilon`` from a price.
 
 In exact arithmetic every wage stays below the top of the wage support
 when ``z + c`` does. With ``z + c`` a few ulps below the top, rounding
@@ -38,22 +39,24 @@ _MAX_STEPS = 100
 
 
 def _price(dist, x):
-    """``(F(x), int_x^w_high w dF(w))``, the rejection probability and the
-    acceptance tail of threshold ``x``. ``x`` must lie inside the support:
-    ``dist.cdf`` raises ValueError for any other ``x``, NaN included."""
-    return dist.cdf(x), dist.partial_expectation(x, dist.high)
+    """``(F(x), int_x^w_high w dF(w), upsilon(x))``, the rejection
+    probability, the acceptance tail and the option value
+    ``x * F(x) + tail`` of threshold ``x``: the one place the option value
+    is formed. ``x`` must lie inside the support: ``dist.cdf`` raises
+    ValueError for any other ``x``, NaN included."""
+    reject, tail = dist.cdf(x), dist.partial_expectation(x, dist.high)
+    return reject, tail, x * reject + tail
 
 
 def upsilon(dist: UniformOffers, x) -> float:
     """Expected value of max(x, w) under the offer distribution.
 
     This is the option-value kernel of every recursion:
-    ``x * F(x) + int_x^w_high w dF(w)``. It is nondecreasing in x and
-    bounded above by the top of the wage support. ``x`` must lie inside
-    the support.
+    ``x * F(x) + int_x^w_high w dF(w)``, the third field of ``_price``. It
+    is nondecreasing in x and bounded above by the top of the wage
+    support. ``x`` must lie inside the support.
     """
-    reject, tail = _price(dist, x)
-    return x * reject + tail
+    return _price(dist, x)[2]
 
 
 class _Priced(tuple):
@@ -64,12 +67,11 @@ class _Priced(tuple):
 def _climb(dist, w0, slope, terms):
     """Wages up from ``w0`` by ``w[n] = min(terms[n - 1] + slope * upsilon(w[n - 1]),
     top)`` with ``top = dist.high``, in one upward pass that prices each
-    wage once, as it forms it."""
+    wage once, as it forms it, and reads ``upsilon`` from the price."""
     wage, top = w0, dist.high
     wages, prices = [wage], [_price(dist, wage)]
     for term in terms:
-        reject, tail = prices[-1]
-        wage = min(term + slope * (wage * reject + tail), top)
+        wage = min(term + slope * prices[-1][2], top)
         wages.append(wage)
         prices.append(_price(dist, wage))
     climbed = _Priced(map(float, wages))
@@ -122,19 +124,18 @@ def _fixed_point(dist, base, slope, label):
     ``g`` is convex with derivative ``slope * F(x) - 1 <= slope - 1 < 0``,
     so each step ``x + g(x) / (1 - slope * F(x))`` lands at or below the
     root and the iterates rise to it. Each step takes ``F(x)`` and
-    ``upsilon(x)`` from one ``_price`` of ``x``, with the float
-    operations ``upsilon`` performs. Stops at the first step that does
-    not rise and keeps the iterate before it: below the root every step
-    rises in exact arithmetic, so that step is rounding. The loop ends
-    because the iterates are floats that rise strictly and never pass
-    the top of the support; quadratic convergence makes that a handful
-    of steps on any support width, and ``_MAX_STEPS`` only catches a
-    defect.
+    ``upsilon(x)`` from one ``_price`` of ``x``. Stops at the first
+    step that does not rise and keeps the iterate before it: below the
+    root every step rises in exact arithmetic, so that step is rounding.
+    The loop ends because the iterates are floats that rise strictly and
+    never pass the top of the support; quadratic convergence makes that
+    a handful of steps on any support width, and ``_MAX_STEPS`` only
+    catches a defect.
     """
     x, top = dist.low, dist.high
     for _ in range(_MAX_STEPS):
-        reject, tail = _price(dist, x)
-        nxt = min(x + (base + slope * (x * reject + tail) - x) / (1.0 - slope * reject), top)
+        reject, _, option = _price(dist, x)
+        nxt = min(x + (base + slope * option - x) / (1.0 - slope * reject), top)
         if not nxt > x:
             return x
         x = nxt
@@ -205,16 +206,16 @@ def build_extension_schedule(dist: UniformOffers, params: MarketParams,
     + beta * delta * upsilon(basic[n - 1 + length])
     + beta * (1 - delta) * upsilon(w[n - 1])``,
     so ``basic`` must reach ``post_extension_state(n_periods, length)``,
-    as ``check_cover`` requires.
+    as ``check_cover`` requires. The ``upsilon`` of each ``basic`` wage is
+    read from its price.
     """
     n_periods, length = params.n_periods, belief.length
     check_cover("basic schedule", basic, n_periods, length)
     w0 = solve_w0_extension(dist, params, belief, basic[length])
     beta, delta = params.beta, belief.delta
     base = (params.z + params.c) * (1.0 - beta)
-    posts = range(length, n_periods + length)  # post_extension_state(n, length)
-    terms = [base + beta * delta * (basic[m] * reject + tail)
-             for m, (reject, tail) in zip(posts, _price_each(dist, basic)[length:])]
+    terms = [base + beta * delta * option
+             for _, _, option in _price_each(dist, basic)[length:n_periods + length]]
     return _climb(dist, w0, beta * (1.0 - delta), terms)
 
 

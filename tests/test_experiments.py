@@ -4,6 +4,7 @@ import math
 from dataclasses import astuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -263,6 +264,29 @@ class TestSweep:
         for mode in ("exact", "mc"):
             with pytest.raises(ValueError, match="length must be a positive integer"):
                 sweep_beliefs(cal, vary="len", grid=[20, 25.9], mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_deltas_go_to_extension_spec_as_given(self, cal, mode):
+        # Whole numbers and numpy floats run as the floats they equal.
+        kwargs = dict(vary="delta", mode=mode, spells=200)
+        floats = _rows_digest(sweep_beliefs(cal, grid=[0.0, 1.0, 0.5], **kwargs))
+        assert _rows_digest(sweep_beliefs(cal, grid=[0, 1, 0.5], **kwargs)) == floats
+        assert _rows_digest(sweep_beliefs(
+            cal, grid=list(np.array([0.0, 1.0, 0.5])), **kwargs)) == floats
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("point", ["0.5", b"0.25"])
+    def test_a_delta_given_as_text_is_refused(self, cal, monkeypatch, mode, point):
+        # ExtensionSpec compares delta with 0 and 1, which text refuses,
+        # before any evaluation or simulation.
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before the grid was checked")
+
+        for name in ("evaluate_beliefs", "build_policies"):
+            monkeypatch.setattr(f"uisearch.experiments.{name}", no_work)
+        monkeypatch.setattr("uisearch.montecarlo.simulate_many", no_work)
+        with pytest.raises(TypeError):
+            sweep_beliefs(cal, vary="delta", grid=[point], mode=mode)
 
     def test_invalid_arguments(self, cal):
         with pytest.raises(ValueError, match="vary"):

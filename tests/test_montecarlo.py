@@ -49,6 +49,11 @@ def _keys(spells, draws):
     return ((spells << np.uint64(32)) | draws) * np.uint64(GAMMA)
 
 
+def _scratch(n):
+    """A pair of uint64 scratch arrays for a ``_variates`` call on ``n`` keys."""
+    return np.empty(n, np.uint64), np.empty(n, np.uint64)
+
+
 def _decoded(add, keys, offset):
     """The ``(spell, draw)`` pairs a ``_variates(add, keys)`` call hashes
     under ``offset``, decoded from ``keys + add`` through gamma's inverse."""
@@ -191,7 +196,8 @@ class TestCounterStreams:
         spells = np.array([0, 1, 7, 123456], dtype=np.uint64)
         draws = np.array([0, 3, 11, 2], dtype=np.uint64)
         offset = _seed_offset(42)
-        vec = _variates(GAMMA + offset, _keys(spells, draws)) * 2.0 ** -53
+        vec = _variates(GAMMA + offset, _keys(spells, draws),
+                        _scratch(len(spells))) * 2.0 ** -53
         for k in range(len(spells)):
             assert vec[k] == _variate(offset, int(spells[k]), int(draws[k]))
 
@@ -233,7 +239,8 @@ class TestCounterStreams:
         offset = _seed_offset(1234)
         n = 200_000
         u = _variates(GAMMA + offset, _keys(np.arange(n, dtype=np.uint64),
-                                            np.zeros(n, dtype=np.uint64))) * 2.0 ** -53
+                                            np.zeros(n, dtype=np.uint64)),
+                      _scratch(n)) * 2.0 ** -53
         assert np.all((u >= 0.0) & (u < 1.0))
         assert abs(u.mean() - 0.5) < 4 * math.sqrt(1 / 12 / n)
         assert abs(u.var() - 1 / 12) < 4 * math.sqrt(1 / 180 / n)
@@ -651,7 +658,7 @@ class TestStreamConsumption:
         sizes = []
         offset = _seed_offset(5)
 
-        def counting(add, keys, out=None):
+        def counting(add, keys, out):
             sizes.append(len(keys))
             drawn.update(zip(*(a.tolist() for a in _decoded(add, keys, offset))))
             return _variates(add, keys, out=out)
@@ -694,7 +701,7 @@ class TestStreamConsumption:
             blocks.append((args[5], args[6], out["duration"] + trials))
             return out
 
-        def variates(add, keys, out=None):
+        def variates(add, keys, out):
             sizes.append(len(keys))
             spells, draws = _decoded(add, keys, offset)
             counters.append((spells << np.uint64(32)) | draws)
@@ -1227,7 +1234,7 @@ class TestOverlappedBlocks:
             returned.append((args[5], args[6], int(out["truncated"].sum())))
             return out
 
-        def variates(add, keys, out=None):
+        def variates(add, keys, out):
             if tracing[0]:
                 spells, draws = _decoded(add, keys, offset)
                 blocks = (spells // np.uint64(DEFAULT_CHUNK)).tolist()
@@ -1267,7 +1274,7 @@ class TestOverlappedBlocks:
             seen.append((out["extension_period"].copy(), out["truncated"].copy()))
             return out
 
-        def variates(add, keys, out=None):
+        def variates(add, keys, out):
             # The blocks drawing in this call, and block 0's last draw.
             spells, draws = _decoded(add, keys, offset)
             blocks = spells // np.uint64(DEFAULT_CHUNK)
@@ -1320,7 +1327,7 @@ class TestOverlappedBlocks:
         calls = []
         real = _variates
 
-        def variates(add, keys, out=None):
+        def variates(add, keys, out):
             calls.append(len(keys))
             return real(add, keys, out=out)
 

@@ -240,6 +240,33 @@ def test_a_sweep_pass_makes_the_census_divisors(monkeypatch):
     assert len(upsilon) == len(evaluations)
 
 
+@pytest.mark.parametrize("vary, most", [("delta", 376), ("len", 244)])
+def test_a_sweep_pass_prices_each_threshold_once(monkeypatch, vary, most):
+    # One default exact sweep pass prices each Newton iterate, each basic
+    # wage and each belief's pre-extension wages once: 376 _price calls
+    # on the delta grid and 244 on the length grid. A change that lowers a
+    # count tightens its bound.
+    cal = uisearch.default_calibration()
+    prices = counted(monkeypatch, "schedule._price")
+    uisearch.sweep_beliefs(cal, vary=vary)
+    assert len(prices) <= most
+
+
+def test_a_million_spells_draw_a_fixed_number_of_variates(monkeypatch):
+    # One 1-worker million-spell call at mc_million's pessimist policy,
+    # belief (0.1, 25) under the default calibration, seed 0: 809
+    # _variates calls over 11 340 858 lane-draws. A change that lowers a
+    # count tightens its bound.
+    cal = uisearch.default_calibration()
+    policy = uisearch.build_policy(cal.dist, cal.params, uisearch.ExtensionSpec(0.1, 25),
+                                   cal.truth.length)
+    draws = counted(monkeypatch, "montecarlo._variates")
+    uisearch.simulate_many(policy, cal.truth, cal.params, cal.dist, 1_000_000, 0,
+                           n_workers=1)
+    assert len(draws) <= 809
+    assert sum(len(args[1]) for args in draws) <= 11_340_858
+
+
 def test_a_sweep_pass_calls_the_counted_distribution_members(monkeypatch):
     # bench/run.py reads a sweep's distributions.cdf and
     # distributions.partial_expectation counts from a plain dict copied
@@ -436,6 +463,37 @@ def test_thresholds_are_priced_in_one_place():
                              ("schedule", "_price", "partial_expectation")]
 
 
+def option_values(node):
+    """(function, expression) of each ``<x> * reject + tail`` under
+    ``node``: the option value ``upsilon(x)`` formed from a price."""
+    return [(scope, ast.unparse(child)) for scope, child in scoped_nodes(node)
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Add)
+            and isinstance(child.left, ast.BinOp) and isinstance(child.left.op, ast.Mult)
+            and getattr(child.left.right, "id", None) == "reject"
+            and getattr(child.right, "id", None) == "tail"]
+
+
+def test_the_option_value_is_formed_in_one_place():
+    # schedule._price forms upsilon(x) beside the price it comes from, and
+    # every Newton step, recursion and post-extension chain reads it
+    # there, so a new spelling of the option value changes one line.
+    found = [(path.stem, *form) for path in sorted(ROOT.glob("src/uisearch/*.py"))
+             for form in option_values(ast.parse(path.read_text()))]
+    assert found == [("schedule", "_price", "x * reject + tail")]
+
+
+def test_option_value_guard_finds_each_operand_and_skips_other_sums():
+    tree = ast.parse("def f(x, wage, basic, m):\n"
+                     "    a = x * reject + tail\n"
+                     "    b = min(term + slope * (wage * reject + tail), top)\n"
+                     "    return [basic[m] * reject + tail]\n"
+                     "def g(value, wage, beta):\n"
+                     "    return reject * value + tail / (1 - beta), tail + reject * wage\n")
+    assert option_values(tree) == [("f", "x * reject + tail"),
+                                   ("f", "wage * reject + tail"),
+                                   ("f", "basic[m] * reject + tail")]
+
+
 SCHEDULE_NAMES = re.compile(r"threshold|wage|schedule|basic|with_extension|^pre$|^post$")
 
 
@@ -607,7 +665,7 @@ def test_the_monte_carlo_kernel_keeps_its_line_budget():
     lines = code_lines(source)
     loop = next(node for node in ast.parse(source).body
                 if isinstance(node, ast.FunctionDef) and node.name == "_share")
-    assert len(lines) <= 365
+    assert len(lines) <= 364
     assert len([n for n in lines if loop.lineno <= n <= loop.end_lineno]) <= 115
 
 
